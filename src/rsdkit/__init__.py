@@ -35,7 +35,6 @@ from .models import (
     GenerationContext,
     LanguageModel,
     NgramModel,
-    SerializedModel,
     TableModel,
     apply_temperature,
     greedy,

@@ -27,16 +27,16 @@ from .config import (
     load_problems,
     load_run_config,
 )
-from .decoding import Trace, decode, read_traces_jsonl
+from .decoding import decode, read_traces_jsonl
 from .metrics import (
     DEFAULT_SUB_THRESHOLD,
+    aggregate_records,
     dataset_report,
     low_prob_token_tally,
+    records_perplexity,
     write_perplexity_csv,
     write_surprisal_csv,
     write_token_tally_csv,
-    records_perplexity,
-    summary_stats,
 )
 from .pipeline import (
     DatasetFormatError,
@@ -253,7 +253,7 @@ def cmd_analyze(args) -> int:
             raise DataError(f"{dataset_path}: dataset is empty")
         report = dataset_report(records, threshold)
         report.save(out_dir / "report.json")
-        items = [(r.problem_id, r.records) for r in records]
+        items = [(r.problem_id, r) for r in records]
     else:
         if kind == "external":
             if not args.config:
@@ -274,31 +274,24 @@ def cmd_analyze(args) -> int:
                 raise DataError(str(exc)) from exc
             if not traces:
                 raise DataError(f"{dataset_path}: no traces found")
-        report_dict = _trace_report(traces, threshold)
+        agg = aggregate_records(((t.config.regime, t.records) for t in traces), threshold)
+        report_dict = {"traces": len(traces), "sub_threshold": threshold, **agg.report_fields()}
         (out_dir / "report.json").write_text(
             json.dumps(report_dict, indent=2, sort_keys=True) + "\n"
         )
-        items = [(str(i), t.records) for i, t in enumerate(traces)]
+        items = [(str(i), t) for i, t in enumerate(traces)]
 
-    for name, recs in items:
-        write_surprisal_csv(recs, out_dir / f"surprisal_{_slug(name)}.csv")
+    # dataset records and traces both carry ``.records``
+    for name, item in items:
+        write_surprisal_csv(item, out_dir / f"surprisal_{_slug(name)}.csv")
     write_perplexity_csv(
-        ((name, records_perplexity(recs), len(recs)) for name, recs in items),
+        ((name, records_perplexity(item.records), len(item.records)) for name, item in items),
         out_dir / "perplexity.csv",
     )
-    tally = low_prob_token_tally((_RecordHolder(recs) for _, recs in items), threshold)
+    tally = low_prob_token_tally((item for _, item in items), threshold)
     write_token_tally_csv(tally, out_dir / "token_tally.csv")
     log.info("analysis=%s items=%d threshold=%g", out_dir, len(items), threshold)
     return 0
-
-
-class _RecordHolder:
-    """Adapts a bare record list to the trace-shaped metrics interface."""
-
-    __slots__ = ("records",)
-
-    def __init__(self, records):
-        self.records = records
 
 
 def _read_jsonl(path: Path) -> list[dict]:
@@ -312,23 +305,6 @@ def _read_jsonl(path: Path) -> list[dict]:
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: line {i}: invalid JSON: {exc}") from exc
     return rows
-
-
-def _trace_report(traces: list[Trace], threshold: float) -> dict:
-    total = sum(len(t.records) for t in traces)
-    below = sum(
-        1 for t in traces for r in t.records if r.p_student is not None and r.p_student < threshold
-    )
-    coordinated = all(t.config.regime in ("rsd", "skd") for t in traces)
-    fallbacks = sum(t.fallback_count for t in traces)
-    return {
-        "traces": len(traces),
-        "sub_threshold": threshold,
-        "sub_threshold_pct": 100.0 * below / total if total else 0.0,
-        "fallback_rate_pct": 100.0 * fallbacks / total if (coordinated and total) else None,
-        "avg_token_count": total / len(traces) if traces else 0.0,
-        "perplexity_summary": summary_stats([records_perplexity(t.records) for t in traces]),
-    }
 
 
 def cmd_sweep(args) -> int:

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .decoding import GenerationConfig
+from .decoding import COORDINATED_REGIMES, GenerationConfig
 from .metrics import DEFAULT_SUB_THRESHOLD
-from .models import LanguageModel, NgramModel, SerializedModel, TableModel
+from .models import LanguageModel, NgramModel, TableModel
 from .pipeline import (
     DEFAULT_ATTEMPTS,
     DEFAULT_PREFIX_LENGTH,
@@ -128,7 +128,7 @@ def parse_run_config(payload: Mapping, base_dir: str | Path = ".") -> RunConfig:
     regime = generation.regime
     teacher_spec = payload.get("teacher")
     student_spec = payload.get("student")
-    if regime in ("rsd", "skd") and (teacher_spec is None or student_spec is None):
+    if regime in COORDINATED_REGIMES and (teacher_spec is None or student_spec is None):
         raise ConfigError(f"regime {regime!r} needs both teacher and student model specs")
     if regime == "solo-teacher" and teacher_spec is None:
         raise ConfigError("regime 'solo-teacher' needs a teacher model spec")
@@ -253,8 +253,6 @@ def build_model(spec: Mapping, role: str = "model") -> LanguageModel:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{role}: bad model spec: {exc}") from exc
-    if not model.thread_safe:
-        model = SerializedModel(model)
     return model
 
 

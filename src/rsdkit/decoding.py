@@ -1,23 +1,30 @@
-"""Generation regimes: teacher-proposed/student-approved, its mirror, and solo.
+"""Generation regimes: one propose-and-approve loop behind every regime.
 
-The main regime ("rsd") decodes one token per step as follows: the teacher's
-raw distribution is suppression-filtered and tempered, a candidate is
-sampled from it, and the student's raw probability of that candidate is
-compared against the threshold ``p_th``. A candidate strictly below the
-threshold is rejected and the token is resampled from the student's own
-tempered distribution (a *fallback*); otherwise the teacher's proposal is
-accepted. Generation stops at the student's EOS token or after
-``max_tokens`` emitted tokens, and every step is recorded in full.
+Each step one side *proposes* a token by sampling it; in the coordinated
+regimes the other side *approves* it when its own probability of the
+proposal is at least ``p_th``, and otherwise samples the token itself (a
+*fallback*, not re-checked). ``cfg.regime`` assigns the roles:
 
-The mirror regime ("skd") swaps the roles: the student proposes, the teacher
-approves by threshold, and rejected proposals are resampled from the
-teacher's suppressed, tempered distribution.
+* ``rsd``: the teacher proposes and the student approves.
+* ``skd``: the mirror; the student proposes and the teacher approves.
+  Student-native proposals are unscoreable by the teacher and score 0.
+* ``solo-teacher`` / ``solo-student``: the named model proposes and nothing
+  approves. A solo-teacher decode may carry the student as a scorer that
+  fills the student-side fields.
+
+Teacher-side samples come from the suppression-filtered, tempered teacher
+distribution, so every one is student-scoreable; student-side samples come
+from the tempered student distribution. Solo decodes use the identity map
+of the decoding model, under which suppression changes nothing. Generation
+stops at the student's EOS token (the decoding model's own in solo regimes)
+or after ``max_tokens`` emitted tokens; every step is recorded in full.
 
 Randomness schedule: each step owns a :class:`~rsdkit.seeding.StepStream`
 keyed on ``(seed, step index)``; the proposal consumes draw 0 and a fallback
 resample consumes draw 1. Acceptance or rejection therefore never shifts the
-randomness of later steps, which is what makes the ``p_th = 0`` regimes
-degenerate bit-exactly into the corresponding solo decodes.
+randomness of later steps. At ``p_th = 0`` nothing is rejected, so by
+construction the coordinated regimes emit bit-exactly the tokens of the
+corresponding solo decodes (for ``rsd``, when suppression removes no mass).
 
 Thresholding uses the *raw* (temperature-1) probability by default so the
 acceptance rule measures the same quantity as the sub-threshold diagnostics;
@@ -33,11 +40,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .models import Distribution, GenerationContext, LanguageModel, apply_temperature, sample
+from .models import Distribution, LanguageModel, apply_temperature, sample
 from .seeding import StepStream
 from .vocab import DualContext, VocabularyAlignmentError, VocabularyMap, suppress
 
 REGIMES = ("rsd", "skd", "solo-teacher", "solo-student")
+COORDINATED_REGIMES = ("rsd", "skd")
 TERMINATIONS = ("eos", "length-budget")
 
 
@@ -214,7 +222,7 @@ class _Tempered:
 
     __slots__ = ("_temperature", "_vmap", "_plain", "_suppressed")
 
-    def __init__(self, temperature: float, vmap: VocabularyMap | None) -> None:
+    def __init__(self, temperature: float, vmap: VocabularyMap) -> None:
         self._temperature = temperature
         self._vmap = vmap
         self._plain: dict[int, tuple[Distribution, Distribution]] = {}
@@ -230,14 +238,82 @@ class _Tempered:
     def suppressed(self, dist: Distribution) -> Distribution:
         hit = self._suppressed.get(id(dist))
         if hit is None or hit[0] is not dist:
-            assert self._vmap is not None
             hit = (dist, apply_temperature(suppress(dist, self._vmap), self._temperature))
             self._suppressed[id(dist)] = hit
         return hit[1]
 
 
-def _score(dist: Distribution, token: int) -> float:
-    return dist[token] if 0 <= token < dist.vocab_size else 0.0
+def _decode(
+    teacher: LanguageModel | None,
+    student: LanguageModel | None,
+    prompt: Sequence[int],
+    cfg: GenerationConfig,
+    vmap: VocabularyMap | None = None,
+) -> Trace:
+    """The one decode loop; ``cfg.regime`` picks the proposer and the approver.
+    In solo regimes the other slot holds an optional scorer, and ``vmap`` is
+    replaced by the decoding model's identity map."""
+    approving = cfg.regime in COORDINATED_REGIMES
+    teacher_proposes = cfg.regime in ("rsd", "solo-teacher")
+    proposer, other = (teacher, student) if teacher_proposes else (student, teacher)
+    home = student if approving else proposer  # the vocabulary prompts and maps are keyed on
+    if vmap is None or not approving:
+        vmap = VocabularyMap.identity(home.vocab_size)
+    for t in prompt:
+        if not 0 <= t < home.vocab_size:
+            raise ValueError(f"prompt token {t} outside vocabulary of size {home.vocab_size}")
+    ctx = DualContext.from_prompt(prompt, vmap, cfg.context_limit)
+    own_ctx, other_ctx = (ctx.teacher, ctx.student) if teacher_proposes else (ctx.student, ctx.teacher)
+    eos = home.eos_token
+    memo = _Tempered(cfg.temperature, vmap)
+
+    def draw(teacher_side: bool, dist: Distribution, stream: StepStream) -> int:
+        if not teacher_side:
+            return sample(memo.plain(dist), stream)
+        token = sample(memo.suppressed(dist), stream)
+        if approving and (token >= student.vocab_size or vmap.is_student_only(token)):
+            raise VocabularyAlignmentError(
+                f"suppression failed to filter token {token}, unscoreable by the student"
+            )
+        return token
+
+    records: list[TokenRecord] = []
+    terminated = "length-budget"
+    for step in range(cfg.max_tokens):
+        stream = StepStream(cfg.seed, step)
+        own = proposer.next_distribution(own_ctx.tokens)
+        token = draw(teacher_proposes, own, stream)
+        judge = None if other is None else other.next_distribution(other_ctx.tokens)
+        fallback = False
+        if approving:
+            if vmap.is_student_only(token):  # unscoreable by a teacher approver
+                decision_p = 0.0
+            else:
+                decision_p = _prob(judge if cfg.threshold_uses_raw else memo.plain(judge), token, 0.0)
+            fallback = decision_p < cfg.p_th
+            if fallback:
+                token = draw(not teacher_proposes, judge, stream)
+
+        p_t, p_s = (own, judge) if teacher_proposes else (judge, own)
+        p_student = None if p_s is None else _prob(p_s, token, 0.0)
+        p_teacher = None if p_t is None or vmap.is_student_only(token) else _prob(p_t, token, None)
+        records.append(
+            TokenRecord(
+                token=token,
+                proposer="teacher" if teacher_proposes != fallback else "student",
+                accepted=approving and not fallback,
+                fallback=fallback,
+                p_teacher=p_teacher,
+                p_student=p_student,
+                surprisal_student=None if p_student is None else _surprisal(p_student),
+            )
+        )
+        ctx.append(token, vmap)
+        if token == eos:
+            terminated = "eos"
+            break
+
+    return Trace(prompt=tuple(prompt), records=records, config=cfg, terminated_by=terminated)
 
 
 def rsd_decode(
@@ -247,60 +323,10 @@ def rsd_decode(
     cfg: GenerationConfig,
     vmap: VocabularyMap | None = None,
 ) -> Trace:
-    """Teacher proposes each token; the student accepts or falls back.
-
-    The teacher proposal is sampled from its suppressed, tempered
-    distribution; the acceptance check compares the student's probability of
-    the proposal against ``cfg.p_th`` (strict less-than rejects). Fallback
-    tokens are sampled from the student's tempered distribution over its
-    full vocabulary and are not re-checked against the threshold.
-    """
+    """:func:`decode` for regime ``rsd``: the teacher proposes, the student approves."""
     if cfg.regime != "rsd":
         raise ValueError(f"rsd_decode requires regime 'rsd', got {cfg.regime!r}")
-    vmap = vmap or VocabularyMap.identity(student.vocab_size)
-    _check_prompt(prompt, student)
-    ctx = DualContext.from_prompt(prompt, vmap, cfg.context_limit)
-    memo = _Tempered(cfg.temperature, vmap)
-    records: list[TokenRecord] = []
-    terminated = "length-budget"
-
-    for step in range(cfg.max_tokens):
-        stream = StepStream(cfg.seed, step)
-        p_t_raw = teacher.next_distribution(ctx.teacher.tokens)
-        proposal = sample(memo.suppressed(p_t_raw), stream)
-        if proposal >= student.vocab_size or vmap.is_student_only(proposal):
-            raise VocabularyAlignmentError(
-                f"suppression failed to filter token {proposal}, unscoreable by the student"
-            )
-        p_s_raw = student.next_distribution(ctx.student.tokens)
-        decision_p = p_s_raw[proposal] if cfg.threshold_uses_raw else memo.plain(p_s_raw)[proposal]
-
-        if decision_p < cfg.p_th:
-            token = sample(memo.plain(p_s_raw), stream)
-            proposer, accepted, fallback = "student", False, True
-        else:
-            token = proposal
-            proposer, accepted, fallback = "teacher", True, False
-
-        p_student = p_s_raw[token]
-        p_teacher = None if vmap.is_student_only(token) else _p_or_none(p_t_raw, token)
-        records.append(
-            TokenRecord(
-                token=token,
-                proposer=proposer,
-                accepted=accepted,
-                fallback=fallback,
-                p_teacher=p_teacher,
-                p_student=p_student,
-                surprisal_student=_surprisal(p_student),
-            )
-        )
-        ctx.append(token, vmap)
-        if token == student.eos_token:
-            terminated = "eos"
-            break
-
-    return Trace(prompt=tuple(prompt), records=records, config=cfg, terminated_by=terminated)
+    return _decode(teacher, student, prompt, cfg, vmap)
 
 
 def skd_decode(
@@ -310,63 +336,10 @@ def skd_decode(
     cfg: GenerationConfig,
     vmap: VocabularyMap | None = None,
 ) -> Trace:
-    """Mirror regime: the student proposes, the teacher approves by threshold.
-
-    Student-native proposals are unscoreable by the teacher and always fall
-    back. Teacher resamples come from its suppressed, tempered distribution,
-    so every resampled token is student-scoreable.
-    """
+    """:func:`decode` for regime ``skd``: the student proposes, the teacher approves."""
     if cfg.regime != "skd":
         raise ValueError(f"skd_decode requires regime 'skd', got {cfg.regime!r}")
-    vmap = vmap or VocabularyMap.identity(student.vocab_size)
-    _check_prompt(prompt, student)
-    ctx = DualContext.from_prompt(prompt, vmap, cfg.context_limit)
-    memo = _Tempered(cfg.temperature, vmap)
-    records: list[TokenRecord] = []
-    terminated = "length-budget"
-
-    for step in range(cfg.max_tokens):
-        stream = StepStream(cfg.seed, step)
-        p_s_raw = student.next_distribution(ctx.student.tokens)
-        proposal = sample(memo.plain(p_s_raw), stream)
-        p_t_raw = teacher.next_distribution(ctx.teacher.tokens)
-        if vmap.is_student_only(proposal):
-            decision_p = 0.0
-        elif cfg.threshold_uses_raw:
-            decision_p = _score(p_t_raw, proposal)
-        else:
-            decision_p = _score(memo.plain(p_t_raw), proposal)
-
-        if decision_p < cfg.p_th:
-            token = sample(memo.suppressed(p_t_raw), stream)
-            if token >= student.vocab_size or vmap.is_student_only(token):
-                raise VocabularyAlignmentError(
-                    f"suppression failed to filter token {token}, unscoreable by the student"
-                )
-            proposer, accepted, fallback = "teacher", False, True
-        else:
-            token = proposal
-            proposer, accepted, fallback = "student", True, False
-
-        p_student = p_s_raw[token]
-        p_teacher = None if vmap.is_student_only(token) else _p_or_none(p_t_raw, token)
-        records.append(
-            TokenRecord(
-                token=token,
-                proposer=proposer,
-                accepted=accepted,
-                fallback=fallback,
-                p_teacher=p_teacher,
-                p_student=p_student,
-                surprisal_student=_surprisal(p_student),
-            )
-        )
-        ctx.append(token, vmap)
-        if token == student.eos_token:
-            terminated = "eos"
-            break
-
-    return Trace(prompt=tuple(prompt), records=records, config=cfg, terminated_by=terminated)
+    return _decode(teacher, student, prompt, cfg, vmap)
 
 
 def solo_decode(
@@ -375,53 +348,20 @@ def solo_decode(
     cfg: GenerationConfig,
     scorer: LanguageModel | None = None,
 ) -> Trace:
-    """Single-model tempered sampling, terminating on the model's own EOS.
+    """:func:`decode` for a solo regime: ``model`` decodes alone to its own EOS.
 
-    With a ``scorer`` (e.g. a student scoring teacher-generated traces) the
-    student-side probability and surprisal fields are filled by forced
-    scoring along the way; tokens outside the scorer vocabulary record
-    probability 0 (infinite surprisal) rather than aborting the trace.
+    A ``scorer`` (a student scoring a solo-teacher decode) fills the
+    student-side probability and surprisal fields by forced scoring; tokens
+    outside its vocabulary record probability 0 (infinite surprisal) rather
+    than aborting the trace.
     """
-    if cfg.regime not in ("solo-teacher", "solo-student"):
+    if cfg.regime == "solo-teacher":
+        return _decode(model, scorer, prompt, cfg)
+    if cfg.regime != "solo-student":
         raise ValueError(f"solo_decode requires a solo regime, got {cfg.regime!r}")
-    _check_prompt(prompt, model)
-    ctx = GenerationContext(list(prompt), cfg.context_limit)
-    memo = _Tempered(cfg.temperature, None)
-    records: list[TokenRecord] = []
-    terminated = "length-budget"
-    proposer = "teacher" if cfg.regime == "solo-teacher" else "student"
-
-    for step in range(cfg.max_tokens):
-        stream = StepStream(cfg.seed, step)
-        p_raw = model.next_distribution(ctx.tokens)
-        token = sample(memo.plain(p_raw), stream)
-
-        own_p = p_raw[token]
-        if scorer is not None:
-            p_student = _score(scorer.next_distribution(ctx.tokens), token)
-        elif cfg.regime == "solo-student":
-            p_student = own_p
-        else:
-            p_student = None
-        p_teacher = own_p if cfg.regime == "solo-teacher" else None
-
-        records.append(
-            TokenRecord(
-                token=token,
-                proposer=proposer,
-                accepted=False,
-                fallback=False,
-                p_teacher=p_teacher,
-                p_student=p_student,
-                surprisal_student=None if p_student is None else _surprisal(p_student),
-            )
-        )
-        ctx.append(token)
-        if token == model.eos_token:
-            terminated = "eos"
-            break
-
-    return Trace(prompt=tuple(prompt), records=records, config=cfg, terminated_by=terminated)
+    if scorer is not None:
+        raise ValueError("a scorer fills student-side fields, which 'solo-student' records itself")
+    return _decode(None, model, prompt, cfg)
 
 
 def decode(
@@ -431,27 +371,27 @@ def decode(
     cfg: GenerationConfig,
     vmap: VocabularyMap | None = None,
 ) -> Trace:
-    """Dispatch to the decoder named by ``cfg.regime``."""
-    if cfg.regime in ("rsd", "skd") and (teacher is None or student is None):
+    """Decode one trace in the regime named by ``cfg.regime``.
+
+    ``rsd`` and ``skd`` need both models. ``solo-teacher`` needs the teacher
+    and scores with the student when one is given; ``solo-student`` needs
+    the student and ignores the teacher. Solo regimes ignore ``vmap``.
+    """
+    if cfg.regime in COORDINATED_REGIMES and (teacher is None or student is None):
         raise ValueError(f"regime {cfg.regime!r} needs both a teacher and a student")
-    if cfg.regime == "rsd":
-        return rsd_decode(teacher, student, prompt, cfg, vmap)
-    if cfg.regime == "skd":
-        return skd_decode(teacher, student, prompt, cfg, vmap)
-    if cfg.regime == "solo-teacher":
-        if teacher is None:
-            raise ValueError("regime 'solo-teacher' needs a teacher")
-        return solo_decode(teacher, prompt, cfg, scorer=student)
-    if student is None:
-        raise ValueError("regime 'solo-student' needs a student")
-    return solo_decode(student, prompt, cfg, scorer=None)
+    if cfg.regime == "solo-teacher" and teacher is None:
+        raise ValueError("regime 'solo-teacher' needs a teacher")
+    if cfg.regime == "solo-student":
+        if student is None:
+            raise ValueError("regime 'solo-student' needs a student")
+        teacher = None
+    return _decode(teacher, student, prompt, cfg, vmap)
 
 
-def _check_prompt(prompt: Sequence[int], model: LanguageModel) -> None:
-    for t in prompt:
-        if not 0 <= t < model.vocab_size:
-            raise ValueError(f"prompt token {t} outside vocabulary of size {model.vocab_size}")
-
-
-def _p_or_none(dist: Distribution, token: int) -> float | None:
-    return dist[token] if 0 <= token < dist.vocab_size else None
+def _prob(dist: Distribution, token: int, outside: float | None) -> float | None:
+    """Raw probability of ``token`` (a sampled, so non-negative, id), or
+    ``outside`` beyond the vocabulary."""
+    try:
+        return dist[token]
+    except IndexError:
+        return outside

@@ -14,7 +14,10 @@ Definitions:
 * sub-threshold ratio: fraction of tokens with ``p_student`` strictly below
   a diagnostic threshold (1% in the headline configuration)
 * fallback rate: fraction of tokens emitted by the fallback path, defined
-  only for the coordinated (rsd/skd) regimes
+  only when every trace or record comes from a coordinated (rsd/skd) regime
+
+Every records-level aggregate goes through :func:`aggregate_records`, and
+every perplexity through :func:`records_perplexity`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .decoding import Trace
+from .decoding import COORDINATED_REGIMES, TokenRecord, Trace
 from .models import Distribution
 
 if TYPE_CHECKING:
@@ -64,46 +67,94 @@ def step_entropy(dist: Distribution) -> float:
     return float(-(q * np.log(q)).sum())
 
 
+def records_perplexity(records: Sequence[TokenRecord]) -> float:
+    """exp of mean recorded surprisal; ``inf`` when an unscoreable token is
+    present and NaN for no records. The one perplexity formula."""
+    if not records:
+        return math.nan
+    surprisals = [r.surprisal_student for r in records]
+    if any(s is None for s in surprisals):
+        raise ValueError("records carry no surprisal values")
+    if any(math.isinf(s) for s in surprisals):
+        return math.inf
+    return float(math.exp(sum(surprisals) / len(surprisals)))
+
+
 def trace_perplexity(trace: Trace) -> float:
-    """exp of mean surprisal; ``inf`` when an unscoreable token is present."""
+    """:func:`records_perplexity` of a trace, which must not be empty."""
     if not trace.records:
         raise ValueError("perplexity of an empty trace is undefined")
-    s = token_surprisal(trace)
-    if np.isinf(s).any():
-        return math.inf
-    return float(np.exp(s.mean()))
+    return records_perplexity(trace.records)
+
+
+@dataclass(frozen=True)
+class RecordsAggregate:
+    """Totals over ``(regime, records)`` items. ``perplexities[i]`` is None
+    when item i has an unscored record; ``coordinated`` means every item
+    comes from a coordinated regime, the only case with a fallback rate."""
+
+    items: int
+    tokens: int
+    below: int
+    fallbacks: int
+    coordinated: bool
+    perplexities: list[float | None]
+
+    def report_fields(self) -> dict:
+        """The fields that dataset and trace reports share."""
+        if None in self.perplexities:
+            raise ValueError("records carry no surprisal values")
+        tokens = self.tokens
+        return {
+            "fallback_rate_pct": 100.0 * self.fallbacks / tokens if self.coordinated and tokens else None,
+            "sub_threshold_pct": 100.0 * self.below / tokens if tokens else 0.0,
+            "avg_token_count": tokens / self.items if self.items else 0.0,
+            "perplexity_summary": summary_stats(self.perplexities),
+        }
+
+
+def aggregate_records(
+    items: Iterable[tuple[str, Sequence[TokenRecord]]], threshold: float = DEFAULT_SUB_THRESHOLD
+) -> RecordsAggregate:
+    """One pass over ``(regime, records)`` items; every records-level
+    statistic (reports, ratios, dataset stats) is read off its result."""
+    n = tokens = below = fallbacks = 0
+    coordinated = True
+    perplexities: list[float | None] = []
+    for regime, records in items:
+        n += 1
+        tokens += len(records)
+        coordinated = coordinated and regime in COORDINATED_REGIMES
+        scored = True
+        for r in records:
+            if r.p_student is not None and r.p_student < threshold:
+                below += 1
+            if r.fallback:
+                fallbacks += 1
+            if r.surprisal_student is None:
+                scored = False
+        perplexities.append(records_perplexity(records) if scored else None)
+    return RecordsAggregate(n, tokens, below, fallbacks, coordinated, perplexities)
 
 
 def sub_threshold_ratio(traces: Iterable[Trace], threshold: float) -> float:
     """Fraction of tokens with ``p_student`` strictly below ``threshold``."""
-    below = 0
-    total = 0
-    for trace in traces:
-        for rec in trace.records:
-            if rec.p_student is None:
-                raise ValueError("trace carries unscored records")
-            total += 1
-            if rec.p_student < threshold:
-                below += 1
-    if total == 0:
+    agg = aggregate_records(((t.config.regime, t.records) for t in traces), threshold)
+    if None in agg.perplexities:
+        raise ValueError("trace carries unscored records")
+    if agg.tokens == 0:
         raise ValueError("no tokens in the given traces")
-    return below / total
+    return agg.below / agg.tokens
 
 
 def fallback_rate(traces: Iterable[Trace]) -> float:
     """Fallback records over total records; coordinated regimes only."""
-    fallbacks = 0
-    total = 0
-    for trace in traces:
-        if trace.config.regime not in ("rsd", "skd"):
-            raise ValueError(
-                f"fallback rate is undefined for regime {trace.config.regime!r}"
-            )
-        total += len(trace.records)
-        fallbacks += trace.fallback_count
-    if total == 0:
+    agg = aggregate_records((t.config.regime, t.records) for t in traces)
+    if not agg.coordinated:
+        raise ValueError("fallback rate is undefined for regimes other than rsd and skd")
+    if agg.tokens == 0:
         raise ValueError("no tokens in the given traces")
-    return fallbacks / total
+    return agg.fallbacks / agg.tokens
 
 
 def low_prob_token_tally(traces: Iterable[Trace], threshold: float) -> dict[int, int]:
@@ -164,17 +215,6 @@ class DatasetReport:
         )
 
 
-def records_perplexity(records: Sequence) -> float:
-    if not records:
-        return math.nan
-    surprisals = [r.surprisal_student for r in records]
-    if any(s is None for s in surprisals):
-        raise ValueError("records carry no surprisal values")
-    if any(math.isinf(s) for s in surprisals):
-        return math.inf
-    return float(math.exp(sum(surprisals) / len(surprisals)))
-
-
 def summary_stats(values: Sequence[float]) -> dict[str, float]:
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
@@ -195,35 +235,17 @@ def dataset_report(
 ) -> DatasetReport:
     """Aggregate one dataset into its summary row.
 
-    Fallback rate is None (rendered "not applicable") when the dataset was
-    generated by a solo regime with no coordination to fall back from.
+    Fallback rate is None (rendered "not applicable") unless every record
+    was generated by a coordinated regime.
     """
     if not records:
         raise ValueError("cannot report on an empty dataset")
-    total_tokens = 0
-    below = 0
-    fallbacks = 0
-    coordinated = False
-    perplexities = []
-    for rec in records:
-        total_tokens += len(rec.records)
-        for tr in rec.records:
-            if tr.p_student is not None and tr.p_student < threshold:
-                below += 1
-            if tr.fallback:
-                fallbacks += 1
-        if rec.regime in ("rsd", "skd"):
-            coordinated = True
-        perplexities.append(records_perplexity(rec.records))
-    solved = sum(1 for r in records if r.kind == "full-trace")
+    agg = aggregate_records(((r.regime, r.records) for r in records), threshold)
     return DatasetReport(
         problems_attempted=len(records),
-        correctly_solved=solved,
-        fallback_rate_pct=(100.0 * fallbacks / total_tokens) if coordinated else None,
-        sub_threshold_pct=100.0 * below / total_tokens if total_tokens else 0.0,
+        correctly_solved=sum(1 for r in records if r.kind == "full-trace"),
         sub_threshold=threshold,
-        avg_token_count=total_tokens / len(records),
-        perplexity_summary=summary_stats(perplexities),
+        **agg.report_fields(),
     )
 
 

@@ -151,12 +151,12 @@ class GenerationContext:
 class LanguageModel(ABC):
     """Context -> next-token distribution at temperature 1.
 
-    ``thread_safe`` declares whether concurrent workers may query the handle
-    directly; the pipeline wraps non-safe handles in a serializing proxy.
+    Handles must tolerate concurrent queries: the pipeline's worker threads
+    share one handle per role. Table and n-gram models are pure functions of
+    the context, and the remote model locks its own cache.
     """
 
     backend: str = "abstract"
-    thread_safe: bool = True
     vocab_size: int
     eos_token: int
 
@@ -168,25 +168,6 @@ class LanguageModel(ABC):
         for t in context:
             if not 0 <= t < self.vocab_size:
                 raise ValueError(f"context token {t} outside vocabulary of size {self.vocab_size}")
-
-
-class SerializedModel(LanguageModel):
-    """Funnels all queries of a non-thread-safe handle through one lock."""
-
-    backend = "serialized"
-    thread_safe = True
-
-    def __init__(self, inner: LanguageModel) -> None:
-        import threading
-
-        self._inner = inner
-        self._lock = threading.Lock()
-        self.vocab_size = inner.vocab_size
-        self.eos_token = inner.eos_token
-
-    def next_distribution(self, context: Sequence[int]) -> Distribution:
-        with self._lock:
-            return self._inner.next_distribution(context)
 
 
 class TableModel(LanguageModel):

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .decoding import GenerationConfig, TokenRecord, Trace
+from .decoding import GenerationConfig, TokenRecord, Trace, _surprisal
+from .metrics import aggregate_records
 from .models import LanguageModel
 from .seeding import derive_seed
 
@@ -107,6 +108,8 @@ class DatasetRecord:
         kind = str(payload["kind"])
         if kind not in RECORD_KINDS:
             raise DatasetFormatError(f"unknown record kind {kind!r}")
+        if not payload["records"]:
+            raise DatasetFormatError("record has no token records")
         return cls(
             problem_id=str(payload["problem_id"]),
             kind=kind,
@@ -242,33 +245,34 @@ def rejection_sample(
     return RejectionResult(problem.id, solved=None, attempts=outcomes)
 
 
-def _record_stats(records: Sequence[TokenRecord]) -> dict:
-    surprisals = [r.surprisal_student for r in records]
-    if records and all(s is not None for s in surprisals):
-        ppl = (
-            math.inf
-            if any(math.isinf(s) for s in surprisals)
-            else math.exp(sum(surprisals) / len(surprisals))
-        )
-    else:
-        ppl = None
-    return {
-        "token_count": len(records),
-        "fallback_count": sum(1 for r in records if r.fallback),
-        "perplexity": ppl,
-    }
+def _dataset_record(
+    problem_id: str,
+    kind: str,
+    verdict: str,
+    trace: Trace,
+    records: list[TokenRecord],
+    source_trace_ref: str,
+) -> DatasetRecord:
+    agg = aggregate_records([(trace.config.regime, records)])
+    return DatasetRecord(
+        problem_id=problem_id,
+        kind=kind,
+        verdict=verdict,
+        tokens=tuple(r.token for r in records),
+        source_trace_ref=source_trace_ref,
+        regime=trace.config.regime,
+        records=records,
+        stats={
+            "token_count": agg.tokens,
+            "fallback_count": agg.fallbacks,
+            "perplexity": agg.perplexities[0] if records else None,
+        },
+    )
 
 
 def full_trace_record(problem_id: str, trace: Trace, source_trace_ref: str) -> DatasetRecord:
-    return DatasetRecord(
-        problem_id=problem_id,
-        kind="full-trace",
-        verdict="correct",
-        tokens=tuple(trace.tokens()),
-        source_trace_ref=source_trace_ref,
-        regime=trace.config.regime,
-        records=list(trace.records),
-        stats=_record_stats(trace.records),
+    return _dataset_record(
+        problem_id, "full-trace", "correct", trace, list(trace.records), source_trace_ref
     )
 
 
@@ -290,16 +294,7 @@ def upft_prefix(
     if not trace.records:
         raise ValueError("cannot take a prefix of an empty trace")
     clipped = list(trace.records[:prefix_length])
-    return DatasetRecord(
-        problem_id=problem_id,
-        kind="upft-prefix",
-        verdict=verdict,
-        tokens=tuple(r.token for r in clipped),
-        source_trace_ref=source_trace_ref,
-        regime=trace.config.regime,
-        records=clipped,
-        stats=_record_stats(clipped),
-    )
+    return _dataset_record(problem_id, "upft-prefix", verdict, trace, clipped, source_trace_ref)
 
 
 def _pick_prefix_source(result: RejectionResult, policy: str) -> AttemptOutcome:
@@ -313,11 +308,9 @@ def _pick_prefix_source(result: RejectionResult, policy: str) -> AttemptOutcome:
     if policy == "longest":
         return max(candidates, key=lambda a: len(a.trace.records))
     if policy == "lowest-perplexity":
-        def key(a: AttemptOutcome) -> float:
-            ppl = _record_stats(a.trace.records)["perplexity"]
-            return math.inf if ppl is None else ppl
-
-        return min(candidates, key=key)
+        agg = aggregate_records((a.trace.config.regime, a.trace.records) for a in candidates)
+        ppls = [math.inf if p is None else p for p in agg.perplexities]
+        return candidates[ppls.index(min(ppls))]
     raise ValueError(f"unknown prefix source policy {policy!r}")
 
 
@@ -425,7 +418,7 @@ def score_external_traces(
                     fallback=False,
                     p_teacher=None,
                     p_student=p,
-                    surprisal_student=math.inf if p <= 0.0 else -math.log(p),
+                    surprisal_student=_surprisal(p),
                 )
             )
             ctx.append(token)

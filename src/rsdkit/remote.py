@@ -175,7 +175,6 @@ class RemoteModel(LanguageModel):
     """
 
     backend = "remote"
-    thread_safe = True
 
     def __init__(self, endpoint: BackendEndpoint, session=None, cache_size: int = 256) -> None:
         self.endpoint = endpoint.resolved()

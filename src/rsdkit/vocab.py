@@ -192,24 +192,15 @@ class DualContext:
             ctx.append(token, vmap)
         return ctx
 
-    def append(self, token: int, vmap: VocabularyMap, side: str | None = None) -> None:
+    def append(self, token: int, vmap: VocabularyMap) -> None:
         """Append one student-vocabulary token to both contexts.
 
-        ``side`` may name the routing explicitly ("shared" or
-        "student-native"); by default it is inferred from the map. Shared
-        tokens go to both contexts verbatim; student-native tokens go to the
-        student context as-is and to the teacher context as their expansion.
+        Shared tokens go to both contexts verbatim; student-only tokens go to
+        the student context as-is and to the teacher context as their
+        expansion.
         """
-        student_native = vmap.is_student_only(token)
-        if side is not None:
-            if side not in ("shared", "student-native"):
-                raise ValueError(f"unknown side {side!r}")
-            if side == "student-native" and not student_native:
-                raise VocabularyAlignmentError(f"token {token} has no declared expansion")
-            if side == "shared" and student_native:
-                raise VocabularyAlignmentError(f"token {token} is student-only, not shared")
         self.student.append(token)
-        if student_native:
+        if vmap.is_student_only(token):
             self.teacher.extend(vmap.expand(token))
         else:
             self.teacher.append(token)

@@ -172,6 +172,28 @@ class TestAnalyze:
         assert report["traces"] == 3
         assert report["fallback_rate_pct"] == 0.0
 
+    def test_mixed_regimes_have_no_fallback_rate(self, tmp_path):
+        # one rule for both report paths: a fallback rate only when every item is rsd/skd
+        from rsdkit.decoding import GenerationConfig, rsd_decode, solo_decode, write_traces_jsonl
+        from rsdkit.metrics import dataset_report
+        from rsdkit.models import TableModel
+        from rsdkit.pipeline import full_trace_record
+
+        teacher = TableModel({}, [0.0, 1.0, 0.0, 0.0], eos_token=3)
+        student = TableModel({}, [0.2, 0.5, 0.2, 0.1], eos_token=3)
+        traces = [
+            rsd_decode(teacher, student, [0], GenerationConfig(p_th=0.3, max_tokens=4)),
+            solo_decode(student, [0], GenerationConfig(p_th=0.3, max_tokens=4, regime="solo-student")),
+        ]
+        records = [full_trace_record(f"p{i}", t, f"p{i}#attempt-0") for i, t in enumerate(traces)]
+        assert dataset_report(records).fallback_rate_pct is None
+
+        path = tmp_path / "traces.jsonl"
+        write_traces_jsonl(traces, path)
+        out = tmp_path / "mixed_analysis"
+        assert main(["analyze", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["fallback_rate_pct"] is None
+
 
 class TestSweep:
     def test_single_threshold_matches_generate(self, tmp_path):
@@ -303,6 +325,24 @@ class TestEmptyDatasetAnalyze:
         path = tmp_path / "empty.jsonl"
         export_dataset([], path)
         assert main(["analyze", str(path)]) == 4
+
+    def test_zero_token_record_is_data_error(self, tmp_path, capsys):
+        record = {
+            "kind": "full-trace",
+            "problem_id": "p0",
+            "records": [],
+            "regime": "rsd",
+            "source_trace_ref": "p0#attempt-0",
+            "stats": {},
+            "tokens": [],
+            "verdict": "correct",
+        }
+        manifest = {"kind": "manifest", "record_count": 1, "schema": "rsdkit-dataset-v1"}
+        path = tmp_path / "zero.jsonl"
+        path.write_text(json.dumps(record) + "\n" + json.dumps(manifest) + "\n")
+        assert main(["analyze", str(path)]) == 4
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "data" and "line 1" in error["message"]
 
 
 class TestRegimeMatrix:

@@ -183,6 +183,8 @@ class TestSolo:
             rsd_decode(model, model, [0], cfg(regime="solo-teacher"))
         with pytest.raises(ValueError, match="skd"):
             skd_decode(model, model, [0], cfg(regime="rsd"))
+        with pytest.raises(ValueError, match="scorer"):
+            solo_decode(model, [0], cfg(regime="solo-student"), scorer=model)
 
 
 class TestBookkeeping:

@@ -247,22 +247,6 @@ class TestNgramModel:
             )
 
 
-class TestSerializedModel:
-    def test_funnels_calls_through_one_lock(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        from rsdkit.models import SerializedModel
-
-        inner = TableModel({}, [0.25] * 4)
-        inner.thread_safe = False
-        wrapped = SerializedModel(inner)
-        assert wrapped.thread_safe
-        assert wrapped.vocab_size == 4 and wrapped.eos_token == 3
-        with ThreadPoolExecutor(8) as pool:
-            rows = list(pool.map(lambda _: wrapped.next_distribution([0]).probs.tolist(), range(64)))
-        assert all(row == [0.25] * 4 for row in rows)
-
-
 class TestBackendNormalization:
     def test_all_backends_return_normalized_nonnegative(self):
         rng = np.random.default_rng(11)

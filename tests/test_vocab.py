@@ -133,15 +133,6 @@ class TestDualContext:
             ctx.append(t, self.map())
             assert ctx.student.tokens == ctx.teacher.tokens
 
-    def test_explicit_side_validation(self):
-        ctx = DualContext.empty(16)
-        with pytest.raises(VocabularyAlignmentError, match="no declared expansion"):
-            ctx.append(7, self.map(), side="student-native")
-        with pytest.raises(VocabularyAlignmentError, match="student-only"):
-            ctx.append(THINK_CLOSE, self.map(), side="shared")
-        with pytest.raises(ValueError, match="unknown side"):
-            ctx.append(7, self.map(), side="both")
-
     def test_undeclared_student_only_token_rejected(self):
         m = build_vocab_map(8, 10)  # ids 8, 9 student-only, no expansions declared
         ctx = DualContext.empty(16)

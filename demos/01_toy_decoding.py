@@ -8,7 +8,7 @@ with different preferences so both outcomes show up.
 
 import numpy as np
 
-from rsdkit import GenerationConfig, TableModel, rsd_decode, skd_decode, solo_decode
+from rsdkit import GenerationConfig, TableModel, fallback_rate, rsd_decode, skd_decode, solo_decode
 
 VOCAB = ["the", "cat", "sat", "<eos>"]
 
@@ -34,14 +34,14 @@ for i, rec in enumerate(trace.records):
         f"step {i}: {outcome} token={VOCAB[rec.token]!r:8} "
         f"p_student={rec.p_student:.4f} surprisal={rec.surprisal_student:.3f} nats"
     )
-print(f"terminated by {trace.terminated_by}, fallback rate {trace.fallback_rate:.2f}\n")
+print(f"terminated by {trace.terminated_by}, fallback rate {fallback_rate([trace]):.2f}\n")
 
 print("=== mirror regime: student proposes, teacher approves (skd) ===")
 mirror = skd_decode(teacher, student, [0], GenerationConfig(
     p_th=0.01, max_tokens=8, temperature=0.7, context_limit=64, seed=3, regime="skd"
 ))
 print("tokens:", [VOCAB[t] for t in mirror.tokens()])
-print("fallback rate:", mirror.fallback_rate, "\n")
+print("fallback rate:", fallback_rate([mirror]), "\n")
 
 print("=== solo decoding, with the student scoring the teacher's output ===")
 solo = solo_decode(

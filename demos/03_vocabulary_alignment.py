@@ -42,13 +42,13 @@ print(f"\nafter suppression: sum={filtered.probs.sum():.12f}, "
       f"p(10)={filtered.probs[10]:.4f} (was 0.6, rescaled by 1/0.8)")
 
 # dual contexts: one semantic stream, two token renderings
-ctx = DualContext.empty(64)
+ctx = DualContext(64)
 for token in [100, 151668, 7, 151665]:
     ctx.append(token, vmap)
-print("\nstudent context:", ctx.student.tokens)
-print("teacher context:", ctx.teacher.tokens)
+print("\nstudent context:", ctx.student)
+print("teacher context:", ctx.teacher)
 
 # the replay check: re-deriving the teacher stream from the student stream
 # must reproduce it exactly
-assert replay_student_context(ctx.student.tokens, vmap) == ctx.teacher.tokens
+assert replay_student_context(ctx.student, vmap) == ctx.teacher
 print("replay verification: OK")

@@ -45,6 +45,3 @@ with StubServer({"teacher": teacher}) as server:
     print("\nlocal tokens:   ", local.tokens())
     print("over-wire tokens:", over_wire.tokens())
     print("byte-identical traces:", local.to_json_line() == over_wire.to_json_line())
-
-    sparse = remote_teacher.sparse_distribution([0], top_k=2, score_tokens=[3])
-    print("\ntop-2 (+scored id 3) renormalized distribution:", sparse.probs)

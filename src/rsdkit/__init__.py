@@ -32,12 +32,10 @@ from .models import (
     ContextOverflowError,
     Distribution,
     EmptySupportError,
-    GenerationContext,
     LanguageModel,
     NgramModel,
     TableModel,
     apply_temperature,
-    greedy,
     sample,
 )
 from .pipeline import (

@@ -21,9 +21,11 @@ from .config import (
     ConfigError,
     DataError,
     RunConfig,
+    at_least_one,
     build_detokenizer,
     build_model,
     build_vocab_map_from_spec,
+    in_unit_interval,
     load_problems,
     load_run_config,
 )
@@ -137,7 +139,7 @@ def _build_pair(cfg: RunConfig):
     return teacher, student, vmap
 
 
-def _run_dataset(cfg: RunConfig, workers: int | None):
+def _run_dataset(cfg: RunConfig):
     if cfg.problems_path is None:
         raise ConfigError("config names no problems file")
     teacher, student, vmap = _build_pair(cfg)
@@ -156,7 +158,6 @@ def _run_dataset(cfg: RunConfig, workers: int | None):
             result.solved is not None,
         )
 
-    resolved_workers = workers or cfg.workers or os.cpu_count() or 1
     results = run_generation(
         problems,
         generator,
@@ -164,7 +165,7 @@ def _run_dataset(cfg: RunConfig, workers: int | None):
         cfg.attempts,
         gen_cfg.seed,
         detokenize,
-        workers=resolved_workers,
+        workers=cfg.workers or os.cpu_count() or 1,
         progress=progress,
     )
     records = assemble_dataset(results, cfg.prefix_length, cfg.prefix_source)
@@ -184,9 +185,8 @@ def _write_outputs(cfg: RunConfig, records, dataset_path: Path, report_path: Pat
 
 
 def cmd_generate(args) -> int:
-    cfg = load_run_config(args.config)
-    cfg = _apply_overrides(cfg, args)
-    records = _run_dataset(cfg, args.workers)
+    cfg = _apply_overrides(load_run_config(args.config), args)
+    records = _run_dataset(cfg)
     dataset_path = cfg.resolve_path(cfg.dataset_path)
     report_path = cfg.resolve_path(cfg.report_path)
     report = _write_outputs(cfg, records, dataset_path, report_path)
@@ -201,14 +201,17 @@ def cmd_generate(args) -> int:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
+    """Fold command-line overrides into ``cfg``, range-checked like the config file."""
     gen = cfg.generation
     if getattr(args, "threshold", None) is not None:
-        gen = replace(gen, p_th=args.threshold)
+        gen = replace(gen, p_th=in_unit_interval("--threshold", args.threshold))
     if getattr(args, "seed", None) is not None:
         gen = replace(gen, seed=args.seed)
     cfg = replace(cfg, generation=gen)
     if getattr(args, "attempts", None) is not None:
-        cfg = replace(cfg, attempts=args.attempts)
+        cfg = replace(cfg, attempts=at_least_one("--attempts", args.attempts))
+    if args.workers is not None:
+        cfg = replace(cfg, workers=at_least_one("--workers", args.workers))
     return cfg
 
 
@@ -242,10 +245,10 @@ def _sniff_kind(path: Path) -> str:
 
 def cmd_analyze(args) -> int:
     dataset_path = Path(args.dataset)
+    threshold = in_unit_interval("--threshold", args.threshold)
     out_dir = Path(args.out) if args.out else dataset_path.with_name(dataset_path.stem + "_analysis")
     out_dir.mkdir(parents=True, exist_ok=True)
     kind = _sniff_kind(dataset_path)
-    threshold = args.threshold
 
     if kind == "dataset":
         records = import_dataset(dataset_path)
@@ -314,7 +317,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad --thresholds value: {exc}") from exc
     if not thresholds:
         raise ConfigError("sweep needs at least one threshold")
-    cfg = load_run_config(args.config)
+    for th in thresholds:
+        in_unit_interval("--thresholds", th)
+    cfg = _apply_overrides(load_run_config(args.config), args)
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.config).with_name(
         Path(args.config).stem + "_sweep"
     )
@@ -323,7 +328,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for th in thresholds:
         run_cfg = replace(cfg, generation=replace(cfg.generation, p_th=th))
-        records = _run_dataset(run_cfg, args.workers)
+        records = _run_dataset(run_cfg)
         tag = f"p{th:g}"
         report = _write_outputs(
             run_cfg, records, out_dir / f"dataset_{tag}.jsonl", out_dir / f"report_{tag}.json"

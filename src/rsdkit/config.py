@@ -109,6 +109,22 @@ _TOP_LEVEL_KEYS = frozenset(
 )
 
 
+def at_least_one(name: str, value) -> int:
+    """``value`` as an int, or ConfigError if it is below 1 (counts and pool sizes)."""
+    value = int(value)
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def in_unit_interval(name: str, value) -> float:
+    """``value`` as a float, or ConfigError if it lies outside [0, 1] (thresholds)."""
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
 def parse_run_config(payload: Mapping, base_dir: str | Path = ".") -> RunConfig:
     unknown = set(payload) - _TOP_LEVEL_KEYS
     if unknown:
@@ -156,24 +172,18 @@ def parse_run_config(payload: Mapping, base_dir: str | Path = ".") -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad verifier settings: {exc}") from exc
 
-    attempts = int(payload.get("attempts", DEFAULT_ATTEMPTS))
-    if attempts < 1:
-        raise ConfigError(f"attempts must be >= 1, got {attempts}")
-    prefix_length = int(payload.get("prefix_length", DEFAULT_PREFIX_LENGTH))
-    if prefix_length < 1:
-        raise ConfigError(f"prefix_length must be >= 1, got {prefix_length}")
+    attempts = at_least_one("attempts", payload.get("attempts", DEFAULT_ATTEMPTS))
+    prefix_length = at_least_one("prefix_length", payload.get("prefix_length", DEFAULT_PREFIX_LENGTH))
     prefix_source = payload.get("prefix_source", "first")
     if prefix_source not in PREFIX_SOURCES:
         raise ConfigError(f"prefix_source must be one of {PREFIX_SOURCES}, got {prefix_source!r}")
-    diagnostic_threshold = float(payload.get("diagnostic_threshold", DEFAULT_SUB_THRESHOLD))
-    if not 0.0 <= diagnostic_threshold <= 1.0:
-        raise ConfigError(f"diagnostic_threshold must lie in [0, 1], got {diagnostic_threshold}")
+    diagnostic_threshold = in_unit_interval(
+        "diagnostic_threshold", payload.get("diagnostic_threshold", DEFAULT_SUB_THRESHOLD)
+    )
 
     workers = payload.get("workers")
     if workers is not None:
-        workers = int(workers)
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
+        workers = at_least_one("workers", workers)
 
     output = payload.get("output") or {}
     vocab_map_spec = payload.get("vocab_map")

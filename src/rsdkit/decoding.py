@@ -157,14 +157,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.records)
 
-    @property
-    def fallback_count(self) -> int:
-        return sum(1 for r in self.records if r.fallback)
-
-    @property
-    def fallback_rate(self) -> float:
-        return self.fallback_count / len(self.records) if self.records else 0.0
-
     def to_json_dict(self) -> dict:
         return {
             "prompt": list(self.prompt),
@@ -281,9 +273,9 @@ def _decode(
     terminated = "length-budget"
     for step in range(cfg.max_tokens):
         stream = StepStream(cfg.seed, step)
-        own = proposer.next_distribution(own_ctx.tokens)
+        own = proposer.next_distribution(own_ctx)
         token = draw(teacher_proposes, own, stream)
-        judge = None if other is None else other.next_distribution(other_ctx.tokens)
+        judge = None if other is None else other.next_distribution(other_ctx)
         fallback = False
         if approving:
             if vmap.is_student_only(token):  # unscoreable by a teacher approver

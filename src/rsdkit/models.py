@@ -3,6 +3,9 @@
 The engine treats a language model as a black box mapping a token-id context
 to a dense, normalized next-token distribution at temperature 1. Temperature
 and sampling are applied explicitly by callers, never inside a backend.
+Contexts are plain token lists; their length budget is owned by the decode
+loop's :class:`~rsdkit.vocab.DualContext`, which raises
+:class:`ContextOverflowError`.
 
 Two deterministic in-process backends are provided for desk-scale work:
 
@@ -17,8 +20,7 @@ concurrent workers.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -31,12 +33,6 @@ class EmptySupportError(ValueError):
 
 class ContextOverflowError(RuntimeError):
     """A generation context exceeded its token budget."""
-
-
-class UniformSource(Protocol):
-    """Anything that yields uniform [0, 1) doubles (np.random.Generator, StepStream)."""
-
-    def random(self) -> float: ...
 
 
 class Distribution:
@@ -101,11 +97,13 @@ def apply_temperature(dist: Distribution, temperature: float) -> Distribution:
     return Distribution(out, validate=False)
 
 
-def sample(dist: Distribution, rng: UniformSource) -> int:
+def sample(dist: Distribution, rng) -> int:
     """Draw one token; consumes exactly one uniform from ``rng``.
 
-    Pure function of (distribution, uniform draw): inverse-CDF over the
-    memoized cumulative sums.
+    ``rng`` needs only a ``.random()`` method yielding uniform [0, 1)
+    doubles (a :class:`~rsdkit.seeding.StepStream` or an
+    ``np.random.Generator``). Pure function of (distribution, uniform
+    draw): inverse-CDF over the memoized cumulative sums.
     """
     cdf = dist.cdf()
     total = float(cdf[-1])
@@ -113,39 +111,6 @@ def sample(dist: Distribution, rng: UniformSource) -> int:
         raise EmptySupportError("cannot sample from an all-zero distribution")
     idx = int(np.searchsorted(cdf, rng.random() * total, side="right"))
     return idx
-
-
-def greedy(dist: Distribution) -> int:
-    """Lowest-index token among those attaining the maximum probability."""
-    return int(np.argmax(dist.probs))
-
-
-@dataclass
-class GenerationContext:
-    """Ordered token-id sequence with a hard length budget. Single-owner."""
-
-    tokens: list[int]
-    max_length: int
-
-    def __post_init__(self) -> None:
-        if self.max_length <= 0:
-            raise ValueError(f"max_length must be positive, got {self.max_length}")
-        if len(self.tokens) > self.max_length:
-            raise ContextOverflowError(
-                f"context of length {len(self.tokens)} exceeds budget {self.max_length}"
-            )
-
-    def append(self, token: int) -> None:
-        if len(self.tokens) >= self.max_length:
-            raise ContextOverflowError(f"context budget {self.max_length} exhausted")
-        self.tokens.append(token)
-
-    def extend(self, tokens: Sequence[int]) -> None:
-        for t in tokens:
-            self.append(t)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 class LanguageModel(ABC):

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .decoding import GenerationConfig, TokenRecord, Trace, _surprisal
+from .decoding import REGIMES, GenerationConfig, TokenRecord, Trace, _surprisal
 from .metrics import aggregate_records
 from .models import LanguageModel
+from .remote import BackendError
 from .seeding import derive_seed
 
 VERDICTS = ("correct", "incorrect", "unverifiable")
@@ -105,19 +106,23 @@ class DatasetRecord:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "DatasetRecord":
-        kind = str(payload["kind"])
-        if kind not in RECORD_KINDS:
-            raise DatasetFormatError(f"unknown record kind {kind!r}")
+        for key, allowed in (("kind", RECORD_KINDS), ("verdict", VERDICTS), ("regime", REGIMES)):
+            if payload[key] not in allowed:
+                raise DatasetFormatError(f"unknown record {key} {payload[key]!r}")
         if not payload["records"]:
             raise DatasetFormatError("record has no token records")
+        records = [TokenRecord.from_json_dict(r) for r in payload["records"]]
+        tokens = [r.token for r in records]
+        if payload["tokens"] != tokens:
+            raise DatasetFormatError("tokens disagree with the token records")
         return cls(
             problem_id=str(payload["problem_id"]),
-            kind=kind,
-            verdict=str(payload["verdict"]),
-            tokens=tuple(int(t) for t in payload["tokens"]),
+            kind=payload["kind"],
+            verdict=payload["verdict"],
+            tokens=tuple(tokens),
             source_trace_ref=str(payload["source_trace_ref"]),
-            regime=str(payload["regime"]),
-            records=[TokenRecord.from_json_dict(r) for r in payload["records"]],
+            regime=payload["regime"],
+            records=records,
             stats=dict(payload.get("stats", {})),
         )
 
@@ -216,7 +221,8 @@ def rejection_sample(
     first correct one. Attempt k uses the seed derived from
     ``(base_seed, problem.id, k)``, so any attempt can be replayed in
     isolation. A generator failure records an unverifiable outcome and the
-    run continues.
+    run continues, except a :class:`~rsdkit.remote.BackendError`: a backend
+    outage fails every later attempt too, so it ends the run.
     """
     if attempts < 1:
         raise ValueError(f"attempts must be >= 1, got {attempts}")
@@ -226,6 +232,8 @@ def rejection_sample(
         try:
             trace = generator(problem.prompt_tokens, seed)
             text = detokenize(trace.tokens())
+        except BackendError:
+            raise
         except Exception as exc:  # recorded, not fatal
             outcomes.append(
                 AttemptOutcome(
@@ -300,8 +308,10 @@ def upft_prefix(
 def _pick_prefix_source(result: RejectionResult, policy: str) -> AttemptOutcome:
     candidates = [a for a in result.attempts if a.trace is not None and a.trace.records]
     if not candidates:
+        first_error = result.attempts[0].error if result.attempts else None
         raise ValueError(
             f"problem {result.problem_id!r}: no attempt produced a trace to salvage"
+            f" (first attempt: {first_error})"
         )
     if policy == "first":
         return candidates[0]

@@ -11,11 +11,6 @@ Protocol (JSON over HTTP/1.1):
   exact probabilities (the bundled stub does) may add ``"probs": [float; V]``
   and the client will take those verbatim, preserving bit-exactness that a
   log/exp round trip cannot.
-* ``want`` may instead be ``{"top_k": K, "score": [ids]}``; the response
-  then carries ``top_tokens``/``top_logprobs`` plus entries for the
-  explicitly scored ids, and the client renormalizes over that sparse
-  support. This trades exact fallback sampling for bandwidth on large
-  vocabularies.
 
 ``RSDKIT_REMOTE_URL`` and ``RSDKIT_REMOTE_TIMEOUT`` override the endpoint's
 base URL and timeout. Requests are idempotent and never mutate server
@@ -208,36 +203,3 @@ class RemoteModel(LanguageModel):
             while len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
         return dist
-
-    def sparse_distribution(
-        self, context: Sequence[int], top_k: int, score_tokens: Sequence[int] = ()
-    ) -> Distribution:
-        """Top-k + explicitly-scored ids, renormalized over that support.
-
-        An approximation: mass outside the returned support is dropped, so
-        fallback sampling over this distribution is no longer exact.
-        """
-        body = {
-            "model": self.endpoint.model_name,
-            "context": list(int(t) for t in context),
-            "want": {"top_k": int(top_k), "score": [int(t) for t in score_tokens]},
-        }
-        with self._inflight:
-            payload = _request(self.endpoint, self._session, "POST", "/v1/distribution", json=body)
-        try:
-            pairs = list(zip(payload["top_tokens"], payload["top_logprobs"])) + list(
-                zip(payload["scored_tokens"], payload["scored_logprobs"])
-            )
-        except (KeyError, TypeError) as exc:
-            raise BackendError(f"malformed sparse payload: {list(payload)}") from exc
-        w = np.zeros(self.vocab_size, dtype=np.float64)
-        for token, lp in pairs:
-            token = int(token)
-            if not 0 <= token < self.vocab_size:
-                raise BackendError(f"sparse payload token {token} out of range")
-            if np.isfinite(lp):
-                w[token] = np.exp(lp)
-        total = w.sum()
-        if total <= 0.0:
-            raise BackendError("sparse payload carries no mass")
-        return Distribution(w / total)

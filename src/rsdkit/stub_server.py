@@ -134,14 +134,6 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
                 return
             if want == "full":
                 self._send(200, _full_payload(name, dist))
-            elif isinstance(want, dict) and "top_k" in want:
-                try:
-                    k = int(want["top_k"])
-                    score = [int(t) for t in want.get("score", [])]
-                except (TypeError, ValueError) as exc:
-                    self._fail(400, f"malformed want: {exc}")
-                    return
-                self._send(200, _sparse_payload(name, dist, k, score))
             else:
                 self._fail(400, f"unsupported want {want!r}")
 
@@ -153,27 +145,11 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
 ZERO_MASS_LOGPROB = -1e300
 
 
-def _logprobs(probs: np.ndarray) -> list[float]:
-    with np.errstate(divide="ignore"):
-        lp = np.log(probs)
-    return [float(x) if np.isfinite(x) else ZERO_MASS_LOGPROB for x in lp]
-
-
 def _full_payload(name: str, dist: Distribution) -> dict:
+    with np.errstate(divide="ignore"):
+        lp = np.log(dist.probs)
     return {
         "model": name,
-        "logprobs": _logprobs(dist.probs),
+        "logprobs": [float(x) if np.isfinite(x) else ZERO_MASS_LOGPROB for x in lp],
         "probs": [float(p) for p in dist.probs],
-    }
-
-
-def _sparse_payload(name: str, dist: Distribution, top_k: int, score: list[int]) -> dict:
-    order = np.argsort(-dist.probs, kind="stable")[: max(top_k, 0)]
-    lp = _logprobs(dist.probs)
-    return {
-        "model": name,
-        "top_tokens": [int(t) for t in order],
-        "top_logprobs": [lp[t] for t in order],
-        "scored_tokens": [int(t) for t in score if 0 <= t < dist.vocab_size],
-        "scored_logprobs": [lp[t] for t in score if 0 <= t < dist.vocab_size],
     }

@@ -9,7 +9,8 @@ Two mechanisms keep every teacher proposal scoreable by the student:
   markers such as thinking delimiters) are declared as a mapping to an
   equivalent sequence of teacher tokens. Generation keeps two contexts in
   lockstep: the student context holds the native token, the teacher context
-  holds its expansion, and both always detokenize to the same text.
+  holds its expansion, and both always detokenize to the same text. The
+  pair lives in a :class:`DualContext`, which also owns the context budget.
 
 Expansion tables are configuration data supplied per model pair; nothing
 here inspects tokenizer internals.
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .models import Distribution, EmptySupportError, GenerationContext
+from .models import ContextOverflowError, Distribution, EmptySupportError
 
 
 class VocabularyAlignmentError(ValueError):
@@ -168,26 +169,21 @@ def suppress(dist: Distribution, vmap: VocabularyMap) -> Distribution:
 class DualContext:
     """Teacher and student token contexts kept semantically in lockstep.
 
-    Single-owner: one decode loop mutates it, nothing else. The teacher
-    context is always at least as long as the student context because
-    expansions only lengthen.
+    Single-owner: one decode loop mutates it, nothing else. It owns the
+    context budget: neither list may grow past ``max_length`` tokens. The
+    teacher context is always at least as long as the student context
+    because expansions only lengthen.
     """
 
-    student: GenerationContext
-    teacher: GenerationContext
-
-    @classmethod
-    def empty(cls, max_length: int) -> "DualContext":
-        return cls(
-            student=GenerationContext([], max_length),
-            teacher=GenerationContext([], max_length),
-        )
+    max_length: int
+    student: list[int] = field(default_factory=list)
+    teacher: list[int] = field(default_factory=list)
 
     @classmethod
     def from_prompt(
         cls, prompt: Sequence[int], vmap: VocabularyMap, max_length: int
     ) -> "DualContext":
-        ctx = cls.empty(max_length)
+        ctx = cls(max_length)
         for token in prompt:
             ctx.append(token, vmap)
         return ctx
@@ -197,13 +193,17 @@ class DualContext:
 
         Shared tokens go to both contexts verbatim; student-only tokens go to
         the student context as-is and to the teacher context as their
-        expansion.
+        expansion. Raises :class:`ContextOverflowError` when either side
+        would exceed the budget.
         """
-        self.student.append(token)
-        if vmap.is_student_only(token):
-            self.teacher.extend(vmap.expand(token))
-        else:
-            self.teacher.append(token)
+        budget = self.max_length
+        if len(self.student) < budget:
+            teacher_part = vmap.expand(token) if vmap.is_student_only(token) else (token,)
+            if len(self.teacher) + len(teacher_part) <= budget:
+                self.student.append(token)
+                self.teacher.extend(teacher_part)
+                return
+        raise ContextOverflowError(f"context budget {budget} exhausted")
 
 
 def replay_student_context(student_tokens: Sequence[int], vmap: VocabularyMap) -> list[int]:

@@ -498,8 +498,8 @@ class TestCriterion9VocabularyAlignment:
             # two independent reconstructions of the teacher-side context
             replayed = replay_student_context(stream, vmap)
             ctx = DualContext.from_prompt(stream, vmap, 4 * len(stream) + 4)
-            assert ctx.teacher.tokens == replayed
-            assert ctx.student.tokens == stream
+            assert ctx.teacher == replayed
+            assert ctx.student == stream
             assert len(replayed) >= len(stream)
         assert traces_with_native > 0
         passed(

@@ -7,13 +7,15 @@ from pathlib import Path
 
 import pytest
 
+from rsdkit import cli
 from rsdkit.cli import DEFAULT_SWEEP_THRESHOLDS, build_parser, build_stub_server, main
 from rsdkit.config import load_run_config, build_model
 from rsdkit.metrics import sub_threshold_ratio
 from rsdkit.pipeline import import_dataset, score_external_traces
-from rsdkit.remote import BackendEndpoint, handshake
+from rsdkit.remote import BackendEndpoint, BackendUnavailableError, handshake
 
 TOKEN_TEXT = ["a", "b", "c", ""]
+TOY_DATASET = Path(__file__).resolve().parent.parent / "fixtures" / "toy_dataset.jsonl"
 
 
 def write_config(tmp_path: Path, *, answers, attempts=2, p_th=0.01, student=None, **overrides):
@@ -288,6 +290,70 @@ class TestExitCodes:
             },
         )
         assert main(["generate", str(cfg_path)]) == 3
+
+    def test_backend_outage_mid_run_is_backend_error(self, tmp_path, monkeypatch, capsys):
+        def outage(*args, **kwargs):
+            raise BackendUnavailableError("server went away after the handshake")
+
+        monkeypatch.setattr(cli, "decode", outage)
+        cfg_path = write_config(tmp_path, answers=["b", "b"])
+        assert main(["generate", str(cfg_path)]) == 3
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["kind"] == "backend"
+        assert not (tmp_path / "dataset.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "CONFIG", "--threshold", "2"],
+            ["generate", "CONFIG", "--threshold", "-0.5"],
+            ["generate", "CONFIG", "--attempts", "0"],
+            ["generate", "CONFIG", "--workers", "0"],
+            ["generate", "CONFIG", "--workers", "-1"],
+            ["sweep", "CONFIG", "--thresholds", "0.1,1.5"],
+            ["sweep", "CONFIG", "--workers", "0"],
+            ["analyze", "DATASET", "--threshold", "5"],
+            ["analyze", "DATASET", "--threshold", "-1"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[2]}={argv[3]}",
+    )
+    def test_out_of_range_override_is_config_error_before_any_work(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("decoded before the overrides were checked")
+
+        monkeypatch.setattr(cli, "decode", no_work)
+        cfg_path = write_config(tmp_path, answers=["b"])
+        sweep_dir = tmp_path / "sweep"
+        analysis_dir = tmp_path / "analysis"
+        argv = [{"CONFIG": str(cfg_path), "DATASET": str(TOY_DATASET)}.get(a, a) for a in argv]
+        argv += {"sweep": ["--out-dir", str(sweep_dir)], "analyze": ["--out", str(analysis_dir)]}.get(
+            argv[0], []
+        )
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"]["kind"] == "config"
+        assert "must" in payload["error"]["message"]
+        assert not (tmp_path / "dataset.jsonl").exists()
+        assert not sweep_dir.exists()
+        assert not analysis_dir.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("regime", "rsdx"), ("verdict", "maybe"), ("tokens", [1, 2, 2])],
+    )
+    def test_inconsistent_dataset_record_is_data_error(self, tmp_path, capsys, field, value):
+        lines = TOY_DATASET.read_text().splitlines()
+        record = json.loads(lines[0])
+        record[field] = value
+        lines[0] = json.dumps(record)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(path)]) == 4
+        message = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]["message"]
+        assert "line 1" in message
+        assert field in message
 
     def test_unknown_flag_is_hard_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -14,6 +14,7 @@ from rsdkit.decoding import (
     skd_decode,
     solo_decode,
 )
+from rsdkit.metrics import fallback_rate
 from rsdkit.models import ContextOverflowError, TableModel
 from rsdkit.vocab import build_vocab_map, replay_student_context
 
@@ -37,14 +38,14 @@ class TestRsdAcceptance:
         trace = rsd_decode(teacher, student, [0], cfg(p_th=0.01))
         assert len(trace) == 12
         assert all(r.accepted and not r.fallback for r in trace.records)
-        assert trace.fallback_rate == 0.0
+        assert fallback_rate([trace]) == 0.0
 
     def test_unconfident_student_rejects_everything(self):
         teacher = TableModel({}, one_hot(4, 1), eos_token=3)
         student = TableModel({}, [0.745, 0.005, 0.2, 0.05], eos_token=3)
         trace = rsd_decode(teacher, student, [0], cfg(p_th=0.01))
         assert all(r.fallback and not r.accepted for r in trace.records)
-        assert trace.fallback_rate == 1.0
+        assert fallback_rate([trace]) == 1.0
         assert all(r.proposer == "student" for r in trace.records)
 
     def test_accepted_records_meet_threshold_exactly_as_recorded(self):
@@ -124,7 +125,7 @@ class TestSkdMirror:
         teacher = TableModel({}, [0.6, 0.005, 0.295, 0.1], eos_token=3)
         trace = skd_decode(teacher, student, [0], cfg(regime="skd"))
         assert all(r.fallback and r.proposer == "teacher" for r in trace.records)
-        assert trace.fallback_rate == 1.0
+        assert fallback_rate([trace]) == 1.0
 
     def test_accepted_records_meet_threshold_on_teacher_side(self):
         rng = np.random.default_rng(77)
@@ -194,8 +195,9 @@ class TestBookkeeping:
             teacher = TableModel({}, rng.dirichlet(np.ones(5)), eos_token=4)
             student = TableModel({}, rng.dirichlet(np.ones(5) * 0.3), eos_token=4)
             trace = rsd_decode(teacher, student, [0], cfg(p_th=0.05, seed=trial))
-            assert trace.fallback_count == sum(1 for r in trace.records if not r.accepted)
-            assert trace.fallback_rate == trace.fallback_count / len(trace)
+            fallbacks = sum(1 for r in trace.records if r.fallback)
+            assert fallbacks == sum(1 for r in trace.records if not r.accepted)
+            assert fallback_rate([trace]) == fallbacks / len(trace)
 
     def test_monotone_fallback_in_threshold_on_common_proposal_stream(self):
         # context-free models: the proposal at step i is identical across

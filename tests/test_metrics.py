@@ -157,7 +157,7 @@ class TestFallbackRate:
             )
             for _ in range(8)
         ]
-        expected = sum(t.fallback_count for t in traces) / sum(len(t) for t in traces)
+        expected = sum(r.fallback for t in traces for r in t.records) / sum(len(t) for t in traces)
         assert fallback_rate(traces) == expected
 
 

@@ -8,13 +8,10 @@ import numpy as np
 import pytest
 
 from rsdkit.models import (
-    ContextOverflowError,
     Distribution,
-    GenerationContext,
     NgramModel,
     TableModel,
     apply_temperature,
-    greedy,
     sample,
 )
 from rsdkit.seeding import StepStream
@@ -113,33 +110,6 @@ class TestSample:
         d = Distribution([0.5, 0.0, 0.5])
         draws = {sample(d, StepStream(1, i)) for i in range(2000)}
         assert 1 not in draws
-
-
-class TestGreedy:
-    def test_picks_argmax(self):
-        assert greedy(Distribution([0.1, 0.7, 0.2])) == 1
-
-    def test_tie_breaks_to_lowest_index(self):
-        assert greedy(Distribution([0.5, 0.5])) == 0
-
-    def test_one_hot(self):
-        assert greedy(Distribution([0.0, 0.0, 0.0, 1.0])) == 3
-
-
-class TestGenerationContext:
-    def test_append_within_budget(self):
-        ctx = GenerationContext([1, 2], 4)
-        ctx.append(3)
-        assert ctx.tokens == [1, 2, 3]
-
-    def test_overflow_raises(self):
-        ctx = GenerationContext([1, 2], 2)
-        with pytest.raises(ContextOverflowError):
-            ctx.append(3)
-
-    def test_oversized_initial_context_rejected(self):
-        with pytest.raises(ContextOverflowError):
-            GenerationContext([1, 2, 3], 2)
 
 
 class TestTableModel:

@@ -6,10 +6,11 @@ import json
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from rsdkit.decoding import GenerationConfig, solo_decode
-from rsdkit.models import TableModel, greedy
+from rsdkit.models import TableModel
 from rsdkit.pipeline import (
     DatasetFormatError,
     Problem,
@@ -23,6 +24,7 @@ from rsdkit.pipeline import (
     score_external_traces,
     upft_prefix,
 )
+from rsdkit.remote import BackendUnavailableError
 from rsdkit.seeding import derive_seed
 
 TOKEN_TEXT = ["a", "b", ""]
@@ -181,6 +183,21 @@ class TestRejectionSample:
         assert result.attempts[0].trace is None
         assert "backend blew up" in result.attempts[0].error
         assert len(result.attempts) == 3
+
+    def test_backend_error_ends_the_run(self):
+        def outage(prompt, seed):
+            raise BackendUnavailableError("server went away")
+
+        problem = Problem(id="p", prompt_tokens=(0,), answer="zzz")
+        with pytest.raises(BackendUnavailableError, match="went away"):
+            rejection_sample(problem, outage, Verifier(), 3, 0, detok)
+
+    def test_unsalvageable_problem_names_the_first_error(self):
+        # a prompt longer than context_limit fails every attempt before any token
+        problem = Problem(id="long", prompt_tokens=(0,) * 40, answer="zzz")
+        result = rejection_sample(problem, student_generator(), Verifier(), 2, 0, detok)
+        with pytest.raises(ValueError, match="ContextOverflowError: context budget 32 exhausted"):
+            assemble_dataset([result])
 
     def test_attempt_budget_validated(self):
         with pytest.raises(ValueError, match="attempts"):
@@ -346,7 +363,7 @@ class TestScoreExternal:
         tokens = []
         for _ in range(4):
             d = student.next_distribution(ctx)
-            t = greedy(d)
+            t = int(np.argmax(d.probs))
             tokens.append(t)
             ctx.append(t)
         (trace,) = score_external_traces(
@@ -355,7 +372,7 @@ class TestScoreExternal:
         replay_ctx = [0]
         for rec in trace.records:
             d = student.next_distribution(replay_ctx)
-            assert rec.token == greedy(d)
+            assert rec.token == int(np.argmax(d.probs))
             assert rec.p_student == d[rec.token]
             replay_ctx.append(rec.token)
 

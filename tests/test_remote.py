@@ -158,16 +158,6 @@ class TestRemoteModel:
         remote.next_distribution([0, 1])
         assert CountingSession.posts == 1
 
-    def test_sparse_top_k_renormalizes_over_support(self, stub):
-        server, model = stub
-        remote = RemoteModel(endpoint(server))
-        dist = remote.sparse_distribution([0], top_k=2, score_tokens=[3])
-        full = model.next_distribution([0]).probs
-        support = full[[0, 1, 3]]  # top-2 of default row plus scored id 3
-        expected = np.zeros(4)
-        expected[[0, 1, 3]] = support / support.sum()
-        np.testing.assert_allclose(dist.probs, expected, rtol=1e-12)
-
 
 class TestRecordReplay:
     def test_replayed_fixture_gives_identical_distribution(self):
@@ -180,13 +170,6 @@ class TestRecordReplay:
         server, _ = stub
         request = json.loads((FIXTURES / "distribution_request_full.json").read_text())
         stored = json.loads((FIXTURES / "distribution_response_full.json").read_text())
-        live = requests.post(f"{server.base_url}/v1/distribution", json=request).json()
-        assert live == stored
-
-    def test_recorded_topk_response_matches_live(self, stub):
-        server, _ = stub
-        request = json.loads((FIXTURES / "distribution_request_topk.json").read_text())
-        stored = json.loads((FIXTURES / "distribution_response_topk.json").read_text())
         live = requests.post(f"{server.base_url}/v1/distribution", json=request).json()
         assert live == stored
 
@@ -227,6 +210,16 @@ class TestZeroMassTransport:
 
 
 class TestStubValidation:
+    def test_top_k_want_is_unsupported(self, stub):
+        # the wire has one shape: the full distribution
+        server, _ = stub
+        r = requests.post(
+            f"{server.base_url}/v1/distribution",
+            json={"model": "fixture-table", "context": [0], "want": {"top_k": 2, "score": [3]}},
+        )
+        assert r.status_code == 400
+        assert "unsupported want" in r.json()["error"]
+
     def test_unknown_model_404(self, stub):
         server, _ = stub
         r = requests.post(

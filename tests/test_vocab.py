@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rsdkit.models import Distribution, EmptySupportError
+from rsdkit.models import ContextOverflowError, Distribution, EmptySupportError
 from rsdkit.vocab import (
     DualContext,
     VocabularyAlignmentError,
@@ -116,43 +116,64 @@ class TestDualContext:
         return build_vocab_map(152064, 151936, {THINK_CLOSE: THINK_CLOSE_EXPANSION})
 
     def test_shared_token_goes_to_both(self):
-        ctx = DualContext.empty(16)
+        ctx = DualContext(16)
         ctx.append(42, self.map())
-        assert ctx.student.tokens == [42]
-        assert ctx.teacher.tokens == [42]
+        assert ctx.student == [42]
+        assert ctx.teacher == [42]
 
     def test_student_native_token_expands_on_teacher_side(self):
-        ctx = DualContext.empty(16)
+        ctx = DualContext(16)
         ctx.append(THINK_CLOSE, self.map())
-        assert ctx.student.tokens == [THINK_CLOSE]
-        assert ctx.teacher.tokens == list(THINK_CLOSE_EXPANSION)
+        assert ctx.student == [THINK_CLOSE]
+        assert ctx.teacher == list(THINK_CLOSE_EXPANSION)
 
     def test_shared_only_streams_stay_identical(self):
-        ctx = DualContext.empty(16)
+        ctx = DualContext(16)
         for t in (5, 1, 3, 2, 5, 0):
             ctx.append(t, self.map())
-            assert ctx.student.tokens == ctx.teacher.tokens
+            assert ctx.student == ctx.teacher
 
     def test_undeclared_student_only_token_rejected(self):
         m = build_vocab_map(8, 10)  # ids 8, 9 student-only, no expansions declared
-        ctx = DualContext.empty(16)
+        ctx = DualContext(16)
         with pytest.raises(VocabularyAlignmentError, match="no declared expansion"):
             ctx.append(9, m)
 
     def test_replay_reproduces_teacher_context(self):
         m = self.map()
-        ctx = DualContext.empty(64)
+        ctx = DualContext(64)
         stream = [7, THINK_CLOSE, 3, 3, THINK_CLOSE, 11]
         for t in stream:
             ctx.append(t, m)
-        assert replay_student_context(ctx.student.tokens, m) == ctx.teacher.tokens
-        assert len(ctx.teacher.tokens) >= len(ctx.student.tokens)
+        assert replay_student_context(ctx.student, m) == ctx.teacher
+        assert len(ctx.teacher) >= len(ctx.student)
 
     def test_from_prompt_routes_prompt_tokens(self):
         m = self.map()
         ctx = DualContext.from_prompt([1, THINK_CLOSE, 2], m, 64)
-        assert ctx.student.tokens == [1, THINK_CLOSE, 2]
-        assert ctx.teacher.tokens == [1, *THINK_CLOSE_EXPANSION, 2]
+        assert ctx.student == [1, THINK_CLOSE, 2]
+        assert ctx.teacher == [1, *THINK_CLOSE_EXPANSION, 2]
+
+    def test_append_fills_the_budget_exactly(self):
+        ctx = DualContext(3)
+        for t in (1, 2, 3):
+            ctx.append(t, self.map())
+        assert ctx.student == ctx.teacher == [1, 2, 3]
+
+    def test_student_side_overflow_raises(self):
+        ctx = DualContext.from_prompt([1, 2], self.map(), 2)
+        with pytest.raises(ContextOverflowError, match="context budget 2 exhausted"):
+            ctx.append(3, self.map())
+
+    def test_teacher_side_overflow_through_expansion_raises(self):
+        # the student side has room for </think>, its 3-token expansion does not
+        ctx = DualContext.from_prompt([1], self.map(), 3)
+        with pytest.raises(ContextOverflowError, match="context budget 3 exhausted"):
+            ctx.append(THINK_CLOSE, self.map())
+
+    def test_oversized_prompt_rejected(self):
+        with pytest.raises(ContextOverflowError, match="context budget 2 exhausted"):
+            DualContext.from_prompt([1, 2, 3], self.map(), 2)
 
 
 class TestMapDocument:

@@ -8,7 +8,7 @@ with different preferences so both outcomes show up.
 
 import numpy as np
 
-from rsdkit import GenerationConfig, TableModel, fallback_rate, rsd_decode, skd_decode, solo_decode
+from rsdkit import GenerationConfig, TableModel, decode, fallback_rate
 
 VOCAB = ["the", "cat", "sat", "<eos>"]
 
@@ -27,7 +27,7 @@ student = TableModel(
 cfg = GenerationConfig(p_th=0.01, max_tokens=8, temperature=0.7, context_limit=64, seed=3)
 
 print("=== teacher-proposed, student-approved (rsd) ===")
-trace = rsd_decode(teacher, student, prompt=[0], cfg=cfg)
+trace = decode(teacher, student, prompt=[0], cfg=cfg)
 for i, rec in enumerate(trace.records):
     outcome = "accepted " if rec.accepted else "FALLBACK "
     print(
@@ -37,24 +37,24 @@ for i, rec in enumerate(trace.records):
 print(f"terminated by {trace.terminated_by}, fallback rate {fallback_rate([trace]):.2f}\n")
 
 print("=== mirror regime: student proposes, teacher approves (skd) ===")
-mirror = skd_decode(teacher, student, [0], GenerationConfig(
+mirror = decode(teacher, student, [0], GenerationConfig(
     p_th=0.01, max_tokens=8, temperature=0.7, context_limit=64, seed=3, regime="skd"
 ))
 print("tokens:", [VOCAB[t] for t in mirror.tokens()])
 print("fallback rate:", fallback_rate([mirror]), "\n")
 
 print("=== solo decoding, with the student scoring the teacher's output ===")
-solo = solo_decode(
+solo = decode(
     teacher,
+    student,  # in solo-teacher the student only scores
     [0],
     GenerationConfig(p_th=0.0, max_tokens=8, temperature=0.7, context_limit=64,
                      seed=3, regime="solo-teacher"),
-    scorer=student,
 )
 surprisals = np.array([r.surprisal_student for r in solo.records])
 print("tokens:", [VOCAB[t] for t in solo.tokens()])
 print(f"student surprisal along the teacher's trace: mean {surprisals.mean():.3f} nats")
 
 print("\nSame seed, same models, same trace, every time:")
-again = rsd_decode(teacher, student, [0], cfg)
+again = decode(teacher, student, [0], cfg)
 print("reproducible:", again.to_json_line() == trace.to_json_line())

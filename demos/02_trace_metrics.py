@@ -14,7 +14,7 @@ import numpy as np
 from rsdkit import (
     GenerationConfig,
     TableModel,
-    rsd_decode,
+    decode,
     step_entropy,
     sub_threshold_ratio,
     token_surprisal,
@@ -27,7 +27,7 @@ teacher = TableModel({}, rng.dirichlet(np.ones(6) * 2.0), eos_token=5)
 student = TableModel({}, rng.dirichlet(np.ones(6) * 0.15), eos_token=5)
 
 traces = [
-    rsd_decode(
+    decode(
         teacher, student, [0],
         GenerationConfig(p_th=0.01, max_tokens=20, temperature=0.7, context_limit=64, seed=s),
     )
@@ -49,14 +49,11 @@ print(f"\nsub-1% token ratio across {len(traces)} coordinated traces: {100 * rat
 
 # contrast: the same teacher decoding alone, scored under the student,
 # shows the low-probability tokens the threshold was filtering out
-from rsdkit import solo_decode
-
 solo = [
-    solo_decode(
-        teacher, [0],
+    decode(
+        teacher, student, [0],
         GenerationConfig(p_th=0.0, max_tokens=20, temperature=0.7, context_limit=64,
                          seed=s, regime="solo-teacher"),
-        scorer=student,
     )
     for s in range(40)
 ]

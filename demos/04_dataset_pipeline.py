@@ -15,8 +15,8 @@ from rsdkit import (
     Verifier,
     assemble_dataset,
     dataset_report,
+    decode,
     export_dataset,
-    rsd_decode,
     run_generation,
 )
 
@@ -28,7 +28,7 @@ cfg = GenerationConfig(p_th=0.01, max_tokens=6, temperature=0.7, context_limit=6
 
 
 def generator(prompt, seed):
-    return rsd_decode(teacher, student, prompt, cfg.with_seed(seed))
+    return decode(teacher, student, prompt, cfg.with_seed(seed))
 
 
 def detokenize(tokens):

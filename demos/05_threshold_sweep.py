@@ -9,7 +9,7 @@ The headline configuration uses 1%; the canonical comparison set is
 
 import numpy as np
 
-from rsdkit import GenerationConfig, TableModel, rsd_decode, sub_threshold_ratio
+from rsdkit import GenerationConfig, TableModel, decode, sub_threshold_ratio
 from rsdkit.metrics import fallback_rate, records_perplexity
 
 # flat teacher vs peaky student: many proposals land where the student
@@ -25,7 +25,7 @@ student = TableModel(
 print(f"{'p_th':>6}  {'fallback %':>10}  {'sub-1% %':>9}  {'mean ppl':>9}")
 for p_th in (0.10, 0.03, 0.01, 0.003, 0.0):
     traces = [
-        rsd_decode(
+        decode(
             teacher, student, [0],
             GenerationConfig(p_th=p_th, max_tokens=24, temperature=0.7,
                              context_limit=64, seed=s),

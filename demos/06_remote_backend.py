@@ -17,8 +17,8 @@ from rsdkit import (
     RemoteModel,
     StubServer,
     TableModel,
+    decode,
     handshake,
-    rsd_decode,
 )
 
 teacher = TableModel({(1,): [0.1, 0.2, 0.3, 0.4]}, [0.4, 0.3, 0.2, 0.1], eos_token=3)
@@ -40,8 +40,8 @@ with StubServer({"teacher": teacher}) as server:
 
     remote_teacher = RemoteModel(endpoint)
     cfg = GenerationConfig(p_th=0.05, max_tokens=8, temperature=0.7, context_limit=32, seed=1)
-    local = rsd_decode(teacher, student, [0], cfg)
-    over_wire = rsd_decode(remote_teacher, student, [0], cfg)
+    local = decode(teacher, student, [0], cfg)
+    over_wire = decode(remote_teacher, student, [0], cfg)
     print("\nlocal tokens:   ", local.tokens())
     print("over-wire tokens:", over_wire.tokens())
     print("byte-identical traces:", local.to_json_line() == over_wire.to_json_line())

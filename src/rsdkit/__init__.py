@@ -12,11 +12,6 @@ from .decoding import (
     TokenRecord,
     Trace,
     decode,
-    read_traces_jsonl,
-    rsd_decode,
-    skd_decode,
-    solo_decode,
-    write_traces_jsonl,
 )
 from .metrics import (
     DatasetReport,
@@ -40,7 +35,7 @@ from .models import (
 )
 from .pipeline import (
     AttemptOutcome,
-    DatasetFormatError,
+    DataError,
     DatasetRecord,
     Problem,
     RejectionResult,
@@ -48,10 +43,12 @@ from .pipeline import (
     assemble_dataset,
     export_dataset,
     import_dataset,
+    read_traces_jsonl,
     rejection_sample,
     run_generation,
     score_external_traces,
     upft_prefix,
+    write_traces_jsonl,
 )
 from .remote import (
     BackendEndpoint,

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .config import (
     ConfigError,
-    DataError,
     RunConfig,
     at_least_one,
     build_detokenizer,
@@ -29,7 +28,7 @@ from .config import (
     load_problems,
     load_run_config,
 )
-from .decoding import decode, read_traces_jsonl
+from .decoding import decode, prompt_context
 from .metrics import (
     DEFAULT_SUB_THRESHOLD,
     aggregate_records,
@@ -40,11 +39,14 @@ from .metrics import (
     write_surprisal_csv,
     write_token_tally_csv,
 )
+from .models import ContextOverflowError
 from .pipeline import (
-    DatasetFormatError,
+    DataError,
     assemble_dataset,
     export_dataset,
     import_dataset,
+    read_jsonl,
+    read_traces_jsonl,
     run_generation,
     score_external_traces,
 )
@@ -115,7 +117,7 @@ def main(argv=None) -> int:
     except BackendError as exc:
         _emit_error("backend", exc)
         return 3
-    except (DataError, DatasetFormatError) as exc:
+    except DataError as exc:
         _emit_error("data", exc)
         return 4
     except Exception as exc:  # structured even for bugs
@@ -133,9 +135,7 @@ def _emit_error(kind: str, exc: Exception) -> None:
 def _build_pair(cfg: RunConfig):
     teacher = build_model(cfg.teacher_spec, "teacher") if cfg.teacher_spec else None
     student = build_model(cfg.student_spec, "student") if cfg.student_spec else None
-    scoreholder = student or teacher
-    assert scoreholder is not None
-    vmap = build_vocab_map_from_spec(cfg.vocab_map_spec, scoreholder.vocab_size)
+    vmap = build_vocab_map_from_spec(cfg.vocab_map_spec, (student or teacher).vocab_size)
     return teacher, student, vmap
 
 
@@ -146,6 +146,11 @@ def _run_dataset(cfg: RunConfig):
     problems = load_problems(cfg.resolve_path(cfg.problems_path), cfg.token_text)
     detokenize = build_detokenizer(cfg.token_text)
     gen_cfg = cfg.generation
+    for problem in problems:  # once here, so a bad prompt fails before any decoding
+        try:
+            prompt_context(teacher, student, problem.prompt_tokens, gen_cfg, vmap)
+        except (ValueError, ContextOverflowError) as exc:
+            raise DataError(f"problem {problem.id!r}: {exc}") from exc
 
     def generator(prompt, seed):
         return decode(teacher, student, prompt, gen_cfg.with_seed(seed), vmap)
@@ -173,15 +178,18 @@ def _run_dataset(cfg: RunConfig):
 
 
 def _write_outputs(cfg: RunConfig, records, dataset_path: Path, report_path: Path):
-    # partial outputs stay visible under a .partial suffix until complete
-    dataset_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    partial = dataset_path.with_name(dataset_path.name + ".partial")
-    export_dataset(records, partial)
-    os.replace(partial, dataset_path)
+    _write_atomically(dataset_path, lambda partial: export_dataset(records, partial))
     report = dataset_report(records, cfg.diagnostic_threshold)
-    report.save(report_path)
+    _write_atomically(report_path, report.save)
     return report
+
+
+def _write_atomically(path: Path, write) -> None:
+    """Write via ``<path>.partial`` and a rename, so a failed write keeps the old ``path``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".partial")
+    write(partial)
+    os.replace(partial, path)
 
 
 def cmd_generate(args) -> int:
@@ -220,20 +228,11 @@ def _slug(name: str) -> str:
 
 
 def _sniff_kind(path: Path) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    row = json.loads(line)
-                    break
-            else:
-                raise DataError(f"{path}: empty file")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: line 1: invalid JSON: {exc}") from exc
-    if not isinstance(row, dict):
-        raise DataError(f"{path}: lines must be JSON objects")
+    """Which of the three line schemas ``path`` holds, judged by its first row."""
+    for _, row in read_jsonl(path):
+        break
+    else:
+        raise DataError(f"{path}: empty file")
     if row.get("kind") in ("full-trace", "upft-prefix", "manifest"):
         return "dataset"
     if "records" in row and "config" in row:
@@ -265,18 +264,9 @@ def cmd_analyze(args) -> int:
             if cfg.student_spec is None:
                 raise ConfigError("--config carries no student model spec")
             student = build_model(cfg.student_spec, "student")
-            entries = _read_jsonl(dataset_path)
-            try:
-                traces = score_external_traces(entries, student)
-            except ValueError as exc:  # vocabulary mismatch and kin
-                raise DataError(str(exc)) from exc
+            traces = score_external_traces((row for _, row in read_jsonl(dataset_path)), student)
         else:
-            try:
-                traces = read_traces_jsonl(dataset_path)
-            except ValueError as exc:
-                raise DataError(str(exc)) from exc
-            if not traces:
-                raise DataError(f"{dataset_path}: no traces found")
+            traces = read_traces_jsonl(dataset_path)  # not empty: the first row is a trace
         agg = aggregate_records(((t.config.regime, t.records) for t in traces), threshold)
         report_dict = {"traces": len(traces), "sub_threshold": threshold, **agg.report_fields()}
         (out_dir / "report.json").write_text(
@@ -297,28 +287,10 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {i}: invalid JSON: {exc}") from exc
-    return rows
-
-
 def cmd_sweep(args) -> int:
-    try:
-        thresholds = [float(x) for x in str(args.thresholds).split(",") if x.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad --thresholds value: {exc}") from exc
+    thresholds = [in_unit_interval("--thresholds", x) for x in args.thresholds.split(",") if x.strip()]
     if not thresholds:
         raise ConfigError("sweep needs at least one threshold")
-    for th in thresholds:
-        in_unit_interval("--thresholds", th)
     cfg = _apply_overrides(load_run_config(args.config), args)
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.config).with_name(
         Path(args.config).stem + "_sweep"

@@ -39,8 +39,10 @@ from .pipeline import (
     DEFAULT_ATTEMPTS,
     DEFAULT_PREFIX_LENGTH,
     PREFIX_SOURCES,
+    DataError,
     Problem,
     Verifier,
+    read_jsonl,
 )
 from .remote import BackendEndpoint, RemoteModel, RetryPolicy
 from .vocab import VocabularyAlignmentError, VocabularyMap, build_vocab_map
@@ -48,10 +50,6 @@ from .vocab import VocabularyAlignmentError, VocabularyMap, build_vocab_map
 
 class ConfigError(ValueError):
     """The run configuration is missing, malformed, or inconsistent."""
-
-
-class DataError(ValueError):
-    """An input data file is missing or malformed."""
 
 
 @dataclass
@@ -110,16 +108,22 @@ _TOP_LEVEL_KEYS = frozenset(
 
 
 def at_least_one(name: str, value) -> int:
-    """``value`` as an int, or ConfigError if it is below 1 (counts and pool sizes)."""
-    value = int(value)
+    """``value`` as an int, or ConfigError if it is none or below 1 (counts and pool sizes)."""
+    try:
+        value = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be an integer: {exc}") from exc
     if value < 1:
         raise ConfigError(f"{name} must be >= 1, got {value}")
     return value
 
 
 def in_unit_interval(name: str, value) -> float:
-    """``value`` as a float, or ConfigError if it lies outside [0, 1] (thresholds)."""
-    value = float(value)
+    """``value`` as a float, or ConfigError if it is none or outside [0, 1] (thresholds)."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number: {exc}") from exc
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"{name} must lie in [0, 1], got {value}")
     return value
@@ -259,8 +263,6 @@ def build_model(spec: Mapping, role: str = "model") -> LanguageModel:
                 max_inflight=int(spec.get("max_inflight", 8)),
             )
             model = RemoteModel(endpoint)
-    except ConfigError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{role}: bad model spec: {exc}") from exc
     return model
@@ -330,38 +332,30 @@ def load_problems(path: str | Path, token_text: Sequence[str] | None) -> list[Pr
     """Problems from newline-delimited JSON: id, prompt_tokens|prompt_text, answer."""
     problems: list[Problem] = []
     seen: set[str] = set()
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open problems file {path}: {exc}") from exc
-    with fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                pid = str(row["id"])
-                answer = str(row["answer"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataError(f"{path}: line {i}: {exc}") from exc
-            if pid in seen:
-                raise DataError(f"{path}: line {i}: duplicate problem id {pid!r}")
-            seen.add(pid)
-            text = row.get("prompt_text")
-            if "prompt_tokens" in row:
-                tokens = tuple(int(t) for t in row["prompt_tokens"])
-            elif text is not None:
-                if token_text is None:
-                    raise DataError(
-                        f"{path}: line {i}: prompt_text requires a token_text table in the config"
-                    )
-                tokens = encode_text(text, token_text)
-            else:
-                raise DataError(f"{path}: line {i}: need prompt_tokens or prompt_text")
-            try:
-                problems.append(Problem(id=pid, prompt_tokens=tokens, answer=answer, prompt_text=text))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {i}: {exc}") from exc
+    for i, row in read_jsonl(path):
+        try:
+            pid = str(row["id"])
+            answer = str(row["answer"])
+        except KeyError as exc:
+            raise DataError(f"{path}: line {i}: missing key {exc}") from exc
+        if pid in seen:
+            raise DataError(f"{path}: line {i}: duplicate problem id {pid!r}")
+        seen.add(pid)
+        text = row.get("prompt_text")
+        if "prompt_tokens" in row:
+            tokens = row["prompt_tokens"]  # Problem converts the ids
+        elif text is not None:
+            if token_text is None:
+                raise DataError(
+                    f"{path}: line {i}: prompt_text requires a token_text table in the config"
+                )
+            tokens = encode_text(text, token_text)
+        else:
+            raise DataError(f"{path}: line {i}: need prompt_tokens or prompt_text")
+        try:
+            problems.append(Problem(id=pid, prompt_tokens=tokens, answer=answer, prompt_text=text))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: line {i}: {exc}") from exc
     if not problems:
         raise DataError(f"{path}: no problems found")
     return problems

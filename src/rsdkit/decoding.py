@@ -37,8 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .models import Distribution, LanguageModel, apply_temperature, sample
 from .seeding import StepStream
@@ -181,25 +180,6 @@ class Trace:
         )
 
 
-def write_traces_jsonl(traces: Iterable[Trace], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for trace in traces:
-            fh.write(trace.to_json_line() + "\n")
-
-
-def read_traces_jsonl(path: str | Path) -> list[Trace]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(Trace.from_json_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: malformed trace on line {i}: {exc}") from exc
-    return out
-
-
 def _surprisal(p: float) -> float:
     return math.inf if p <= 0.0 else -math.log(p)
 
@@ -235,26 +215,51 @@ class _Tempered:
         return hit[1]
 
 
-def _decode(
+def prompt_context(
+    teacher: LanguageModel | None,
+    student: LanguageModel | None,
+    prompt: Sequence[int],
+    cfg: GenerationConfig,
+    vmap: VocabularyMap | None = None,
+) -> tuple[LanguageModel, VocabularyMap, DualContext]:
+    """The model keying prompts and maps, the map and the starting context of a
+    decode of ``prompt``: ValueError for a token outside that model's
+    vocabulary, ContextOverflowError if it overflows ``cfg.context_limit``."""
+    home = teacher if cfg.regime == "solo-teacher" else student
+    if vmap is None or cfg.regime not in COORDINATED_REGIMES:
+        vmap = VocabularyMap.identity(home.vocab_size)
+    for t in prompt:
+        if not 0 <= t < home.vocab_size:
+            raise ValueError(f"prompt token {t} outside vocabulary of size {home.vocab_size}")
+    return home, vmap, DualContext.from_prompt(prompt, vmap, cfg.context_limit)
+
+
+def decode(
     teacher: LanguageModel | None,
     student: LanguageModel | None,
     prompt: Sequence[int],
     cfg: GenerationConfig,
     vmap: VocabularyMap | None = None,
 ) -> Trace:
-    """The one decode loop; ``cfg.regime`` picks the proposer and the approver.
-    In solo regimes the other slot holds an optional scorer, and ``vmap`` is
-    replaced by the decoding model's identity map."""
+    """Decode one trace in the regime named by ``cfg.regime``.
+
+    ``rsd`` and ``skd`` need both models. ``solo-teacher`` needs the teacher
+    and scores with the student when one is given (tokens outside the
+    student's vocabulary score 0); ``solo-student`` needs the student and
+    ignores the teacher. Solo regimes ignore ``vmap``.
+    """
+    if cfg.regime in COORDINATED_REGIMES and (teacher is None or student is None):
+        raise ValueError(f"regime {cfg.regime!r} needs both a teacher and a student")
+    if cfg.regime == "solo-teacher" and teacher is None:
+        raise ValueError("regime 'solo-teacher' needs a teacher")
+    if cfg.regime == "solo-student":
+        if student is None:
+            raise ValueError("regime 'solo-student' needs a student")
+        teacher = None
     approving = cfg.regime in COORDINATED_REGIMES
     teacher_proposes = cfg.regime in ("rsd", "solo-teacher")
     proposer, other = (teacher, student) if teacher_proposes else (student, teacher)
-    home = student if approving else proposer  # the vocabulary prompts and maps are keyed on
-    if vmap is None or not approving:
-        vmap = VocabularyMap.identity(home.vocab_size)
-    for t in prompt:
-        if not 0 <= t < home.vocab_size:
-            raise ValueError(f"prompt token {t} outside vocabulary of size {home.vocab_size}")
-    ctx = DualContext.from_prompt(prompt, vmap, cfg.context_limit)
+    home, vmap, ctx = prompt_context(teacher, student, prompt, cfg, vmap)
     own_ctx, other_ctx = (ctx.teacher, ctx.student) if teacher_proposes else (ctx.student, ctx.teacher)
     eos = home.eos_token
     memo = _Tempered(cfg.temperature, vmap)
@@ -306,78 +311,6 @@ def _decode(
             break
 
     return Trace(prompt=tuple(prompt), records=records, config=cfg, terminated_by=terminated)
-
-
-def rsd_decode(
-    teacher: LanguageModel,
-    student: LanguageModel,
-    prompt: Sequence[int],
-    cfg: GenerationConfig,
-    vmap: VocabularyMap | None = None,
-) -> Trace:
-    """:func:`decode` for regime ``rsd``: the teacher proposes, the student approves."""
-    if cfg.regime != "rsd":
-        raise ValueError(f"rsd_decode requires regime 'rsd', got {cfg.regime!r}")
-    return _decode(teacher, student, prompt, cfg, vmap)
-
-
-def skd_decode(
-    teacher: LanguageModel,
-    student: LanguageModel,
-    prompt: Sequence[int],
-    cfg: GenerationConfig,
-    vmap: VocabularyMap | None = None,
-) -> Trace:
-    """:func:`decode` for regime ``skd``: the student proposes, the teacher approves."""
-    if cfg.regime != "skd":
-        raise ValueError(f"skd_decode requires regime 'skd', got {cfg.regime!r}")
-    return _decode(teacher, student, prompt, cfg, vmap)
-
-
-def solo_decode(
-    model: LanguageModel,
-    prompt: Sequence[int],
-    cfg: GenerationConfig,
-    scorer: LanguageModel | None = None,
-) -> Trace:
-    """:func:`decode` for a solo regime: ``model`` decodes alone to its own EOS.
-
-    A ``scorer`` (a student scoring a solo-teacher decode) fills the
-    student-side probability and surprisal fields by forced scoring; tokens
-    outside its vocabulary record probability 0 (infinite surprisal) rather
-    than aborting the trace.
-    """
-    if cfg.regime == "solo-teacher":
-        return _decode(model, scorer, prompt, cfg)
-    if cfg.regime != "solo-student":
-        raise ValueError(f"solo_decode requires a solo regime, got {cfg.regime!r}")
-    if scorer is not None:
-        raise ValueError("a scorer fills student-side fields, which 'solo-student' records itself")
-    return _decode(None, model, prompt, cfg)
-
-
-def decode(
-    teacher: LanguageModel | None,
-    student: LanguageModel | None,
-    prompt: Sequence[int],
-    cfg: GenerationConfig,
-    vmap: VocabularyMap | None = None,
-) -> Trace:
-    """Decode one trace in the regime named by ``cfg.regime``.
-
-    ``rsd`` and ``skd`` need both models. ``solo-teacher`` needs the teacher
-    and scores with the student when one is given; ``solo-student`` needs
-    the student and ignores the teacher. Solo regimes ignore ``vmap``.
-    """
-    if cfg.regime in COORDINATED_REGIMES and (teacher is None or student is None):
-        raise ValueError(f"regime {cfg.regime!r} needs both a teacher and a student")
-    if cfg.regime == "solo-teacher" and teacher is None:
-        raise ValueError("regime 'solo-teacher' needs a teacher")
-    if cfg.regime == "solo-student":
-        if student is None:
-            raise ValueError("regime 'solo-student' needs a student")
-        teacher = None
-    return _decode(teacher, student, prompt, cfg, vmap)
 
 
 def _prob(dist: Distribution, token: int, outside: float | None) -> float | None:

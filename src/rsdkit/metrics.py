@@ -249,13 +249,12 @@ def dataset_report(
     )
 
 
-def write_surprisal_csv(trace_or_records, path: str | Path) -> None:
+def write_surprisal_csv(item: "Trace | DatasetRecord", path: str | Path) -> None:
     """Columns: step, surprisal (nats), accepted (0/1), fallback (0/1)."""
-    records = trace_or_records.records if hasattr(trace_or_records, "records") else trace_or_records
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "surprisal", "accepted", "fallback"])
-        for i, rec in enumerate(records):
+        for i, rec in enumerate(item.records):
             s = rec.surprisal_student
             writer.writerow([i, "" if s is None else repr(s), int(rec.accepted), int(rec.fallback)])
 

@@ -19,9 +19,10 @@ import math
 import re
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .decoding import REGIMES, GenerationConfig, TokenRecord, Trace, _surprisal
 from .metrics import aggregate_records
@@ -40,8 +41,33 @@ Detokenizer = Callable[[Sequence[int]], str]
 Generator = Callable[[Sequence[int], int], Trace]
 
 
-class DatasetFormatError(ValueError):
-    """A dataset file is malformed, truncated, or inconsistent."""
+class DataError(ValueError):
+    """An input data file is missing, malformed, truncated, or inconsistent."""
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each non-blank line of a UTF-8 JSONL file.
+    An unopenable file, or a line that is not UTF-8, JSON or a JSON object,
+    raises :class:`DataError` naming the path and the line."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        for i, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: line {i}: not UTF-8: {exc}") from exc
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}: line {i}: invalid JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise DataError(f"{path}: line {i}: not a JSON object")
+            yield i, row
 
 
 @dataclass(frozen=True)
@@ -108,13 +134,13 @@ class DatasetRecord:
     def from_json_dict(cls, payload: Mapping) -> "DatasetRecord":
         for key, allowed in (("kind", RECORD_KINDS), ("verdict", VERDICTS), ("regime", REGIMES)):
             if payload[key] not in allowed:
-                raise DatasetFormatError(f"unknown record {key} {payload[key]!r}")
+                raise DataError(f"unknown record {key} {payload[key]!r}")
         if not payload["records"]:
-            raise DatasetFormatError("record has no token records")
+            raise DataError("record has no token records")
         records = [TokenRecord.from_json_dict(r) for r in payload["records"]]
         tokens = [r.token for r in records]
         if payload["tokens"] != tokens:
-            raise DatasetFormatError("tokens disagree with the token records")
+            raise DataError("tokens disagree with the token records")
         return cls(
             problem_id=str(payload["problem_id"]),
             kind=payload["kind"],
@@ -368,30 +394,39 @@ def import_dataset(path: str | Path) -> list[DatasetRecord]:
     missing or inconsistent manifest means a partial write."""
     records: list[DatasetRecord] = []
     manifest: dict | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if manifest is not None:
-                raise DatasetFormatError(f"{path}: line {i}: content after manifest line")
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{path}: line {i}: invalid JSON: {exc}") from exc
-            if isinstance(payload, dict) and payload.get("kind") == "manifest":
-                manifest = payload
-                continue
-            try:
-                records.append(DatasetRecord.from_json_dict(payload))
-            except (DatasetFormatError, KeyError, TypeError, ValueError) as exc:
-                raise DatasetFormatError(f"{path}: line {i}: bad record: {exc}") from exc
+    for i, payload in read_jsonl(path):
+        if manifest is not None:
+            raise DataError(f"{path}: line {i}: content after manifest line")
+        if payload.get("kind") == "manifest":
+            manifest = payload
+            continue
+        try:
+            records.append(DatasetRecord.from_json_dict(payload))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: line {i}: bad record: {exc}") from exc
     if manifest is None:
-        raise DatasetFormatError(f"{path}: no manifest line; file is truncated or partial")
+        raise DataError(f"{path}: no manifest line; file is truncated or partial")
     if manifest.get("record_count") != len(records):
-        raise DatasetFormatError(
+        raise DataError(
             f"{path}: manifest declares {manifest.get('record_count')} records, found {len(records)}"
         )
     return records
+
+
+def write_traces_jsonl(traces: Iterable[Trace], path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for trace in traces:
+            fh.write(trace.to_json_line() + "\n")
+
+
+def read_traces_jsonl(path: str | Path) -> list[Trace]:
+    out = []
+    for i, row in read_jsonl(path):
+        try:
+            out.append(Trace.from_json_dict(row))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed trace on line {i}: {exc}") from exc
+    return out
 
 
 def score_external_traces(
@@ -410,12 +445,12 @@ def score_external_traces(
             prompt = [int(t) for t in entry["prompt_tokens"]]
             tokens = [int(t) for t in entry["tokens"]]
         except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetFormatError(f"external trace {n}: {exc}") from exc
+            raise DataError(f"external trace {n}: {exc}") from exc
         for t in prompt + tokens:
             if not 0 <= t < student.vocab_size:
-                raise ValueError(f"external trace {n}: token {t} out of vocabulary")
+                raise DataError(f"external trace {n}: token {t} out of vocabulary")
         if not tokens:
-            raise DatasetFormatError(f"external trace {n}: empty token sequence")
+            raise DataError(f"external trace {n}: empty token sequence")
         ctx = list(prompt)
         records = []
         for token in tokens:
@@ -473,20 +508,11 @@ def run_generation(
     def one(problem: Problem) -> RejectionResult:
         return rejection_sample(problem, generator, verifier, attempts, base_seed, detokenize)
 
-    if workers == 1:
-        results = []
-        for problem in problems:
-            result = one(problem)
-            if progress is not None:
-                progress(result)
-            results.append(result)
-        return results
-
     results = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # pool.map yields in submission order, so progress streams in
-        # problem order even when later problems finish first
-        for result in pool.map(one, problems):
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        # serial runs map on the calling thread; pool.map yields in
+        # submission order, so progress streams in problem order either way
+        for result in (map if pool is None else pool.map)(one, problems):
             if progress is not None:
                 progress(result)
             results.append(result)

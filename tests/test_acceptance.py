@@ -17,13 +17,7 @@ import numpy as np
 import pytest
 
 from rsdkit.cli import main
-from rsdkit.decoding import (
-    GenerationConfig,
-    rsd_decode,
-    skd_decode,
-    solo_decode,
-    write_traces_jsonl,
-)
+from rsdkit.decoding import GenerationConfig, decode
 from rsdkit.metrics import (
     fallback_rate,
     low_prob_token_tally,
@@ -38,6 +32,7 @@ from rsdkit.pipeline import (
     Verifier,
     assemble_dataset,
     run_generation,
+    write_traces_jsonl,
 )
 from rsdkit.metrics import dataset_report
 from rsdkit.remote import BackendEndpoint, RemoteModel
@@ -85,7 +80,7 @@ class TestCriterion1ThresholdInvariant:
                     context_limit=64,
                     seed=int(rng.integers(0, 2**63)),
                 )
-                trace = rsd_decode(teacher, student, [0], cfg)
+                trace = decode(teacher, student, [0], cfg)
                 traces += 1
                 for rec in trace.records:
                     if rec.accepted:
@@ -113,12 +108,12 @@ class TestCriterion2Degeneracy:
             teacher, student = random_pair(rng)
             seed = int(rng.integers(0, 2**63))
             shared = dict(p_th=0.0, max_tokens=12, temperature=0.7, context_limit=64, seed=seed)
-            rsd = rsd_decode(teacher, student, [0], GenerationConfig(**shared))
-            solo_t = solo_decode(teacher, [0], GenerationConfig(**shared, regime="solo-teacher"))
+            rsd = decode(teacher, student, [0], GenerationConfig(**shared))
+            solo_t = decode(teacher, None, [0], GenerationConfig(**shared, regime="solo-teacher"))
             if rsd.tokens() != solo_t.tokens():
                 rsd_mismatches += 1
-            skd = skd_decode(teacher, student, [0], GenerationConfig(**shared, regime="skd"))
-            solo_s = solo_decode(student, [0], GenerationConfig(**shared, regime="solo-student"))
+            skd = decode(teacher, student, [0], GenerationConfig(**shared, regime="skd"))
+            solo_s = decode(None, student, [0], GenerationConfig(**shared, regime="solo-student"))
             if skd.tokens() != solo_s.tokens():
                 skd_mismatches += 1
         assert rsd_mismatches == 0
@@ -231,7 +226,7 @@ class TestCriterion3DecodeDistributionOracle:
                     context_limit=16,
                     seed=seed * 1009 + pair_idx,
                 )
-                key = tuple(rsd_decode(teacher, student, [0], cfg).tokens())
+                key = tuple(decode(teacher, student, [0], cfg).tokens())
                 counts[key] = counts.get(key, 0) + 1
             # every observed string must be possible
             impossible = set(counts) - set(expected)
@@ -265,7 +260,7 @@ class TestCriterion4MetricIdentities:
                 context_limit=64,
                 seed=trial,
             )
-            traces.append(rsd_decode(teacher, student, [0], cfg))
+            traces.append(decode(teacher, student, [0], cfg))
         return [t for t in traces if len(t.records)]
 
     def test_identities_and_bounds(self):
@@ -300,7 +295,7 @@ class TestCriterion5RecountOracles:
             cfg = GenerationConfig(
                 p_th=0.03, max_tokens=12, temperature=0.7, context_limit=64, seed=trial
             )
-            traces.append(rsd_decode(teacher, student, [0], cfg))
+            traces.append(decode(teacher, student, [0], cfg))
         path = tmp_path / "traces.jsonl"
         write_traces_jsonl(traces, path)
 
@@ -345,7 +340,7 @@ class TestCriterion6PipelineShape:
         assert expected_solved == 12
 
         def generator(prompt, seed):
-            return rsd_decode(teacher, student, prompt, cfg.with_seed(seed))
+            return decode(teacher, student, prompt, cfg.with_seed(seed))
 
         results = run_generation(
             problems,
@@ -441,8 +436,8 @@ class TestCriterion8BackendEquivalence:
                 cfg = GenerationConfig(
                     p_th=0.05, max_tokens=8, temperature=0.7, context_limit=32, seed=seed
                 )
-                local = rsd_decode(teacher, student, [0], cfg)
-                over_wire = rsd_decode(remote_teacher, student, [0], cfg)
+                local = decode(teacher, student, [0], cfg)
+                over_wire = decode(remote_teacher, student, [0], cfg)
                 if local.to_json_line() != over_wire.to_json_line():
                     mismatches += 1
         assert mismatches == 0
@@ -491,7 +486,7 @@ class TestCriterion9VocabularyAlignment:
             cfg = GenerationConfig(
                 p_th=0.01, max_tokens=6, temperature=0.7, context_limit=64, seed=seed
             )
-            trace = rsd_decode(teacher, student, [3], cfg, vmap)
+            trace = decode(teacher, student, [3], cfg, vmap)
             stream = list(trace.prompt) + trace.tokens()
             if any(vmap.is_student_only(t) for t in stream):
                 traces_with_native += 1

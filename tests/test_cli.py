@@ -108,6 +108,22 @@ class TestGenerate:
         assert main(["generate", str(cfg_path)]) == 0
         assert not list(tmp_path.glob("*.partial"))
 
+    def test_failed_report_write_keeps_the_old_report(self, tmp_path, monkeypatch, capsys):
+        cfg_path = write_config(tmp_path, answers=["bbbbbb"])
+        assert main(["generate", str(cfg_path)]) == 0
+        report_path = tmp_path / "report.json"
+        old_report = report_path.read_bytes()
+        write_text = Path.write_text
+
+        def torn_write(self, text, *args, **kwargs):
+            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        assert main(["generate", str(cfg_path), "--threshold", "0.9"]) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert report_path.read_bytes() == old_report
+
 
 class TestAnalyze:
     def generate(self, tmp_path, **kwargs):
@@ -157,13 +173,14 @@ class TestAnalyze:
         assert report["traces"] == 2
 
     def test_trace_jsonl_analysis(self, tmp_path):
-        from rsdkit.decoding import GenerationConfig, rsd_decode, write_traces_jsonl
+        from rsdkit.decoding import GenerationConfig, decode
+        from rsdkit.pipeline import write_traces_jsonl
         from rsdkit.models import TableModel
 
         teacher = TableModel({}, [0.0, 1.0, 0.0, 0.0], eos_token=3)
         student = TableModel({}, [0.2, 0.5, 0.2, 0.1], eos_token=3)
         traces = [
-            rsd_decode(teacher, student, [0], GenerationConfig(p_th=0.01, max_tokens=4, seed=s))
+            decode(teacher, student, [0], GenerationConfig(p_th=0.01, max_tokens=4, seed=s))
             for s in range(3)
         ]
         path = tmp_path / "traces.jsonl"
@@ -176,7 +193,8 @@ class TestAnalyze:
 
     def test_mixed_regimes_have_no_fallback_rate(self, tmp_path):
         # one rule for both report paths: a fallback rate only when every item is rsd/skd
-        from rsdkit.decoding import GenerationConfig, rsd_decode, solo_decode, write_traces_jsonl
+        from rsdkit.decoding import GenerationConfig, decode
+        from rsdkit.pipeline import write_traces_jsonl
         from rsdkit.metrics import dataset_report
         from rsdkit.models import TableModel
         from rsdkit.pipeline import full_trace_record
@@ -184,8 +202,8 @@ class TestAnalyze:
         teacher = TableModel({}, [0.0, 1.0, 0.0, 0.0], eos_token=3)
         student = TableModel({}, [0.2, 0.5, 0.2, 0.1], eos_token=3)
         traces = [
-            rsd_decode(teacher, student, [0], GenerationConfig(p_th=0.3, max_tokens=4)),
-            solo_decode(student, [0], GenerationConfig(p_th=0.3, max_tokens=4, regime="solo-student")),
+            decode(teacher, student, [0], GenerationConfig(p_th=0.3, max_tokens=4)),
+            decode(None, student, [0], GenerationConfig(p_th=0.3, max_tokens=4, regime="solo-student")),
         ]
         records = [full_trace_record(f"p{i}", t, f"p{i}#attempt-0") for i, t in enumerate(traces)]
         assert dataset_report(records).fallback_rate_pct is None
@@ -338,6 +356,63 @@ class TestExitCodes:
         assert not (tmp_path / "dataset.jsonl").exists()
         assert not sweep_dir.exists()
         assert not analysis_dir.exists()
+
+    def test_non_numeric_config_count_is_config_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, answers=["b"], attempts="two")
+        assert main(["generate", str(cfg_path)]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert "attempts" in error["message"]
+
+    @pytest.mark.parametrize(
+        "prompt, generation",
+        [
+            (list(range(3)) * 3 + [0], {"max_tokens": 6, "context_limit": 8}),  # 10 > 8 tokens
+            ([7], {}),  # outside V=4
+        ],
+        ids=["overlong", "out-of-vocabulary"],
+    )
+    def test_undecodable_prompt_is_data_error_before_any_decoding(
+        self, tmp_path, monkeypatch, capsys, prompt, generation
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "decode", lambda *args: calls.append(args))
+        gen = {"regime": "rsd", "p_th": 0.01, "max_tokens": 6, "context_limit": 64, **generation}
+        cfg_path = write_config(tmp_path, answers=["b", "b"], generation=gen)
+        rows = [{"id": "q0", "prompt_tokens": [0], "answer": "b"},
+                {"id": "q1", "prompt_tokens": prompt, "answer": "b"}]
+        (tmp_path / "problems.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert main(["generate", str(cfg_path)]) == 4
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "data"
+        assert "'q1'" in error["message"]
+        assert calls == []
+        assert not (tmp_path / "dataset.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "kind, line",
+        [("problems", 1), ("dataset", 1), ("dataset", 2), ("traces", 2), ("external", 2)],
+    )
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys, kind, line):
+        from rsdkit.decoding import GenerationConfig, decode
+
+        cfg_path = write_config(tmp_path, answers=["b"])
+        model = build_model(load_run_config(cfg_path).student_spec)
+        first = {
+            "problems": json.dumps({"id": "q0", "prompt_tokens": [0], "answer": "b"}),
+            "dataset": TOY_DATASET.read_text().splitlines()[0],
+            "traces": decode(model, model, [0], GenerationConfig(p_th=0.01, max_tokens=4)).to_json_line(),
+            "external": json.dumps({"prompt_tokens": [0], "tokens": [1, 2]}),
+        }[kind]
+        lines = [first.encode(), b"\xff\xfe{}"]
+        path = tmp_path / ("problems.jsonl" if kind == "problems" else f"{kind}.jsonl")
+        path.write_bytes(b"\n".join(lines[2 - line :]) + b"\n")
+        argv = ["generate", str(cfg_path)] if kind == "problems" else ["analyze", str(path)]
+        argv += ["--config", str(cfg_path)] if kind == "external" else []
+        assert main(argv) == 4
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "data"
+        assert f"{path}: line {line}: not UTF-8" in error["message"]
 
     @pytest.mark.parametrize(
         "field, value",

@@ -52,6 +52,21 @@ class TestParseRunConfig:
         with pytest.raises(ConfigError, match="max_tokens"):
             parse_run_config(bad)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("attempts", "two"),
+            ("attempts", None),
+            ("prefix_length", "long"),
+            ("workers", [2]),
+            ("diagnostic_threshold", "1%"),
+            ("diagnostic_threshold", {"p": 0.01}),
+        ],
+    )
+    def test_non_numeric_count_or_threshold_is_config_error(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_run_config(dict(MINIMAL, **{key: value}))
+
     def test_unknown_backend_rejected(self):
         payload = dict(MINIMAL, student={"backend": "gguf", "default": []})
         with pytest.raises(ConfigError, match="backend"):

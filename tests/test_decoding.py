@@ -7,13 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from rsdkit.decoding import (
-    GenerationConfig,
-    Trace,
-    rsd_decode,
-    skd_decode,
-    solo_decode,
-)
+from rsdkit.decoding import GenerationConfig, Trace, decode
 from rsdkit.metrics import fallback_rate
 from rsdkit.models import ContextOverflowError, TableModel
 from rsdkit.vocab import build_vocab_map, replay_student_context
@@ -35,7 +29,7 @@ class TestRsdAcceptance:
     def test_confident_student_accepts_everything(self):
         teacher = TableModel({}, one_hot(4, 1), eos_token=3)
         student = TableModel({}, [0.3, 0.5, 0.15, 0.05], eos_token=3)
-        trace = rsd_decode(teacher, student, [0], cfg(p_th=0.01))
+        trace = decode(teacher, student, [0], cfg(p_th=0.01))
         assert len(trace) == 12
         assert all(r.accepted and not r.fallback for r in trace.records)
         assert fallback_rate([trace]) == 0.0
@@ -43,7 +37,7 @@ class TestRsdAcceptance:
     def test_unconfident_student_rejects_everything(self):
         teacher = TableModel({}, one_hot(4, 1), eos_token=3)
         student = TableModel({}, [0.745, 0.005, 0.2, 0.05], eos_token=3)
-        trace = rsd_decode(teacher, student, [0], cfg(p_th=0.01))
+        trace = decode(teacher, student, [0], cfg(p_th=0.01))
         assert all(r.fallback and not r.accepted for r in trace.records)
         assert fallback_rate([trace]) == 1.0
         assert all(r.proposer == "student" for r in trace.records)
@@ -55,7 +49,7 @@ class TestRsdAcceptance:
             teacher = TableModel({}, rng.dirichlet(np.ones(vocab)), eos_token=vocab - 1)
             student = TableModel({}, rng.dirichlet(np.ones(vocab) * 0.4), eos_token=vocab - 1)
             p_th = float(rng.choice([0.003, 0.01, 0.03, 0.1]))
-            trace = rsd_decode(teacher, student, [0], cfg(p_th=p_th, seed=trial, max_tokens=8))
+            trace = decode(teacher, student, [0], cfg(p_th=p_th, seed=trial, max_tokens=8))
             for rec in trace.records:
                 if rec.accepted:
                     assert rec.p_student >= p_th
@@ -64,15 +58,15 @@ class TestRsdAcceptance:
         # strict less-than rejects: a student probability equal to p_th passes
         teacher = TableModel({}, one_hot(4, 1), eos_token=3)
         student = TableModel({}, [0.69, 0.01, 0.2, 0.1], eos_token=3)
-        trace = rsd_decode(teacher, student, [0], cfg(p_th=0.01))
+        trace = decode(teacher, student, [0], cfg(p_th=0.01))
         assert all(r.accepted for r in trace.records)
 
     def test_tempered_threshold_mode_changes_the_decision(self):
         # raw 0.0099 < 1% but flattening at T=2 lifts it above the threshold
         teacher = TableModel({}, one_hot(3, 1), eos_token=2)
         student = TableModel({}, [0.9801, 0.0099, 0.01], eos_token=2)
-        raw = rsd_decode(teacher, student, [0], cfg(temperature=2.0, max_tokens=4))
-        tempered = rsd_decode(
+        raw = decode(teacher, student, [0], cfg(temperature=2.0, max_tokens=4))
+        tempered = decode(
             teacher, student, [0], cfg(temperature=2.0, max_tokens=4, threshold_uses_raw=False)
         )
         assert all(r.fallback for r in raw.records)
@@ -93,8 +87,8 @@ class TestDegeneracy:
             )
             student = TableModel({}, rng.dirichlet(np.ones(vocab)), eos_token=vocab - 1)
             shared = dict(p_th=0.0, max_tokens=10, seed=1000 + trial)
-            rsd = rsd_decode(teacher, student, [0], cfg(**shared))
-            solo = solo_decode(teacher, [0], cfg(**shared, regime="solo-teacher"))
+            rsd = decode(teacher, student, [0], cfg(**shared))
+            solo = decode(teacher, None, [0], cfg(**shared, regime="solo-teacher"))
             assert rsd.tokens() == solo.tokens()
             assert rsd.terminated_by == solo.terminated_by
 
@@ -108,8 +102,8 @@ class TestDegeneracy:
                 eos_token=vocab - 1,
             )
             shared = dict(p_th=0.0, max_tokens=10, seed=2000 + trial)
-            skd = skd_decode(teacher, student, [0], cfg(**shared, regime="skd"))
-            solo = solo_decode(student, [0], cfg(**shared, regime="solo-student"))
+            skd = decode(teacher, student, [0], cfg(**shared, regime="skd"))
+            solo = decode(None, student, [0], cfg(**shared, regime="solo-student"))
             assert skd.tokens() == solo.tokens()
 
 
@@ -117,13 +111,13 @@ class TestSkdMirror:
     def test_confident_teacher_approves_student_proposals(self):
         student = TableModel({}, one_hot(4, 1), eos_token=3)
         teacher = TableModel({}, [0.25, 0.35, 0.3, 0.1], eos_token=3)
-        trace = skd_decode(teacher, student, [0], cfg(regime="skd"))
+        trace = decode(teacher, student, [0], cfg(regime="skd"))
         assert all(r.accepted and r.proposer == "student" for r in trace.records)
 
     def test_dismissive_teacher_forces_teacher_resamples(self):
         student = TableModel({}, one_hot(4, 1), eos_token=3)
         teacher = TableModel({}, [0.6, 0.005, 0.295, 0.1], eos_token=3)
-        trace = skd_decode(teacher, student, [0], cfg(regime="skd"))
+        trace = decode(teacher, student, [0], cfg(regime="skd"))
         assert all(r.fallback and r.proposer == "teacher" for r in trace.records)
         assert fallback_rate([trace]) == 1.0
 
@@ -133,7 +127,7 @@ class TestSkdMirror:
             vocab = int(rng.integers(3, 6))
             teacher = TableModel({}, rng.dirichlet(np.ones(vocab)), eos_token=vocab - 1)
             student = TableModel({}, rng.dirichlet(np.ones(vocab)), eos_token=vocab - 1)
-            trace = skd_decode(
+            trace = decode(
                 teacher, student, [0], cfg(regime="skd", p_th=0.05, seed=trial, max_tokens=6)
             )
             for rec in trace.records:
@@ -145,7 +139,7 @@ class TestSolo:
     def test_one_hot_model_is_seed_independent(self):
         model = TableModel({(1,): one_hot(4, 2), (2,): one_hot(4, 1)}, one_hot(4, 1), eos_token=3)
         outs = {
-            tuple(solo_decode(model, [0], cfg(regime="solo-teacher", seed=s, max_tokens=6)).tokens())
+            tuple(decode(model, None, [0], cfg(regime="solo-teacher", seed=s, max_tokens=6)).tokens())
             for s in range(25)
         }
         assert outs == {(1, 2, 1, 2, 1, 2)}
@@ -154,7 +148,7 @@ class TestSolo:
         model = TableModel({}, [0.5, 0.5])
         n = 10_000
         hits = sum(
-            solo_decode(model, [0], cfg(regime="solo-student", seed=s, max_tokens=1)).tokens()[0]
+            decode(None, model, [0], cfg(regime="solo-student", seed=s, max_tokens=1)).tokens()[0]
             for s in range(n)
         )
         assert abs(hits / n - 0.5) <= 3 * math.sqrt(0.25 / n)
@@ -162,7 +156,7 @@ class TestSolo:
     def test_scorer_fills_student_fields_recomputable_independently(self):
         teacher = TableModel({}, [0.1, 0.2, 0.3, 0.4], eos_token=3)
         student = TableModel({(1,): [0.7, 0.1, 0.1, 0.1]}, [0.25] * 4, eos_token=3)
-        trace = solo_decode(teacher, [2], cfg(regime="solo-teacher", seed=13), scorer=student)
+        trace = decode(teacher, student, [2], cfg(regime="solo-teacher", seed=13))
         ctx = [2]
         for rec in trace.records:
             expected = student.next_distribution(ctx)[rec.token]
@@ -172,20 +166,29 @@ class TestSolo:
 
     def test_unscored_solo_trace_has_no_student_fields(self):
         teacher = TableModel({}, [0.25] * 4, eos_token=3)
-        trace = solo_decode(teacher, [0], cfg(regime="solo-teacher"))
+        trace = decode(teacher, None, [0], cfg(regime="solo-teacher"))
         assert all(r.p_student is None and r.surprisal_student is None for r in trace.records)
         assert all(not r.accepted and not r.fallback for r in trace.records)
 
-    def test_regime_mismatch_rejected(self):
+
+class TestDecodeChecks:
+    @pytest.mark.parametrize(
+        "regime, has_teacher, has_student",
+        [
+            ("rsd", False, True),
+            ("rsd", True, False),
+            ("skd", False, True),
+            ("skd", True, False),
+            ("solo-teacher", False, True),
+            ("solo-student", True, False),
+        ],
+    )
+    def test_missing_model_rejected(self, regime, has_teacher, has_student):
         model = TableModel({}, [0.25] * 4)
-        with pytest.raises(ValueError, match="solo"):
-            solo_decode(model, [0], cfg(regime="rsd"))
-        with pytest.raises(ValueError, match="rsd"):
-            rsd_decode(model, model, [0], cfg(regime="solo-teacher"))
-        with pytest.raises(ValueError, match="skd"):
-            skd_decode(model, model, [0], cfg(regime="rsd"))
-        with pytest.raises(ValueError, match="scorer"):
-            solo_decode(model, [0], cfg(regime="solo-student"), scorer=model)
+        teacher = model if has_teacher else None
+        student = model if has_student else None
+        with pytest.raises(ValueError, match=f"regime '{regime}' needs"):
+            decode(teacher, student, [0], cfg(regime=regime))
 
 
 class TestBookkeeping:
@@ -194,7 +197,7 @@ class TestBookkeeping:
         for trial in range(20):
             teacher = TableModel({}, rng.dirichlet(np.ones(5)), eos_token=4)
             student = TableModel({}, rng.dirichlet(np.ones(5) * 0.3), eos_token=4)
-            trace = rsd_decode(teacher, student, [0], cfg(p_th=0.05, seed=trial))
+            trace = decode(teacher, student, [0], cfg(p_th=0.05, seed=trial))
             fallbacks = sum(1 for r in trace.records if r.fallback)
             assert fallbacks == sum(1 for r in trace.records if not r.accepted)
             assert fallback_rate([trace]) == fallbacks / len(trace)
@@ -208,7 +211,7 @@ class TestBookkeeping:
         for seed in range(10):
             flags = []
             for th in thresholds:
-                trace = rsd_decode(teacher, student, [0], cfg(p_th=th, seed=seed, max_tokens=6))
+                trace = decode(teacher, student, [0], cfg(p_th=th, seed=seed, max_tokens=6))
                 flags.append([r.fallback for r in trace.records])
             for step in range(6):
                 indicators = [f[step] if step < len(f) else None for f in flags]
@@ -218,7 +221,7 @@ class TestBookkeeping:
     def test_surprisal_matches_recorded_probability(self):
         teacher = TableModel({}, [0.4, 0.3, 0.2, 0.1], eos_token=3)
         student = TableModel({}, [0.25] * 4, eos_token=3)
-        trace = rsd_decode(teacher, student, [0], cfg(seed=4))
+        trace = decode(teacher, student, [0], cfg(seed=4))
         for rec in trace.records:
             assert rec.surprisal_student == pytest.approx(-math.log(rec.p_student), abs=1e-9)
 
@@ -227,7 +230,7 @@ class TestTermination:
     def test_eos_breaks_and_is_last_token(self):
         teacher = TableModel({}, one_hot(4, 3), eos_token=3)
         student = TableModel({}, [0.05, 0.05, 0.05, 0.85], eos_token=3)
-        trace = rsd_decode(teacher, student, [0], cfg())
+        trace = decode(teacher, student, [0], cfg())
         assert trace.terminated_by == "eos"
         assert len(trace) == 1
         assert trace.records[-1].token == 3
@@ -236,14 +239,14 @@ class TestTermination:
         # teacher proposes its own EOS id, student EOS differs: no break
         teacher = TableModel({}, one_hot(4, 2), eos_token=2)
         student = TableModel({}, [0.3, 0.3, 0.3, 0.1], eos_token=3)
-        trace = rsd_decode(teacher, student, [0], cfg(max_tokens=5))
+        trace = decode(teacher, student, [0], cfg(max_tokens=5))
         assert trace.terminated_by == "length-budget"
         assert len(trace) == 5
 
     def test_length_budget_respected(self):
         teacher = TableModel({}, one_hot(4, 1), eos_token=3)
         student = TableModel({}, [0.25] * 4, eos_token=3)
-        trace = rsd_decode(teacher, student, [0], cfg(max_tokens=3))
+        trace = decode(teacher, student, [0], cfg(max_tokens=3))
         assert len(trace) == 3
         assert trace.terminated_by == "length-budget"
 
@@ -251,28 +254,28 @@ class TestTermination:
         teacher = TableModel({}, one_hot(4, 1), eos_token=3)
         student = TableModel({}, [0.25] * 4, eos_token=3)
         with pytest.raises(ContextOverflowError):
-            rsd_decode(teacher, student, [0, 0, 0], cfg(max_tokens=4, context_limit=4))
+            decode(teacher, student, [0, 0, 0], cfg(max_tokens=4, context_limit=4))
 
 
 class TestReproducibility:
     def test_identical_inputs_identical_serialized_bytes(self):
         teacher = TableModel({}, [0.4, 0.3, 0.2, 0.1], eos_token=3)
         student = TableModel({}, [0.1, 0.2, 0.3, 0.4], eos_token=3)
-        a = rsd_decode(teacher, student, [0, 1], cfg(seed=99))
-        b = rsd_decode(teacher, student, [0, 1], cfg(seed=99))
+        a = decode(teacher, student, [0, 1], cfg(seed=99))
+        b = decode(teacher, student, [0, 1], cfg(seed=99))
         assert a.to_json_line() == b.to_json_line()
 
     def test_config_is_recorded_in_trace(self):
         teacher = TableModel({}, [0.4, 0.3, 0.2, 0.1], eos_token=3)
         student = TableModel({}, [0.25] * 4, eos_token=3)
         c = cfg(seed=42, p_th=0.03)
-        trace = rsd_decode(teacher, student, [0], c)
+        trace = decode(teacher, student, [0], c)
         assert trace.config == c
 
     def test_json_round_trip_preserves_everything(self):
         teacher = TableModel({}, [0.4, 0.3, 0.2, 0.1], eos_token=3)
         student = TableModel({}, [0.1, 0.2, 0.3, 0.4], eos_token=3)
-        trace = rsd_decode(teacher, student, [2, 1], cfg(seed=17))
+        trace = decode(teacher, student, [2, 1], cfg(seed=17))
         import json
 
         back = Trace.from_json_dict(json.loads(trace.to_json_line()))
@@ -285,7 +288,7 @@ class TestStudentOnlyTokens:
         vmap = build_vocab_map(6, 6, {5: (1, 2)})
         teacher = TableModel({}, one_hot(6, 0), eos_token=3)
         student = TableModel({}, [0.001, 0.004, 0.005, 0.01, 0.08, 0.9], eos_token=3)
-        trace = rsd_decode(teacher, student, [0], cfg(p_th=0.01, max_tokens=6, seed=3), vmap)
+        trace = decode(teacher, student, [0], cfg(p_th=0.01, max_tokens=6, seed=3), vmap)
         natives = [r for r in trace.records if r.token == 5]
         assert natives, "construction should emit the student-native token"
         for rec in natives:
@@ -297,7 +300,7 @@ class TestStudentOnlyTokens:
         vmap = build_vocab_map(6, 6, {5: (1, 2)})
         teacher = TableModel({}, one_hot(6, 0), eos_token=3)
         student = TableModel({}, [0.001, 0.004, 0.005, 0.01, 0.08, 0.9], eos_token=3)
-        trace = rsd_decode(teacher, student, [4, 0], cfg(p_th=0.01, max_tokens=6, seed=3), vmap)
+        trace = decode(teacher, student, [4, 0], cfg(p_th=0.01, max_tokens=6, seed=3), vmap)
         student_stream = list(trace.prompt) + trace.tokens()
         teacher_stream = replay_student_context(student_stream, vmap)
         # replay must equal what the decode actually fed the teacher
@@ -310,5 +313,5 @@ class TestStudentOnlyTokens:
         vmap = build_vocab_map(6, 4)
         teacher = TableModel({}, [0.05, 0.05, 0.05, 0.05, 0.4, 0.4], eos_token=3)
         student = TableModel({}, [0.25] * 4, eos_token=3)
-        trace = rsd_decode(teacher, student, [0], cfg(p_th=0.0, max_tokens=8, seed=11), vmap)
+        trace = decode(teacher, student, [0], cfg(p_th=0.0, max_tokens=8, seed=11), vmap)
         assert all(r.token < 4 for r in trace.records)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from rsdkit.decoding import GenerationConfig, TokenRecord, Trace, write_traces_jsonl
+from rsdkit.decoding import GenerationConfig, TokenRecord, Trace, decode
 from rsdkit.metrics import (
     dataset_report,
     fallback_rate,
@@ -22,8 +22,7 @@ from rsdkit.metrics import (
     write_token_tally_csv,
 )
 from rsdkit.models import Distribution, TableModel
-from rsdkit.pipeline import DatasetRecord
-from rsdkit.decoding import rsd_decode
+from rsdkit.pipeline import DatasetRecord, write_traces_jsonl
 
 
 def make_trace(p_students, regime="rsd", fallbacks=None, tokens=None) -> Trace:
@@ -171,7 +170,7 @@ class TestRecountOracle:
             teacher = TableModel({}, rng.dirichlet(np.ones(5)), eos_token=4)
             student = TableModel({}, rng.dirichlet(np.ones(5) * 0.4), eos_token=4)
             cfg = GenerationConfig(p_th=0.05, max_tokens=10, seed=i)
-            traces.append(rsd_decode(teacher, student, [0], cfg))
+            traces.append(decode(teacher, student, [0], cfg))
         path = tmp_path / "traces.jsonl"
         write_traces_jsonl(traces, path)
         return traces, path

@@ -9,16 +9,17 @@ import textwrap
 import numpy as np
 import pytest
 
-from rsdkit.decoding import GenerationConfig, solo_decode
+from rsdkit.decoding import GenerationConfig, decode
 from rsdkit.models import TableModel
 from rsdkit.pipeline import (
-    DatasetFormatError,
+    DataError,
     Problem,
     Verifier,
     assemble_dataset,
     export_dataset,
     extract_boxed,
     import_dataset,
+    read_jsonl,
     rejection_sample,
     run_generation,
     score_external_traces,
@@ -49,7 +50,7 @@ def student_generator(model=None, cfg=None):
     cfg = cfg or solo_cfg()
 
     def generate(prompt, seed):
-        return solo_decode(model, prompt, cfg.with_seed(seed))
+        return decode(None, model, prompt, cfg.with_seed(seed))
 
     return generate
 
@@ -129,8 +130,8 @@ class TestRejectionSample:
         always = Verifier(mode="exact-match", normalization=())
 
         def generator(prompt, seed):
-            return solo_decode(
-                TableModel({}, [0.0, 0.9, 0.1], eos_token=2), prompt, solo_cfg(seed=seed)
+            return decode(
+                None, TableModel({}, [0.0, 0.9, 0.1], eos_token=2), prompt, solo_cfg(seed=seed)
             )
 
         problem = Problem(id="p", prompt_tokens=(0,), answer=detok([1, 1, 1]))
@@ -157,7 +158,7 @@ class TestRejectionSample:
         replays = []
         for k in range(16):
             seed = derive_seed(base_seed, "prob-7", k)
-            trace = solo_decode(uniform_student(), [0], solo_cfg(seed=seed))
+            trace = decode(None, uniform_student(), [0], solo_cfg(seed=seed))
             replays.append(detok(trace.tokens()))
         oracle_first = next(k for k, text in enumerate(replays) if text == "bba")
 
@@ -174,7 +175,7 @@ class TestRejectionSample:
             calls.append(seed)
             if len(calls) == 1:
                 raise RuntimeError("backend blew up")
-            return solo_decode(uniform_student(), prompt, solo_cfg(seed=seed))
+            return decode(None, uniform_student(), prompt, solo_cfg(seed=seed))
 
         problem = Problem(id="p", prompt_tokens=(0,), answer="zzz")
         result = rejection_sample(problem, flaky, v, 3, 0, detok)
@@ -206,7 +207,8 @@ class TestRejectionSample:
 
 def long_trace(n: int):
     model = TableModel({}, [1.0, 0.0], eos_token=1)
-    return solo_decode(
+    return decode(
+        None,
         model,
         [0],
         GenerationConfig(
@@ -263,7 +265,7 @@ class TestAssemble:
         answers = {}
         for pid in ("q1", "q2"):
             seed = derive_seed(24, pid, 0)
-            answers[pid] = detok(solo_decode(uniform_student(), [0], solo_cfg(seed=seed)).tokens())
+            answers[pid] = detok(decode(None, uniform_student(), [0], solo_cfg(seed=seed)).tokens())
         results = self.run_problems(answers)
         records = assemble_dataset(results)
         assert all(r.kind == "full-trace" for r in records)
@@ -333,7 +335,7 @@ class TestExportImport:
         lines = path.read_text().splitlines()
         lines[1] = lines[1][:-10] + "}garbage"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match="line 2"):
+        with pytest.raises(DataError, match="line 2"):
             import_dataset(path)
 
     def test_truncated_file_detected_as_partial(self, tmp_path):
@@ -341,7 +343,7 @@ class TestExportImport:
         export_dataset(self.make_records(), path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop the manifest
-        with pytest.raises(DatasetFormatError, match="manifest"):
+        with pytest.raises(DataError, match="manifest"):
             import_dataset(path)
 
     def test_manifest_count_mismatch_detected(self, tmp_path):
@@ -349,8 +351,33 @@ class TestExportImport:
         export_dataset(self.make_records(), path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join([lines[0], lines[-1]]) + "\n")  # drop record 2
-        with pytest.raises(DatasetFormatError, match="declares"):
+        with pytest.raises(DataError, match="declares"):
             import_dataset(path)
+
+
+class TestReadJsonl:
+    def test_yields_numbered_objects_and_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n  \n{"b": 2}\n')
+        assert list(read_jsonl(path)) == [(1, {"a": 1}), (4, {"b": 2})]
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot open"),
+            (b'{"a": 1}\n\xff\xfe\n', "line 2: not UTF-8"),
+            (b'{"a": 1}\n\n{"a": \n', "line 3: invalid JSON"),
+            (b"[1, 2]\n", "line 1: not a JSON object"),
+        ],
+        ids=["unopenable", "not-utf8", "not-json", "not-an-object"],
+    )
+    def test_faults_name_the_path_and_line(self, tmp_path, content, message):
+        path = tmp_path / "rows.jsonl"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(DataError, match=message) as exc:
+            list(read_jsonl(path))
+        assert str(path) in str(exc.value)
 
 
 class TestScoreExternal:

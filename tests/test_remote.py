@@ -11,7 +11,7 @@ import pytest
 import requests
 
 from rsdkit.config import build_model
-from rsdkit.decoding import GenerationConfig, rsd_decode
+from rsdkit.decoding import GenerationConfig, decode
 from rsdkit.models import TableModel
 from rsdkit.remote import (
     BackendEndpoint,
@@ -253,8 +253,8 @@ class TestBackendEquivalence:
         remote_teacher = RemoteModel(endpoint(server))
         for seed in range(10):
             cfg = GenerationConfig(p_th=0.05, max_tokens=8, temperature=0.7, seed=seed)
-            local = rsd_decode(table_teacher, student, [0], cfg)
-            remote = rsd_decode(remote_teacher, student, [0], cfg)
+            local = decode(table_teacher, student, [0], cfg)
+            remote = decode(remote_teacher, student, [0], cfg)
             assert local.to_json_line() == remote.to_json_line()
 
 
@@ -291,7 +291,7 @@ class TestConcurrentRemoteGeneration:
             cfg = GenerationConfig(
                 p_th=0.05, max_tokens=6, temperature=0.7, context_limit=32, seed=seed
             )
-            return rsd_decode(remote_teacher, student, prompt, cfg)
+            return decode(remote_teacher, student, prompt, cfg)
 
         problems = [
             Problem(id=f"q{i}", prompt_tokens=(i % 3,), answer="0 0 0") for i in range(12)

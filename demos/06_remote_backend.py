@@ -3,8 +3,10 @@
 A stub server wraps any in-process model behind the HTTP surface a real
 inference server would expose (`GET /v1/capabilities`,
 `POST /v1/distribution`). The client handshakes, validates capabilities, and
-then behaves as an ordinary model handle; traces decoded over the wire are
-byte-identical to in-process ones.
+then behaves as an ordinary model handle. It asks for the binary encoding:
+the exact probabilities as base64 little-endian float64, so traces decoded
+over the wire are byte-identical to in-process ones. A request without
+``encoding`` gets the text-JSON payload instead.
 """
 
 import json
@@ -20,6 +22,7 @@ from rsdkit import (
     decode,
     handshake,
 )
+from rsdkit.remote import distribution_from_payload
 
 teacher = TableModel({(1,): [0.1, 0.2, 0.3, 0.4]}, [0.4, 0.3, 0.2, 0.1], eos_token=3)
 student = TableModel({}, [0.3, 0.3, 0.3, 0.1], eos_token=3)
@@ -31,12 +34,16 @@ with StubServer({"teacher": teacher}) as server:
     caps = handshake(endpoint)
     print("capabilities:", caps)
 
-    raw = requests.post(
-        f"{server.base_url}/v1/distribution",
-        json={"model": "teacher", "context": [0, 1], "want": "full"},
+    request = {"model": "teacher", "context": [0, 1], "want": "full"}
+    text = requests.post(f"{server.base_url}/v1/distribution", json=request).json()
+    print("\ntext-JSON payload for context [0, 1]:")
+    print(json.dumps({k: text[k] for k in ("model", "logprobs")}, indent=2))
+    binary = requests.post(
+        f"{server.base_url}/v1/distribution", json={**request, "encoding": "f64-b64"}
     ).json()
-    print("\nwire payload for context [0, 1]:")
-    print(json.dumps({k: raw[k] for k in ("model", "logprobs")}, indent=2))
+    print("binary payload for the same context (what RemoteModel asks for):")
+    print(json.dumps(binary, indent=2))
+    print("decodes to:", distribution_from_payload(binary, caps.vocab_size).probs.tolist())
 
     remote_teacher = RemoteModel(endpoint)
     cfg = GenerationConfig(p_th=0.05, max_tokens=8, temperature=0.7, context_limit=32, seed=1)

@@ -246,15 +246,14 @@ def cmd_analyze(args) -> int:
     dataset_path = Path(args.dataset)
     threshold = in_unit_interval("--threshold", args.threshold)
     out_dir = Path(args.out) if args.out else dataset_path.with_name(dataset_path.stem + "_analysis")
-    out_dir.mkdir(parents=True, exist_ok=True)
     kind = _sniff_kind(dataset_path)
 
+    # read the whole input before creating anything, so bad input leaves no directory
     if kind == "dataset":
         records = import_dataset(dataset_path)
         if not records:
             raise DataError(f"{dataset_path}: dataset is empty")
-        report = dataset_report(records, threshold)
-        report.save(out_dir / "report.json")
+        write_report = dataset_report(records, threshold).save
         items = [(r.problem_id, r) for r in records]
     else:
         if kind == "external":
@@ -264,16 +263,15 @@ def cmd_analyze(args) -> int:
             if cfg.student_spec is None:
                 raise ConfigError("--config carries no student model spec")
             student = build_model(cfg.student_spec, "student")
-            traces = score_external_traces((row for _, row in read_jsonl(dataset_path)), student)
+            traces = score_external_traces(dataset_path, student)
         else:
             traces = read_traces_jsonl(dataset_path)  # not empty: the first row is a trace
         agg = aggregate_records(((t.config.regime, t.records) for t in traces), threshold)
         report_dict = {"traces": len(traces), "sub_threshold": threshold, **agg.report_fields()}
-        (out_dir / "report.json").write_text(
-            json.dumps(report_dict, indent=2, sort_keys=True) + "\n"
-        )
+        write_report = _json_writer(report_dict)
         items = [(str(i), t) for i, t in enumerate(traces)]
 
+    _write_atomically(out_dir / "report.json", write_report)
     # dataset records and traces both carry ``.records``
     for name, item in items:
         write_surprisal_csv(item, out_dir / f"surprisal_{_slug(name)}.csv")
@@ -287,6 +285,11 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _json_writer(obj):
+    """A ``write(path)`` for :func:`_write_atomically` that stores ``obj`` as indented JSON."""
+    return lambda path: path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def cmd_sweep(args) -> int:
     thresholds = [in_unit_interval("--thresholds", x) for x in args.thresholds.split(",") if x.strip()]
     if not thresholds:
@@ -295,7 +298,6 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.config).with_name(
         Path(args.config).stem + "_sweep"
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for th in thresholds:
@@ -308,10 +310,10 @@ def cmd_sweep(args) -> int:
         rows.append({"p_th": th, **report.to_json_dict()})
         log.info("sweep p_th=%g solved=%d/%d", th, report.correctly_solved, report.problems_attempted)
 
-    (out_dir / "sweep_report.json").write_text(
-        json.dumps({"thresholds": thresholds, "rows": rows}, indent=2, sort_keys=True) + "\n"
+    _write_atomically(
+        out_dir / "sweep_report.json", _json_writer({"thresholds": thresholds, "rows": rows})
     )
-    (out_dir / "sweep_table.txt").write_text(_sweep_table(rows))
+    _write_atomically(out_dir / "sweep_table.txt", lambda path: path.write_text(_sweep_table(rows)))
     log.info("sweep=%s thresholds=%d", out_dir, len(thresholds))
     return 0
 

@@ -38,7 +38,7 @@ class ContextOverflowError(RuntimeError):
 class Distribution:
     """Dense normalized probability vector over a vocabulary.
 
-    Entries are float64, non-negative, and sum to 1 within
+    Entries are finite float64, non-negative, and sum to 1 within
     ``NORMALIZATION_ATOL``. Instances are treated as immutable; the sampling
     CDF is memoized on first use.
     """
@@ -53,6 +53,8 @@ class Distribution:
             if np.any(arr < 0.0):
                 raise ValueError("distribution entries must be non-negative")
             total = float(arr.sum())
+            if not np.isfinite(total):  # a NaN entry would pass both other checks
+                raise ValueError(f"distribution entries must be finite, they sum to {total!r}")
             if abs(total - 1.0) > NORMALIZATION_ATOL:
                 raise ValueError(f"distribution sums to {total!r}, expected 1 within {NORMALIZATION_ATOL}")
         self.probs = arr

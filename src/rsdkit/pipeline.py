@@ -430,27 +430,33 @@ def read_traces_jsonl(path: str | Path) -> list[Trace]:
 
 
 def score_external_traces(
-    entries: Iterable[Mapping], student: LanguageModel
+    source: str | Path | Iterable[Mapping], student: LanguageModel
 ) -> list[Trace]:
     """Force-score externally generated token sequences under the student.
 
-    Each entry carries ``prompt_tokens`` and ``tokens`` (both in the student
-    vocabulary; out-of-vocabulary ids raise). The result is a solo-shaped
-    trace with per-token student probabilities filled, ready for any of the
-    trace metrics.
+    ``source`` is an external-traces JSONL file, whose faults name the path
+    and the line, or the entries themselves, whose faults name the 0-based
+    entry index. Each entry carries ``prompt_tokens`` and ``tokens`` (both
+    in the student vocabulary; out-of-vocabulary ids raise). The result is
+    a solo-shaped trace with per-token student probabilities filled, ready
+    for any of the trace metrics.
     """
+    if isinstance(source, (str, Path)):
+        located = ((f"{source}: line {i}", row) for i, row in read_jsonl(source))
+    else:
+        located = ((f"external trace {n}", entry) for n, entry in enumerate(source))
     out: list[Trace] = []
-    for n, entry in enumerate(entries):
+    for where, entry in located:
         try:
             prompt = [int(t) for t in entry["prompt_tokens"]]
             tokens = [int(t) for t in entry["tokens"]]
         except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"external trace {n}: {exc}") from exc
+            raise DataError(f"{where}: {exc}") from exc
         for t in prompt + tokens:
             if not 0 <= t < student.vocab_size:
-                raise DataError(f"external trace {n}: token {t} out of vocabulary")
+                raise DataError(f"{where}: token {t} out of vocabulary")
         if not tokens:
-            raise DataError(f"external trace {n}: empty token sequence")
+            raise DataError(f"{where}: empty token sequence")
         ctx = list(prompt)
         records = []
         for token in tokens:

@@ -5,12 +5,22 @@ Protocol (JSON over HTTP/1.1):
 * ``GET /v1/capabilities?model=NAME`` returns
   ``{"model": NAME, "vocab_size": V, "eos_token": E, "max_context": C}``.
 * ``POST /v1/distribution`` with body
-  ``{"model": NAME, "context": [int, ...], "want": "full"}`` returns
-  ``{"logprobs": [float; V]}`` — a dense vector, possibly unnormalized
-  logits, which the client softmaxes into a distribution. Servers that hold
-  exact probabilities (the bundled stub does) may add ``"probs": [float; V]``
-  and the client will take those verbatim, preserving bit-exactness that a
-  log/exp round trip cannot.
+  ``{"model": NAME, "context": [int, ...], "want": "full", "encoding": "f64-b64"}``
+  returns one of two dense shapes, and the client reads either:
+
+  - ``{"probs_f64": B64}``: the base64 of the ``V`` exact probabilities as
+    little-endian float64. This is what the client asks for: it is
+    bit-exact and about a quarter of the text-JSON bytes. The bundled stub
+    answers it; a server that ignores ``encoding`` answers with the next
+    shape instead.
+  - ``{"logprobs": [float; V]}``: possibly unnormalized logits, which the
+    client softmaxes into a distribution. Servers that hold exact
+    probabilities may add ``"probs": [float; V]`` and the client will take
+    those verbatim, preserving bit-exactness that a log/exp round trip
+    cannot.
+
+  A payload that is malformed, of the wrong length, or not a finite
+  distribution raises :class:`BackendError`.
 
 ``RSDKIT_REMOTE_URL`` and ``RSDKIT_REMOTE_TIMEOUT`` override the endpoint's
 base URL and timeout. Requests are idempotent and never mutate server
@@ -19,6 +29,7 @@ state; responses are cached per context with a bounded LRU.
 
 from __future__ import annotations
 
+import base64
 import os
 import threading
 import time
@@ -30,6 +41,10 @@ import numpy as np
 import requests
 
 from .models import Distribution, LanguageModel
+
+
+#: The binary encoding the client requests: base64 of little-endian float64 probs.
+F64_B64 = "f64-b64"
 
 
 class BackendError(RuntimeError):
@@ -131,24 +146,24 @@ def handshake(endpoint: BackendEndpoint, session=None) -> ServerCapabilities:
 def distribution_from_payload(payload: dict, vocab_size: int) -> Distribution:
     """Dense payload -> normalized distribution.
 
-    Prefers exact ``probs`` when the server supplies them; otherwise
-    softmaxes ``logprobs`` (which are then allowed to be arbitrary logits,
-    already-normalized log-probabilities included). 32-bit servers are fine:
-    values widen to float64 on ingestion.
+    Prefers exact probabilities when the server supplies them, as
+    ``probs_f64`` (base64 little-endian float64) or as a ``probs`` list;
+    otherwise softmaxes ``logprobs`` (which are then allowed to be arbitrary
+    logits, already-normalized log-probabilities included, with ``-inf``
+    for zero mass). 32-bit servers are fine: values widen to float64 on
+    ingestion.
     """
-    if "probs" in payload and payload["probs"] is not None:
-        probs = np.asarray(payload["probs"], dtype=np.float64)
-        if probs.shape != (vocab_size,):
-            raise BackendError(f"probs length {probs.shape} != vocab size {vocab_size}")
-        try:
-            return Distribution(probs)
-        except ValueError as exc:
-            raise BackendError(f"non-normalizable probs payload: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise BackendError(f"payload is not a JSON object: {type(payload).__name__}")
+    if payload.get("probs_f64") is not None:
+        return _exact_distribution(_f64_from_base64(payload["probs_f64"], vocab_size))
+    if payload.get("probs") is not None:
+        return _exact_distribution(_float_vector(payload, "probs", vocab_size))
     if "logprobs" not in payload:
         raise BackendError(f"payload carries neither probs nor logprobs: {list(payload)}")
-    lp = np.asarray(payload["logprobs"], dtype=np.float64)
-    if lp.shape != (vocab_size,):
-        raise BackendError(f"logprobs length {lp.shape} != vocab size {vocab_size}")
+    lp = _float_vector(payload, "logprobs", vocab_size)
+    if np.isnan(lp).any() or np.isposinf(lp).any():
+        raise BackendError("logprobs vector carries NaN or +inf")
     finite = np.isfinite(lp)
     if not finite.any():
         raise BackendError("logprobs vector has no finite entries")
@@ -159,6 +174,35 @@ def distribution_from_payload(payload: dict, vocab_size: int) -> Distribution:
     if not np.isfinite(total) or total <= 0.0:
         raise BackendError("logprobs vector is not normalizable")
     return Distribution(w / total)
+
+
+def _f64_from_base64(value, vocab_size: int) -> np.ndarray:
+    if not isinstance(value, str):
+        raise BackendError(f"probs_f64 must be a base64 string, got {type(value).__name__}")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII str
+        raise BackendError(f"probs_f64 is not valid base64: {exc}") from exc
+    if len(raw) != 8 * vocab_size:
+        raise BackendError(f"probs_f64 holds {len(raw)} bytes, expected 8 x vocab size {vocab_size}")
+    return np.frombuffer(raw, dtype="<f8")
+
+
+def _float_vector(payload: dict, key: str, vocab_size: int) -> np.ndarray:
+    try:
+        vec = np.asarray(payload[key], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise BackendError(f"{key} is not a list of numbers: {exc}") from exc
+    if vec.shape != (vocab_size,):
+        raise BackendError(f"{key} length {vec.shape} != vocab size {vocab_size}")
+    return vec
+
+
+def _exact_distribution(probs: np.ndarray) -> Distribution:
+    try:
+        return Distribution(probs)
+    except ValueError as exc:
+        raise BackendError(f"non-normalizable probs payload: {exc}") from exc
 
 
 class RemoteModel(LanguageModel):
@@ -194,7 +238,12 @@ class RemoteModel(LanguageModel):
             raise BackendError(
                 f"context length {len(key)} exceeds server max {self.capabilities.max_context}"
             )
-        body = {"model": self.endpoint.model_name, "context": list(key), "want": "full"}
+        body = {
+            "model": self.endpoint.model_name,
+            "context": list(key),
+            "want": "full",
+            "encoding": F64_B64,
+        }
         with self._inflight:
             payload = _request(self.endpoint, self._session, "POST", "/v1/distribution", json=body)
         dist = distribution_from_payload(payload, self.vocab_size)

@@ -2,8 +2,11 @@
 
 Wraps any in-process LanguageModel (tables, n-grams) behind the same wire
 surface a real inference server would expose, so decoders can be exercised
-end to end over HTTP without GPUs. Responses carry both ``logprobs`` and
-exact ``probs`` (see :mod:`rsdkit.remote` for why both exist).
+end to end over HTTP without GPUs. A request with
+``"encoding": "f64-b64"`` gets only ``probs_f64``, the exact probabilities
+as base64 little-endian float64; a request without ``encoding`` gets
+``logprobs`` and exact ``probs`` as JSON lists (see :mod:`rsdkit.remote`
+for why both exist). Any other ``encoding`` or ``want`` is HTTP 400.
 
 Usable as a context manager in tests (background thread) or run in the
 foreground via the ``stub-serve`` CLI subcommand.
@@ -11,6 +14,7 @@ foreground via the ``stub-serve`` CLI subcommand.
 
 from __future__ import annotations
 
+import base64
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -20,6 +24,7 @@ from urllib.parse import parse_qs, urlparse
 import numpy as np
 
 from .models import Distribution, LanguageModel
+from .remote import F64_B64
 
 
 class StubServer:
@@ -67,6 +72,9 @@ class StubServer:
 def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: bool):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # headers and body go out in two writes; with Nagle on, a body that
+        # fits one segment waits for the client's delayed ACK (~40 ms)
+        disable_nagle_algorithm = True
 
         def log_message(self, fmt, *args):  # noqa: N802
             if not quiet:
@@ -117,8 +125,15 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
                 name = body["model"]
                 context = [int(t) for t in body["context"]]
                 want = body.get("want", "full")
+                encoding = body.get("encoding")
             except (KeyError, TypeError, ValueError) as exc:
                 self._fail(400, f"malformed request: {exc}")
+                return
+            if want != "full":
+                self._fail(400, f"unsupported want {want!r}")
+                return
+            if encoding not in (None, F64_B64):
+                self._fail(400, f"unsupported encoding {encoding!r}")
                 return
             model = models.get(name)
             if model is None:
@@ -132,10 +147,7 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
             except ValueError as exc:
                 self._fail(400, str(exc))
                 return
-            if want == "full":
-                self._send(200, _full_payload(name, dist))
-            else:
-                self._fail(400, f"unsupported want {want!r}")
+            self._send(200, _full_payload(name, dist, encoding))
 
     return Handler
 
@@ -145,7 +157,10 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
 ZERO_MASS_LOGPROB = -1e300
 
 
-def _full_payload(name: str, dist: Distribution) -> dict:
+def _full_payload(name: str, dist: Distribution, encoding: str | None) -> dict:
+    if encoding == F64_B64:
+        raw = np.ascontiguousarray(dist.probs, dtype="<f8").tobytes()
+        return {"model": name, "probs_f64": base64.b64encode(raw).decode("ascii")}
     with np.errstate(divide="ignore"):
         lp = np.log(dist.probs)
     return {

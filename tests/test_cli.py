@@ -124,6 +124,29 @@ class TestGenerate:
         assert "disk full" in capsys.readouterr().err
         assert report_path.read_bytes() == old_report
 
+    @pytest.mark.parametrize("name", ["report.json", "sweep_report.json", "sweep_table.txt"])
+    def test_failed_analyze_or_sweep_write_keeps_the_old_file(self, tmp_path, monkeypatch, name):
+        cfg_path = write_config(tmp_path, answers=["bbbbbb"])
+        assert main(["generate", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        if name == "report.json":
+            argv = ["analyze", str(tmp_path / "dataset.jsonl"), "--out", str(out)]
+        else:
+            argv = ["sweep", str(cfg_path), "--thresholds", "0.01", "--out-dir", str(out)]
+        assert main(argv) == 0
+        old = (out / name).read_bytes()
+        write_text = Path.write_text
+
+        def torn_write(self, text, *args, **kwargs):
+            if not self.name.startswith(name):
+                return write_text(self, text, *args, **kwargs)
+            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        assert main(argv) == 1
+        assert (out / name).read_bytes() == old
+
 
 class TestAnalyze:
     def generate(self, tmp_path, **kwargs):
@@ -288,6 +311,33 @@ class TestExitCodes:
         external = tmp_path / "external.jsonl"
         external.write_text(json.dumps({"prompt_tokens": [0], "tokens": [99]}) + "\n")
         assert main(["analyze", str(external), "--config", str(cfg_path)]) == 4
+
+    def test_external_trace_fault_names_the_file_line(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, answers=["b"])
+        external = tmp_path / "external.jsonl"
+        rows = [{"prompt_tokens": [0], "tokens": [1, 2]}, {"prompt_tokens": [0], "tokens": [99]}]
+        external.write_text(json.dumps(rows[0]) + "\n\n" + json.dumps(rows[1]) + "\n")
+        assert main(["analyze", str(external), "--config", str(cfg_path)]) == 4
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "data"
+        assert f"{external}: line 3: token 99 out of vocabulary" in error["message"]
+
+    @pytest.mark.parametrize(
+        "kind, lines",
+        [
+            ("dataset", ['{"kind": "full-trace"']),
+            ("dataset", [TOY_DATASET.read_text().splitlines()[0], '{"kind": "full-trace"']),
+            ("traces", ['{"records": [], "config": {"bad": true}, "prompt": []}']),
+            ("external", [json.dumps({"prompt_tokens": [0], "tokens": [99]})]),
+        ],
+    )
+    def test_bad_input_leaves_no_analysis_directory(self, tmp_path, kind, lines):
+        cfg_path = write_config(tmp_path, answers=["b"])
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["analyze", str(path)] + (["--config", str(cfg_path)] if kind == "external" else [])
+        assert main(argv) == 4
+        assert not (tmp_path / f"{kind}_analysis").exists()
 
     def test_malformed_trace_file_is_data_error(self, tmp_path):
         path = tmp_path / "traces.jsonl"

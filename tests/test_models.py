@@ -38,6 +38,11 @@ class TestDistribution:
         with pytest.raises(ValueError, match="sums to"):
             Distribution([0.5, 0.6])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError):
+            Distribution([bad, 0.5, 0.5])
+
     def test_rejects_vocab_below_two(self):
         with pytest.raises(ValueError):
             Distribution([1.0])

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 import requests
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rsdkit.config import build_model
 from rsdkit.decoding import GenerationConfig, decode
-from rsdkit.models import TableModel
+from rsdkit.models import Distribution, TableModel
 from rsdkit.remote import (
     BackendEndpoint,
     BackendError,
@@ -23,7 +28,7 @@ from rsdkit.remote import (
     distribution_from_payload,
     handshake,
 )
-from rsdkit.stub_server import StubServer
+from rsdkit.stub_server import StubServer, _full_payload
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "remote"
 
@@ -43,6 +48,10 @@ def endpoint(server: StubServer, **kwargs) -> BackendEndpoint:
     base = dict(base_url=server.base_url, model_name="fixture-table")
     base.update(kwargs)
     return BackendEndpoint(**base)
+
+
+def f64_b64(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 class TestHandshake:
@@ -122,6 +131,62 @@ class TestPayloadConversion:
         with pytest.raises(BackendError, match="non-normalizable"):
             distribution_from_payload({"probs": [0.9, 0.4]}, 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probs_rejected_on_both_encodings(self, bad):
+        vector = [bad, 0.5, 0.5]
+        with pytest.raises(BackendError):
+            distribution_from_payload({"probs": vector}, 3)
+        with pytest.raises(BackendError):
+            distribution_from_payload({"probs_f64": f64_b64(vector)}, 3)
+        # json.loads accepts the non-standard NaN and Infinity literals
+        with pytest.raises(BackendError):
+            distribution_from_payload(json.loads(json.dumps({"probs": vector})), 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_or_positive_infinite_logprobs_rejected(self, bad):
+        with pytest.raises(BackendError, match="NaN or \\+inf"):
+            distribution_from_payload({"logprobs": [0.0, bad, 0.0]}, 3)
+
+    @pytest.mark.parametrize(
+        "value, match",
+        [
+            ("not base64!", "base64"),
+            ("AAAAAAAA4D8", "base64"),  # padding stripped
+            ("AAAAAAAA4D8\u00e9", "base64"),  # not ASCII
+            ([0.5, 0.5], "string"),
+            (12, "string"),
+            (f64_b64([0.5, 0.5]), "bytes"),  # 2 floats for V=3
+            (f64_b64([0.25, 0.25, 0.25, 0.25]), "bytes"),  # 4 floats for V=3
+            (base64.b64encode(bytes(23)).decode("ascii"), "bytes"),  # not whole float64s
+        ],
+    )
+    def test_malformed_binary_probs_rejected(self, value, match):
+        with pytest.raises(BackendError, match=match):
+            distribution_from_payload({"probs_f64": value}, 3)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"probs": ["a", "b"]}, {"probs": {"x": 1}}, {"logprobs": [[1.0], [2.0, 3.0]]}, {"logprobs": "ab"}],
+    )
+    def test_non_numeric_vector_rejected(self, payload):
+        with pytest.raises(BackendError, match="not a list of numbers"):
+            distribution_from_payload(payload, 2)
+
+    def test_non_object_payload_rejected(self):
+        with pytest.raises(BackendError, match="not a JSON object"):
+            distribution_from_payload([0.5, 0.5], 2)
+
+    @given(st.data())
+    def test_binary_round_trip_is_bit_exact(self, data):
+        weights = data.draw(arrays(np.float64, st.integers(2, 64), elements=st.floats(0.0, 1.0)))
+        assume(weights.sum() > 0.0)
+        # zeros and subnormals as explicit entries; they move the sum by < 1e-300
+        tiny = data.draw(st.lists(st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308])))
+        dist = Distribution(np.concatenate([weights / weights.sum(), tiny]))
+        wire = json.loads(json.dumps(_full_payload("m", dist, "f64-b64")))
+        decoded = distribution_from_payload(wire, dist.vocab_size).probs
+        assert decoded.tobytes() == dist.probs.tobytes()
+
 
 class TestRemoteModel:
     def test_distributions_match_wrapped_table_exactly(self, stub):
@@ -158,6 +223,31 @@ class TestRemoteModel:
         remote.next_distribution([0, 1])
         assert CountingSession.posts == 1
 
+    def test_requests_the_binary_encoding(self, stub):
+        server, _ = stub
+        bodies = []
+
+        class RecordingSession(requests.Session):
+            def request(self, method, url, **kwargs):
+                if method == "POST":
+                    bodies.append(kwargs["json"])
+                return super().request(method, url, **kwargs)
+
+        RemoteModel(endpoint(server), session=RecordingSession()).next_distribution([0, 1])
+        assert bodies == [json.loads((FIXTURES / "distribution_request_f64.json").read_text())]
+
+    def test_small_responses_do_not_wait_for_delayed_acks(self):
+        # the stub writes headers and body separately; with Nagle on, each
+        # small body waits ~40 ms for the client's delayed ACK
+        model = TableModel({}, [0.25, 0.25, 0.25, 0.25], eos_token=3)
+        with StubServer({"v4": model}) as server:
+            remote = RemoteModel(BackendEndpoint(base_url=server.base_url, model_name="v4"))
+            start = time.perf_counter()
+            for i in range(40):
+                remote.next_distribution([i % 4] * (i + 1))
+            elapsed = time.perf_counter() - start
+        assert elapsed < 0.5
+
 
 class TestRecordReplay:
     def test_replayed_fixture_gives_identical_distribution(self):
@@ -170,6 +260,19 @@ class TestRecordReplay:
         server, _ = stub
         request = json.loads((FIXTURES / "distribution_request_full.json").read_text())
         stored = json.loads((FIXTURES / "distribution_response_full.json").read_text())
+        live = requests.post(f"{server.base_url}/v1/distribution", json=request).json()
+        assert live == stored
+
+    def test_replayed_binary_fixture_gives_identical_distribution(self):
+        stored = json.loads((FIXTURES / "distribution_response_f64.json").read_text())
+        replayed = distribution_from_payload(stored, 4)
+        expected = fixture_model().next_distribution([0, 1])
+        np.testing.assert_array_equal(replayed.probs, expected.probs)
+
+    def test_live_stub_still_matches_recorded_binary_response(self, stub):
+        server, _ = stub
+        request = json.loads((FIXTURES / "distribution_request_f64.json").read_text())
+        stored = json.loads((FIXTURES / "distribution_response_f64.json").read_text())
         live = requests.post(f"{server.base_url}/v1/distribution", json=request).json()
         assert live == stored
 
@@ -219,6 +322,15 @@ class TestStubValidation:
         )
         assert r.status_code == 400
         assert "unsupported want" in r.json()["error"]
+
+    def test_unknown_encoding_is_unsupported(self, stub):
+        server, _ = stub
+        r = requests.post(
+            f"{server.base_url}/v1/distribution",
+            json={"model": "fixture-table", "context": [0], "want": "full", "encoding": "f32"},
+        )
+        assert r.status_code == 400
+        assert "unsupported encoding" in r.json()["error"]
 
     def test_unknown_model_404(self, stub):
         server, _ = stub

@@ -219,14 +219,17 @@ def validate_model_spec(spec: Mapping, role: str) -> None:
     backend = spec.get("backend")
     if backend not in ("table", "ngram", "remote"):
         raise ConfigError(f"{role}: unknown backend {backend!r}")
-    required = {
-        "table": ("default",),
-        "ngram": ("corpus", "order"),
-        "remote": ("base_url", "model_name"),
+    required, optional = {  # optional besides eos_token; must match build_model's reads
+        "table": (("default",), ("rows",)),
+        "ngram": (("corpus", "order"), ("smoothing", "vocab_size")),
+        "remote": (("base_url", "model_name"), ("timeout_s", "max_retries", "backoff_s", "vocab_size")),
     }[backend]
     for key in required:
         if key not in spec:
             raise ConfigError(f"{role}: backend {backend!r} needs {key!r}")
+    unknown = set(spec) - {"backend", "eos_token", *required, *optional}
+    if unknown:
+        raise ConfigError(f"{role}: backend {backend!r} does not read keys {sorted(unknown)}")
 
 
 def build_model(spec: Mapping, role: str = "model") -> LanguageModel:
@@ -260,7 +263,6 @@ def build_model(spec: Mapping, role: str = "model") -> LanguageModel:
                 ),
                 vocab_size=spec.get("vocab_size"),
                 eos_token=spec.get("eos_token"),
-                max_inflight=int(spec.get("max_inflight", 8)),
             )
             model = RemoteModel(endpoint)
     except (KeyError, TypeError, ValueError) as exc:

@@ -14,8 +14,9 @@ proposal is at least ``p_th``, and otherwise samples the token itself (a
 
 Teacher-side samples come from the suppression-filtered, tempered teacher
 distribution, so every one is student-scoreable; student-side samples come
-from the tempered student distribution. Solo decodes use the identity map
-of the decoding model, under which suppression changes nothing. Generation
+from the tempered student distribution; rows memoize both (``_tempered``).
+Solo decodes use the identity map of the decoding model, under which
+suppression changes nothing. Generation
 stops at the student's EOS token (the decoding model's own in solo regimes)
 or after ``max_tokens`` emitted tokens; every step is recorded in full.
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -184,35 +186,25 @@ def _surprisal(p: float) -> float:
     return math.inf if p <= 0.0 else -math.log(p)
 
 
-class _Tempered:
-    """Per-decode memo of suppressed/tempered distributions.
+_FILL = threading.Lock()  # one fill per (row, key) however workers race, so a run's work repeats
 
-    Table backends return the same row objects step after step; keying on
-    object identity (the dict holds the key alive, so ids cannot be reused)
-    turns the per-step transforms into lookups.
-    """
 
-    __slots__ = ("_temperature", "_vmap", "_plain", "_suppressed")
-
-    def __init__(self, temperature: float, vmap: VocabularyMap) -> None:
-        self._temperature = temperature
-        self._vmap = vmap
-        self._plain: dict[int, tuple[Distribution, Distribution]] = {}
-        self._suppressed: dict[int, tuple[Distribution, Distribution]] = {}
-
-    def plain(self, dist: Distribution) -> Distribution:
-        hit = self._plain.get(id(dist))
-        if hit is None or hit[0] is not dist:
-            hit = (dist, apply_temperature(dist, self._temperature))
-            self._plain[id(dist)] = hit
-        return hit[1]
-
-    def suppressed(self, dist: Distribution) -> Distribution:
-        hit = self._suppressed.get(id(dist))
-        if hit is None or hit[0] is not dist:
-            hit = (dist, apply_temperature(suppress(dist, self._vmap), self._temperature))
-            self._suppressed[id(dist)] = hit
-        return hit[1]
+def _tempered(
+    dist: Distribution, temperature: float, vmap: VocabularyMap | None = None
+) -> Distribution:
+    """``dist`` without ``vmap``'s suppressed ids, at ``temperature``; memoized
+    on ``dist`` under (temperature, suppressed ids), so maps that suppress
+    nothing share one entry. A result that is ``dist`` itself is stored as
+    None, as a self-cycle would outlive the row's last reference."""
+    key = (temperature, frozenset() if vmap is None else vmap.suppressed)
+    with _FILL:
+        memo = dist._tempered or {}
+        if key not in memo:
+            out = apply_temperature(suppress(dist, vmap) if key[1] else dist, temperature)
+            memo[key] = None if out is dist else out
+            dist._tempered = memo
+        out = memo[key]
+    return dist if out is None else out
 
 
 def prompt_context(
@@ -262,12 +254,11 @@ def decode(
     home, vmap, ctx = prompt_context(teacher, student, prompt, cfg, vmap)
     own_ctx, other_ctx = (ctx.teacher, ctx.student) if teacher_proposes else (ctx.student, ctx.teacher)
     eos = home.eos_token
-    memo = _Tempered(cfg.temperature, vmap)
 
     def draw(teacher_side: bool, dist: Distribution, stream: StepStream) -> int:
         if not teacher_side:
-            return sample(memo.plain(dist), stream)
-        token = sample(memo.suppressed(dist), stream)
+            return sample(_tempered(dist, cfg.temperature), stream)
+        token = sample(_tempered(dist, cfg.temperature, vmap), stream)
         if approving and (token >= student.vocab_size or vmap.is_student_only(token)):
             raise VocabularyAlignmentError(
                 f"suppression failed to filter token {token}, unscoreable by the student"
@@ -286,7 +277,8 @@ def decode(
             if vmap.is_student_only(token):  # unscoreable by a teacher approver
                 decision_p = 0.0
             else:
-                decision_p = _prob(judge if cfg.threshold_uses_raw else memo.plain(judge), token, 0.0)
+                judged = judge if cfg.threshold_uses_raw else _tempered(judge, cfg.temperature)
+                decision_p = _prob(judged, token, 0.0)
             fallback = decision_p < cfg.p_th
             if fallback:
                 token = draw(not teacher_proposes, judge, stream)

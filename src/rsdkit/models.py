@@ -39,11 +39,13 @@ class Distribution:
     """Dense normalized probability vector over a vocabulary.
 
     Entries are finite float64, non-negative, and sum to 1 within
-    ``NORMALIZATION_ATOL``. Instances are treated as immutable; the sampling
-    CDF is memoized on first use.
+    ``NORMALIZATION_ATOL``. Instances are immutable, so each memoizes its
+    sampling CDF and, beside it, the tempered copies :mod:`rsdkit.decoding`
+    samples from (racing workers would store identical results; a lock makes
+    each fill happen once). Both memos die with the row.
     """
 
-    __slots__ = ("probs", "_cdf")
+    __slots__ = ("probs", "_cdf", "_tempered")
 
     def __init__(self, probs: Sequence[float] | np.ndarray, *, validate: bool = True) -> None:
         arr = np.asarray(probs, dtype=np.float64)
@@ -59,6 +61,7 @@ class Distribution:
                 raise ValueError(f"distribution sums to {total!r}, expected 1 within {NORMALIZATION_ATOL}")
         self.probs = arr
         self._cdf: np.ndarray | None = None
+        self._tempered: dict[tuple[float, frozenset[int]], Distribution | None] | None = None
 
     @property
     def vocab_size(self) -> int:

@@ -83,7 +83,6 @@ class BackendEndpoint:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     vocab_size: int | None = None
     eos_token: int | None = None
-    max_inflight: int = 8
 
     def resolved(self) -> "BackendEndpoint":
         """Apply environment overrides for base URL and timeout."""
@@ -110,7 +109,10 @@ def _request(endpoint: BackendEndpoint, session, method: str, path: str, **kwarg
             continue
         if resp.status_code >= 400:
             raise BackendError(f"{method} {path} -> HTTP {resp.status_code}: {resp.text[:200]}")
-        return resp.json()
+        try:
+            return resp.json()
+        except ValueError as exc:  # requests.JSONDecodeError
+            raise BackendError(f"{method} {path} -> body is not JSON: {resp.text[:200]!r}") from exc
     raise BackendUnavailableError(
         f"{url} unreachable after {endpoint.retry.max_retries + 1} tries: {last}"
     )
@@ -208,9 +210,9 @@ def _exact_distribution(probs: np.ndarray) -> Distribution:
 class RemoteModel(LanguageModel):
     """LanguageModel backed by the wire protocol above.
 
-    Thread-safe up to ``endpoint.max_inflight`` concurrent requests; the
-    response cache is shared (sound, since responses are pure functions of
-    the context) and bounded.
+    Thread-safe; the caller's worker count bounds the requests in flight.
+    The response cache is shared (sound, since responses are pure functions
+    of the context) and bounded.
     """
 
     backend = "remote"
@@ -225,7 +227,6 @@ class RemoteModel(LanguageModel):
         self._cache: OrderedDict[tuple[int, ...], Distribution] = OrderedDict()
         self._cache_size = cache_size
         self._lock = threading.Lock()
-        self._inflight = threading.Semaphore(self.endpoint.max_inflight)
 
     def next_distribution(self, context: Sequence[int]) -> Distribution:
         key = tuple(context)
@@ -244,8 +245,7 @@ class RemoteModel(LanguageModel):
             "want": "full",
             "encoding": F64_B64,
         }
-        with self._inflight:
-            payload = _request(self.endpoint, self._session, "POST", "/v1/distribution", json=body)
+        payload = _request(self.endpoint, self._session, "POST", "/v1/distribution", json=body)
         dist = distribution_from_payload(payload, self.vocab_size)
         with self._lock:
             self._cache[key] = dist

@@ -121,12 +121,15 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
                 return
             try:
                 length = int(self.headers.get("Content-Length", "0"))
+                if length < 0:  # rfile.read(-1) would block until the client hangs up
+                    raise ValueError(f"negative Content-Length {length}")
                 body = json.loads(self.rfile.read(length))
                 name = body["model"]
                 context = [int(t) for t in body["context"]]
                 want = body.get("want", "full")
                 encoding = body.get("encoding")
             except (KeyError, TypeError, ValueError) as exc:
+                self.close_connection = True  # the body may be unread
                 self._fail(400, f"malformed request: {exc}")
                 return
             if want != "full":

@@ -149,8 +149,6 @@ def suppress(dist: Distribution, vmap: VocabularyMap) -> Distribution:
     Returns the input object unchanged when no suppressed entry carries
     mass, which also makes the operation exactly idempotent.
     """
-    if not vmap.suppressed:
-        return dist
     ids = [t for t in vmap.suppressed if t < dist.vocab_size]
     if not ids:
         return dist

@@ -359,6 +359,26 @@ class TestExitCodes:
         )
         assert main(["generate", str(cfg_path)]) == 3
 
+    @pytest.mark.parametrize("capabilities", [False, True], ids=["handshake", "mid-run"])
+    def test_non_json_backend_body_is_backend_error(
+        self, tmp_path, capsys, html_server, capabilities
+    ):
+        teacher = {"backend": "remote", "base_url": html_server(capabilities), "model_name": "m"}
+        cfg_path = write_config(tmp_path, answers=["b"], teacher=teacher)
+        assert main(["generate", str(cfg_path)]) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "backend"
+        assert "body is not JSON" in error["message"]
+        assert not (tmp_path / "dataset.jsonl").exists()
+
+    def test_model_spec_key_its_backend_does_not_read_is_config_error(self, tmp_path, capsys):
+        student = {"backend": "table", "eos_token": 3, "default": [0.25] * 4, "max_inflight": 8}
+        cfg_path = write_config(tmp_path, answers=["b"], student=student)
+        assert main(["generate", str(cfg_path)]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert "max_inflight" in error["message"]
+
     def test_backend_outage_mid_run_is_backend_error(self, tmp_path, monkeypatch, capsys):
         def outage(*args, **kwargs):
             raise BackendUnavailableError("server went away after the handshake")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -72,6 +73,19 @@ class TestParseRunConfig:
         with pytest.raises(ConfigError, match="backend"):
             parse_run_config(payload)
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"backend": "table", "default": [0.5, 0.5]}, "smoothing"),
+            ({"backend": "ngram", "corpus": [0, 1], "order": 1}, "smoothin"),
+            ({"backend": "remote", "base_url": "http://h", "model_name": "m"}, "max_inflight"),
+        ],
+    )
+    def test_model_spec_key_its_backend_does_not_read_rejected(self, spec, key):
+        message = f"student: backend '{spec['backend']}' does not read keys ['{key}']"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_run_config(dict(MINIMAL, student={**spec, key: 1}))
+
     def test_bad_prefix_source_rejected(self):
         with pytest.raises(ConfigError, match="prefix_source"):
             parse_run_config(dict(MINIMAL, prefix_source="best"))
@@ -103,6 +117,34 @@ class TestBuildModel:
     def test_ngram_model_from_spec(self):
         model = build_model({"backend": "ngram", "corpus": [0, 1, 0, 1], "order": 2})
         assert model.next_distribution([0])[1] == 1.0
+
+    @pytest.mark.parametrize(
+        "backend, spec",
+        [
+            ("table", {"rows": [{"suffix": [0], "probs": [0.9, 0.1]}], "default": [0.5, 0.5]}),
+            ("ngram", {"corpus": [0, 1, 0, 1], "order": 2, "smoothing": 0.1, "vocab_size": 2}),
+            ("remote", {"model_name": "m", "timeout_s": 5, "max_retries": 0, "backoff_s": 0.0, "vocab_size": 4}),
+        ],
+    )
+    def test_every_key_a_backend_accepts_is_read(self, html_server, backend, spec):
+        # validate_model_spec and build_model list a backend's keys apart: a
+        # spec with every accepted key must build and have each key read
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+        spec = {"backend": backend, "eos_token": 1, **spec}
+        if backend == "remote":
+            spec.update(base_url=html_server(capabilities=True), eos_token=3)
+        build_model(Recording(spec))
+        assert read == set(spec)
 
     def test_bad_row_shape_is_config_error(self):
         with pytest.raises(ConfigError, match="bad model spec"):

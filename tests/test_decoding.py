@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import math
+import sys
+import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from rsdkit import decoding
 from rsdkit.decoding import GenerationConfig, Trace, decode
 from rsdkit.metrics import fallback_rate
-from rsdkit.models import ContextOverflowError, TableModel
+from rsdkit.models import ContextOverflowError, Distribution, LanguageModel, TableModel
 from rsdkit.vocab import build_vocab_map, replay_student_context
 
 
@@ -315,3 +320,129 @@ class TestStudentOnlyTokens:
         student = TableModel({}, [0.25] * 4, eos_token=3)
         trace = decode(teacher, student, [0], cfg(p_th=0.0, max_tokens=8, seed=11), vmap)
         assert all(r.token < 4 for r in trace.records)
+
+
+class FreshRows(LanguageModel):
+    """Builds a new row on every call, as an n-gram backend does, and counts
+    how many of its rows are alive (a weakref to each row's vector, since
+    ``Distribution`` takes none)."""
+
+    backend = "fresh"
+
+    def __init__(self, probs, eos_token: int) -> None:
+        self._probs = np.asarray(probs, dtype=np.float64)
+        self.vocab_size = len(probs)
+        self.eos_token = eos_token
+        self._rows: list[weakref.ref] = []
+        self.most_alive = 0
+
+    def next_distribution(self, context):
+        row = Distribution(self._probs.copy())
+        self._rows.append(weakref.ref(row.probs))
+        self.most_alive = max(self.most_alive, sum(r() is not None for r in self._rows))
+        return row
+
+
+class TestTemperedMemo:
+    def test_fresh_rows_die_as_the_decode_moves_on(self):
+        vmap = build_vocab_map(5, 4)  # suppresses teacher id 4
+        teacher = FreshRows([0.3, 0.3, 0.1, 0.0, 0.3], eos_token=3)
+        student = FreshRows([0.2, 0.3, 0.5, 0.0], eos_token=3)
+        run = cfg(p_th=0.3, max_tokens=64, context_limit=128, seed=5)
+        trace = decode(teacher, student, [0], run, vmap)
+        assert len(trace) == 64
+        assert any(r.fallback for r in trace.records)
+        assert teacher.most_alive <= 2
+        assert student.most_alive <= 2
+
+    def test_a_row_suppression_leaves_unchanged_is_suppressed_once(self, monkeypatch):
+        # at T = 1 the memo holds no copy of such a row, yet must still hit
+        calls = []
+
+        def counting(dist, vmap):
+            calls.append(dist)
+            return suppress(dist, vmap)
+
+        suppress = decoding.suppress
+        monkeypatch.setattr(decoding, "suppress", counting)
+        vmap = build_vocab_map(5, 4)  # suppresses teacher id 4, on which the teacher puts no mass
+        teacher = TableModel({}, [0.3, 0.3, 0.2, 0.2, 0.0], eos_token=3)
+        student = TableModel({}, [0.25] * 4, eos_token=3)
+        for seed in range(20):
+            decode(teacher, student, [0], cfg(p_th=0.2, temperature=1.0, seed=seed), vmap)
+        assert len(calls) == 1
+        assert calls[0]._tempered == {(1.0, frozenset({4})): None}
+
+    @pytest.mark.parametrize(
+        "regime, with_map",
+        [
+            ("rsd", True),
+            ("rsd", False),
+            ("skd", True),
+            ("solo-teacher", True),
+            ("solo-student", True),
+        ],
+    )
+    def test_each_table_row_is_tempered_once_across_decodes(self, monkeypatch, regime, with_map):
+        calls = []
+
+        def counting(dist, temperature):
+            calls.append(temperature)
+            return apply_temperature(dist, temperature)
+
+        apply_temperature = decoding.apply_temperature
+        monkeypatch.setattr(decoding, "apply_temperature", counting)
+        rng = np.random.default_rng(17)
+        teacher, student = (
+            TableModel({(t,): rng.dirichlet(ones) for t in range(3)}, rng.dirichlet(ones))
+            for ones in (np.ones(5), np.ones(5))
+        )
+        # suppresses the teacher's id 4, a student-only marker spelt 1 2 on the teacher side
+        vmap = build_vocab_map(5, 5, {4: (1, 2)}) if with_map else None
+        for seed in range(100):
+            run = cfg(regime=regime, p_th=0.2, max_tokens=8, seed=seed)
+            decode(teacher, student, [seed % 3], run, vmap)
+        assert 0 < len(calls) <= 4 + 4  # at most once per row of either table
+
+    def test_workers_racing_on_shared_rows_decode_as_serial(self, monkeypatch):
+        # the memo lives on rows that worker threads share: a racing fill must
+        # neither hand out a wrong copy nor temper a row twice
+        def pair():
+            rng = np.random.default_rng(23)
+            return tuple(
+                TableModel({(t,): rng.dirichlet(ones) for t in range(5)}, rng.dirichlet(ones))
+                for ones in (np.ones(6), np.ones(6))
+            )
+
+        vmap = build_vocab_map(6, 6, {5: (1, 2)})
+        runs = [cfg(p_th=0.2, max_tokens=8, seed=seed) for seed in range(400)]
+        expected = [decode(*pair(), [0], run, vmap).to_json_line() for run in runs]
+
+        calls = []
+
+        def counting(dist, temperature):
+            calls.append(temperature)
+            time.sleep(0.001)  # widens the window a racing fill would need
+            return apply_temperature(dist, temperature)
+
+        apply_temperature = decoding.apply_temperature
+        monkeypatch.setattr(decoding, "apply_temperature", counting)
+        serial = pair()
+        for run in runs:
+            decode(*serial, [0], run, vmap)
+        fills = len(calls)  # what one shared pair needs, filled by one thread
+        calls.clear()
+        teacher, student = pair()
+
+        def shared(run):
+            return decode(teacher, student, [0], run, vmap).to_json_line()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(shared, runs))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        assert len(calls) == fills

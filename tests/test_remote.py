@@ -5,8 +5,10 @@ from __future__ import annotations
 import base64
 import json
 import math
+import socket
 import time
 from pathlib import Path
+from urllib.parse import urlparse
 
 import numpy as np
 import pytest
@@ -94,6 +96,19 @@ class TestHandshake:
         )
         with pytest.raises(BackendUnavailableError, match="after 3 tries"):
             handshake(dead)
+
+
+class TestNonJsonBody:
+    def test_handshake_refuses_a_non_json_body(self, html_server):
+        ep = BackendEndpoint(base_url=html_server(capabilities=False), model_name="m")
+        with pytest.raises(BackendError, match="GET /v1/capabilities -> body is not JSON"):
+            handshake(ep)
+
+    def test_next_distribution_refuses_a_non_json_body(self, html_server):
+        ep = BackendEndpoint(base_url=html_server(capabilities=True), model_name="m")
+        remote = RemoteModel(ep)
+        with pytest.raises(BackendError, match="POST /v1/distribution -> body is not JSON"):
+            remote.next_distribution([0])
 
 
 class TestPayloadConversion:
@@ -356,6 +371,21 @@ class TestStubValidation:
     def test_unknown_path_404(self, stub):
         server, _ = stub
         assert requests.get(f"{server.base_url}/v2/whatever").status_code == 404
+
+    def test_negative_content_length_400_without_reading(self, stub):
+        # rfile.read(-1) would wait for the client to hang up
+        server, _ = stub
+        url = urlparse(server.base_url)
+        with socket.create_connection((url.hostname, url.port), timeout=1.0) as sock:
+            sock.sendall(
+                b"POST /v1/distribution HTTP/1.1\r\nHost: stub\r\n"
+                b"Content-Type: application/json\r\nContent-Length: -1\r\n\r\n{}"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):  # the stub closes the connection
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"negative Content-Length" in reply
 
 
 class TestBackendEquivalence:

@@ -56,7 +56,6 @@ from .remote import (
     BackendUnavailableError,
     CapabilityMismatchError,
     RemoteModel,
-    RetryPolicy,
     handshake,
 )
 from .seeding import StepStream, derive_seed

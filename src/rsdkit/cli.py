@@ -28,7 +28,7 @@ from .config import (
     load_problems,
     load_run_config,
 )
-from .decoding import decode, prompt_context
+from .decoding import COORDINATED_REGIMES, decode, prompt_context
 from .metrics import (
     DEFAULT_SUB_THRESHOLD,
     aggregate_records,
@@ -135,33 +135,39 @@ def _emit_error(kind: str, exc: Exception) -> None:
 def _build_pair(cfg: RunConfig):
     teacher = build_model(cfg.teacher_spec, "teacher") if cfg.teacher_spec else None
     student = build_model(cfg.student_spec, "student") if cfg.student_spec else None
-    vmap = build_vocab_map_from_spec(cfg.vocab_map_spec, (student or teacher).vocab_size)
+    # solo regimes ignore the map, so only a coordinated pair checks it against the models
+    vmap = build_vocab_map_from_spec(
+        cfg.vocab_map_spec,
+        (student or teacher).vocab_size,
+        teacher.vocab_size if cfg.generation.regime in COORDINATED_REGIMES else None,
+    )
     return teacher, student, vmap
 
 
-def _run_dataset(cfg: RunConfig):
+def _prepare(cfg: RunConfig):
+    """Build the pair and load the problems, checking every prompt before any decode."""
     if cfg.problems_path is None:
         raise ConfigError("config names no problems file")
     teacher, student, vmap = _build_pair(cfg)
     problems = load_problems(cfg.resolve_path(cfg.problems_path), cfg.token_text)
-    detokenize = build_detokenizer(cfg.token_text)
-    gen_cfg = cfg.generation
-    for problem in problems:  # once here, so a bad prompt fails before any decoding
+    for problem in problems:
         try:
-            prompt_context(teacher, student, problem.prompt_tokens, gen_cfg, vmap)
+            prompt_context(teacher, student, problem.prompt_tokens, cfg.generation, vmap)
         except (ValueError, ContextOverflowError) as exc:
             raise DataError(f"problem {problem.id!r}: {exc}") from exc
+    return (teacher, student, vmap), problems
+
+
+def _run_dataset(cfg: RunConfig, pair, problems):
+    teacher, student, vmap = pair
+    gen_cfg = cfg.generation
 
     def generator(prompt, seed):
         return decode(teacher, student, prompt, gen_cfg.with_seed(seed), vmap)
 
     def progress(result):
-        log.info(
-            "problem=%s attempts=%d solved=%s",
-            result.problem_id,
-            len(result.attempts),
-            result.solved is not None,
-        )
+        solved = result.solved is not None
+        log.info("problem=%s attempts=%d solved=%s", result.problem_id, len(result.attempts), solved)
 
     results = run_generation(
         problems,
@@ -169,12 +175,11 @@ def _run_dataset(cfg: RunConfig):
         cfg.verifier,
         cfg.attempts,
         gen_cfg.seed,
-        detokenize,
+        build_detokenizer(cfg.token_text),
         workers=cfg.workers or os.cpu_count() or 1,
         progress=progress,
     )
-    records = assemble_dataset(results, cfg.prefix_length, cfg.prefix_source)
-    return records
+    return assemble_dataset(results, cfg.prefix_length, cfg.prefix_source)
 
 
 def _write_outputs(cfg: RunConfig, records, dataset_path: Path, report_path: Path):
@@ -194,7 +199,7 @@ def _write_atomically(path: Path, write) -> None:
 
 def cmd_generate(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
-    records = _run_dataset(cfg)
+    records = _run_dataset(cfg, *_prepare(cfg))
     dataset_path = cfg.resolve_path(cfg.dataset_path)
     report_path = cfg.resolve_path(cfg.report_path)
     report = _write_outputs(cfg, records, dataset_path, report_path)
@@ -299,10 +304,11 @@ def cmd_sweep(args) -> int:
         Path(args.config).stem + "_sweep"
     )
 
+    pair, problems = _prepare(cfg)  # the threshold changes neither
     rows = []
     for th in thresholds:
         run_cfg = replace(cfg, generation=replace(cfg.generation, p_th=th))
-        records = _run_dataset(run_cfg)
+        records = _run_dataset(run_cfg, pair, problems)
         tag = f"p{th:g}"
         report = _write_outputs(
             run_cfg, records, out_dir / f"dataset_{tag}.jsonl", out_dir / f"report_{tag}.json"

@@ -18,11 +18,14 @@ Top-level keys (defaults mirror the headline generation setup):
     for the verifier and to encode ``prompt_text`` problems (single-char
     fragments only; there is no tokenizer here).
 ``verifier``
-    ``mode``, ``normalization``, ``command``.
+    ``mode``, ``normalization``, ``command``, ``timeout_s``.
 ``attempts`` (16), ``prefix_length`` (128), ``prefix_source`` ("first"),
 ``diagnostic_threshold`` (0.01, the sub-threshold metric cutoff in reports),
 ``problems`` (path), ``output.dataset`` / ``output.report`` (paths),
 ``workers`` (null = available parallelism).
+
+Each default above is declared once, by the object that uses it; only
+``p_th`` is set here. Every JSON object refuses a key it does not read.
 """
 
 from __future__ import annotations
@@ -38,13 +41,14 @@ from .models import LanguageModel, NgramModel, TableModel
 from .pipeline import (
     DEFAULT_ATTEMPTS,
     DEFAULT_PREFIX_LENGTH,
+    DEFAULT_PREFIX_SOURCE,
     PREFIX_SOURCES,
     DataError,
     Problem,
     Verifier,
     read_jsonl,
 )
-from .remote import BackendEndpoint, RemoteModel, RetryPolicy
+from .remote import BackendEndpoint, RemoteModel
 from .vocab import VocabularyAlignmentError, VocabularyMap, build_vocab_map
 
 
@@ -78,33 +82,28 @@ class RunConfig:
 def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"config root must be an object, got {type(payload).__name__}")
     return parse_run_config(payload, base_dir=path.parent)
 
 
-_TOP_LEVEL_KEYS = frozenset(
-    {
-        "generation",
-        "teacher",
-        "student",
-        "vocab_map",
-        "token_text",
-        "verifier",
-        "attempts",
-        "prefix_length",
-        "prefix_source",
-        "diagnostic_threshold",
-        "problems",
-        "output",
-        "workers",
-    }
+_TOP_LEVEL_KEYS = (
+    "generation", "teacher", "student", "vocab_map", "token_text", "verifier", "attempts",
+    "prefix_length", "prefix_source", "diagnostic_threshold", "problems", "output", "workers",
 )
+
+
+def _object(value, keys, what: str) -> Mapping:
+    """``value`` if it is a JSON object holding only ``keys``, else ConfigError."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{what} must be an object, got {type(value).__name__}")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return value
 
 
 def at_least_one(name: str, value) -> int:
@@ -130,18 +129,11 @@ def in_unit_interval(name: str, value) -> float:
 
 
 def parse_run_config(payload: Mapping, base_dir: str | Path = ".") -> RunConfig:
-    unknown = set(payload) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    gen_payload = payload.get("generation")
-    if not isinstance(gen_payload, Mapping):
-        raise ConfigError("config needs a 'generation' object")
-    unknown = set(gen_payload) - set(GenerationConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown generation keys: {sorted(unknown)}")
-    gen_defaults = {"p_th": 0.01, "temperature": 0.7, "context_limit": 8192, "seed": 0}
+    _object(payload, _TOP_LEVEL_KEYS, "config")
+    gen_payload = _object(payload.get("generation"), GenerationConfig.__dataclass_fields__, "generation")
     try:
-        generation = GenerationConfig.from_json_dict({**gen_defaults, **gen_payload})
+        # p_th is the one generation default GenerationConfig leaves to the run config
+        generation = GenerationConfig.from_json_dict({"p_th": 0.01, **gen_payload})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad generation settings: {exc}") from exc
 
@@ -163,22 +155,15 @@ def parse_run_config(payload: Mapping, base_dir: str | Path = ".") -> RunConfig:
         if not isinstance(token_text, list) or not all(isinstance(s, str) for s in token_text):
             raise ConfigError("token_text must be a list of strings")
 
-    verifier_payload = payload.get("verifier") or {}
+    verifier_payload = _object(payload.get("verifier", {}), Verifier.__dataclass_fields__, "verifier")
     try:
-        verifier = Verifier(
-            mode=verifier_payload.get("mode", "boxed-answer"),
-            normalization=tuple(
-                verifier_payload.get("normalization", ("strip", "casefold", "collapse-whitespace"))
-            ),
-            command=tuple(verifier_payload["command"]) if verifier_payload.get("command") else None,
-            timeout_s=float(verifier_payload.get("timeout_s", 30.0)),
-        )
+        verifier = Verifier(**verifier_payload)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad verifier settings: {exc}") from exc
 
     attempts = at_least_one("attempts", payload.get("attempts", DEFAULT_ATTEMPTS))
     prefix_length = at_least_one("prefix_length", payload.get("prefix_length", DEFAULT_PREFIX_LENGTH))
-    prefix_source = payload.get("prefix_source", "first")
+    prefix_source = payload.get("prefix_source", DEFAULT_PREFIX_SOURCE)
     if prefix_source not in PREFIX_SOURCES:
         raise ConfigError(f"prefix_source must be one of {PREFIX_SOURCES}, got {prefix_source!r}")
     diagnostic_threshold = in_unit_interval(
@@ -189,7 +174,7 @@ def parse_run_config(payload: Mapping, base_dir: str | Path = ".") -> RunConfig:
     if workers is not None:
         workers = at_least_one("workers", workers)
 
-    output = payload.get("output") or {}
+    output = _object(payload.get("output", {}), ("dataset", "report"), "output")
     vocab_map_spec = payload.get("vocab_map")
     if vocab_map_spec is not None and not isinstance(vocab_map_spec, Mapping):
         raise ConfigError("vocab_map must be null or an object")
@@ -219,7 +204,9 @@ def validate_model_spec(spec: Mapping, role: str) -> None:
     backend = spec.get("backend")
     if backend not in ("table", "ngram", "remote"):
         raise ConfigError(f"{role}: unknown backend {backend!r}")
-    required, optional = {  # optional besides eos_token; must match build_model's reads
+    # the only list of each backend's keys: build_model passes exactly these
+    # to the constructor, whose own argument check refuses a key it lacks
+    required, optional = {  # optional besides eos_token
         "table": (("default",), ("rows",)),
         "ngram": (("corpus", "order"), ("smoothing", "vocab_size")),
         "remote": (("base_url", "model_name"), ("timeout_s", "max_retries", "backoff_s", "vocab_size")),
@@ -235,60 +222,56 @@ def validate_model_spec(spec: Mapping, role: str) -> None:
 def build_model(spec: Mapping, role: str = "model") -> LanguageModel:
     """Instantiate a model from its spec; remote backends handshake here."""
     validate_model_spec(spec, role)
-    backend = spec["backend"]
+    fields = {key: spec[key] for key in spec if key != "backend"}
     try:
-        if backend == "table":
-            rows = {}
-            for row in spec.get("rows", []):
-                rows[tuple(int(t) for t in row["suffix"])] = row["probs"]
-            model: LanguageModel = TableModel(
-                rows, spec["default"], eos_token=spec.get("eos_token")
-            )
-        elif backend == "ngram":
-            model = NgramModel(
-                spec["corpus"],
-                int(spec["order"]),
-                float(spec.get("smoothing", 0.0)),
-                vocab_size=spec.get("vocab_size"),
-                eos_token=spec.get("eos_token"),
-            )
-        else:
-            endpoint = BackendEndpoint(
-                base_url=spec["base_url"],
-                model_name=spec["model_name"],
-                timeout_s=float(spec.get("timeout_s", 30.0)),
-                retry=RetryPolicy(
-                    max_retries=int(spec.get("max_retries", 3)),
-                    backoff_s=float(spec.get("backoff_s", 0.2)),
-                ),
-                vocab_size=spec.get("vocab_size"),
-                eos_token=spec.get("eos_token"),
-            )
-            model = RemoteModel(endpoint)
+        if spec["backend"] == "table":
+            rows = [_object(row, ("suffix", "probs"), "table row") for row in fields.pop("rows", [])]
+            return TableModel({tuple(row["suffix"]): row["probs"] for row in rows}, **fields)
+        if spec["backend"] == "ngram":
+            return NgramModel(**fields)
+        return RemoteModel(BackendEndpoint(**fields))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{role}: bad model spec: {exc}") from exc
-    return model
+
+
+_VOCAB_MAP_FORMS = {  # the key that names the form -> every key the form reads
+    "path": ("path",),
+    "shared_size": ("shared_size", "suppressed", "expansions"),
+    "teacher_vocab_size": ("teacher_vocab_size", "student_vocab_size", "expansions"),
+}
 
 
 def build_vocab_map_from_spec(
-    spec: Mapping | None, student_vocab_size: int
+    spec: Mapping | None, student_vocab_size: int, teacher_vocab_size: int | None = None
 ) -> VocabularyMap:
-    if spec is None:
-        return VocabularyMap.identity(student_vocab_size)
+    """The map a ``vocab_map`` spec describes. Given ``teacher_vocab_size``
+    (a coordinated pair), the sizes and ids it names are checked against
+    the pair, so a map that cannot serve the pair fails before any decode."""
+    form = None
+    if spec is not None:
+        form = next((key for key in _VOCAB_MAP_FORMS if key in spec), None)
+        if form is None:
+            raise ConfigError("vocab_map needs 'path', 'shared_size', or 'teacher_vocab_size'")
+        _object(spec, _VOCAB_MAP_FORMS[form], "vocab_map")
     try:
-        if "path" in spec:
-            return VocabularyMap.load(spec["path"])
-        if "shared_size" in spec:
-            return VocabularyMap.from_json_dict(spec)
-        if "teacher_vocab_size" in spec:
-            return build_vocab_map(
-                int(spec["teacher_vocab_size"]),
-                int(spec.get("student_vocab_size", student_vocab_size)),
-                {int(k): tuple(v) for k, v in spec.get("expansions", {}).items()},
-            )
+        if form is None:
+            vmap = VocabularyMap.identity(student_vocab_size)
+        elif form == "path":
+            vmap = VocabularyMap.load(spec["path"])
+        elif form == "shared_size":
+            vmap = VocabularyMap.from_json_dict(spec)
+        else:
+            sizes = int(spec["teacher_vocab_size"]), int(spec.get("student_vocab_size", student_vocab_size))
+            expansions = {int(k): tuple(v) for k, v in spec.get("expansions", {}).items()}
+            vmap = build_vocab_map(*sizes, expansions)
+        if teacher_vocab_size is not None:
+            pair = (teacher_vocab_size, student_vocab_size)
+            if form == "teacher_vocab_size" and sizes != pair:
+                raise VocabularyAlignmentError(f"sizes {sizes} differ from the model pair's {pair}")
+            vmap.check_fits(*pair)
     except (OSError, VocabularyAlignmentError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad vocab_map: {exc}") from exc
-    raise ConfigError("vocab_map needs 'path', 'shared_size', or 'teacher_vocab_size'")
+    return vmap
 
 
 def build_detokenizer(token_text: Sequence[str] | None) -> Callable[[Sequence[int]], str]:

@@ -207,8 +207,8 @@ class NgramModel(LanguageModel):
         corpus = [int(t) for t in corpus]
         if not corpus:
             raise ValueError("corpus must be non-empty")
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
+        if not isinstance(order, int) or order < 1:
+            raise ValueError(f"order must be an integer >= 1, got {order!r}")
         if order > len(corpus):
             raise ValueError(f"order {order} exceeds corpus length {len(corpus)}")
         if smoothing < 0.0:

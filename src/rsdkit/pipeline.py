@@ -31,11 +31,13 @@ from .remote import BackendError
 from .seeding import derive_seed
 
 VERDICTS = ("correct", "incorrect", "unverifiable")
+NORMALIZATIONS = ("strip", "casefold", "collapse-whitespace")
 RECORD_KINDS = ("full-trace", "upft-prefix")
 PREFIX_SOURCES = ("first", "longest", "lowest-perplexity")
 DATASET_SCHEMA = "rsdkit-dataset-v1"
 DEFAULT_PREFIX_LENGTH = 128
 DEFAULT_ATTEMPTS = 16
+DEFAULT_PREFIX_SOURCE = "first"
 
 Detokenizer = Callable[[Sequence[int]], str]
 Generator = Callable[[Sequence[int], int], Trace]
@@ -189,7 +191,7 @@ class Verifier:
     """
 
     mode: str = "boxed-answer"
-    normalization: tuple[str, ...] = ("strip", "casefold", "collapse-whitespace")
+    normalization: tuple[str, ...] = NORMALIZATIONS
     command: tuple[str, ...] | None = None
     timeout_s: float = 30.0
 
@@ -198,7 +200,11 @@ class Verifier:
             raise ValueError(f"unknown verifier mode {self.mode!r}")
         if self.mode == "external-command" and not self.command:
             raise ValueError("external-command verifier needs a command")
+        if not set(self.normalization) <= set(NORMALIZATIONS):
+            raise ValueError(f"unknown normalization in {list(self.normalization)}, expected {NORMALIZATIONS}")
         object.__setattr__(self, "normalization", tuple(self.normalization))
+        object.__setattr__(self, "command", tuple(self.command) if self.command else None)
+        object.__setattr__(self, "timeout_s", float(self.timeout_s))
 
     def normalize(self, text: str) -> str:
         if "strip" in self.normalization:
@@ -353,7 +359,7 @@ def _pick_prefix_source(result: RejectionResult, policy: str) -> AttemptOutcome:
 def assemble_dataset(
     results: Sequence[RejectionResult],
     prefix_length: int = DEFAULT_PREFIX_LENGTH,
-    prefix_source: str = "first",
+    prefix_source: str = DEFAULT_PREFIX_SOURCE,
 ) -> list[DatasetRecord]:
     """One record per problem, in input order: full trace if solved, else a
     prefix drawn from the attempt named by ``prefix_source``."""

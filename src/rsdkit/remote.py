@@ -34,7 +34,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -60,12 +60,6 @@ class CapabilityMismatchError(BackendError):
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
-    max_retries: int = 3
-    backoff_s: float = 0.2
-
-
-@dataclass(frozen=True)
 class ServerCapabilities:
     model_name: str
     vocab_size: int
@@ -75,37 +69,39 @@ class ServerCapabilities:
 
 @dataclass(frozen=True)
 class BackendEndpoint:
-    """Where and how to reach one served model."""
+    """Where and how to reach one served model, and how often to retry it."""
 
     base_url: str
     model_name: str
     timeout_s: float = 30.0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    max_retries: int = 3
+    backoff_s: float = 0.2
     vocab_size: int | None = None
     eos_token: int | None = None
 
+    def __post_init__(self) -> None:
+        # convert here, so a bad value fails at build time, not at the first retry
+        object.__setattr__(self, "timeout_s", float(self.timeout_s))
+        object.__setattr__(self, "max_retries", int(self.max_retries))
+        object.__setattr__(self, "backoff_s", float(self.backoff_s))
+
     def resolved(self) -> "BackendEndpoint":
         """Apply environment overrides for base URL and timeout."""
-        out = self
-        url = os.environ.get("RSDKIT_REMOTE_URL")
-        if url:
-            out = replace(out, base_url=url)
-        timeout = os.environ.get("RSDKIT_REMOTE_TIMEOUT")
-        if timeout:
-            out = replace(out, timeout_s=float(timeout))
-        return out
+        env = {"base_url": "RSDKIT_REMOTE_URL", "timeout_s": "RSDKIT_REMOTE_TIMEOUT"}
+        overrides = {field: os.environ.get(name) for field, name in env.items()}
+        return replace(self, **{field: value for field, value in overrides.items() if value})
 
 
 def _request(endpoint: BackendEndpoint, session, method: str, path: str, **kwargs):
     url = endpoint.base_url.rstrip("/") + path
     last: Exception | None = None
-    for attempt in range(endpoint.retry.max_retries + 1):
+    for attempt in range(endpoint.max_retries + 1):
         try:
             resp = session.request(method, url, timeout=endpoint.timeout_s, **kwargs)
         except requests.RequestException as exc:
             last = exc
-            if attempt < endpoint.retry.max_retries:
-                time.sleep(endpoint.retry.backoff_s * (2**attempt))
+            if attempt < endpoint.max_retries:
+                time.sleep(endpoint.backoff_s * (2**attempt))
             continue
         if resp.status_code >= 400:
             raise BackendError(f"{method} {path} -> HTTP {resp.status_code}: {resp.text[:200]}")
@@ -113,9 +109,7 @@ def _request(endpoint: BackendEndpoint, session, method: str, path: str, **kwarg
             return resp.json()
         except ValueError as exc:  # requests.JSONDecodeError
             raise BackendError(f"{method} {path} -> body is not JSON: {resp.text[:200]!r}") from exc
-    raise BackendUnavailableError(
-        f"{url} unreachable after {endpoint.retry.max_retries + 1} tries: {last}"
-    )
+    raise BackendUnavailableError(f"{url} unreachable after {endpoint.max_retries + 1} tries: {last}")
 
 
 def handshake(endpoint: BackendEndpoint, session=None) -> ServerCapabilities:

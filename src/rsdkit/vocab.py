@@ -89,6 +89,18 @@ class VocabularyMap:
         except KeyError:
             raise VocabularyAlignmentError(f"token {token} has no declared expansion") from None
 
+    def check_fits(self, teacher_vocab_size: int, student_vocab_size: int) -> None:
+        """Raise unless the shared range and every expansion id lie inside the pair's vocabularies."""
+        smaller = min(teacher_vocab_size, student_vocab_size)
+        if self.shared_size > smaller:
+            raise VocabularyAlignmentError(f"shared_size {self.shared_size} exceeds vocabulary size {smaller}")
+        for key, seq in self.expansions.items():
+            if key >= student_vocab_size:
+                raise VocabularyAlignmentError(f"expansion key {key} outside student vocabulary")
+            for t in seq:
+                if t >= teacher_vocab_size:
+                    raise VocabularyAlignmentError(f"expansion value {t} outside teacher vocabulary")
+
     def to_json_dict(self) -> dict:
         return {
             "shared_size": self.shared_size,
@@ -112,7 +124,7 @@ class VocabularyMap:
 
     @classmethod
     def load(cls, path: str | Path) -> "VocabularyMap":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def build_vocab_map(
@@ -131,16 +143,12 @@ def build_vocab_map(
     expansions = {int(k): tuple(int(t) for t in v) for k, v in (expansions or {}).items()}
     shared = min(teacher_vocab_size, student_vocab_size)
     value_ids = {t for seq in expansions.values() for t in seq}
-    for key, seq in expansions.items():
-        if not 0 <= key < student_vocab_size:
-            raise VocabularyAlignmentError(f"expansion key {key} outside student vocabulary")
-        for t in seq:
-            if not 0 <= t < teacher_vocab_size:
-                raise VocabularyAlignmentError(f"expansion value {t} outside teacher vocabulary")
     suppressed = set(range(shared, teacher_vocab_size))
     suppressed |= {k for k in expansions if k < teacher_vocab_size}
     suppressed -= value_ids
-    return VocabularyMap(shared_size=shared, suppressed=frozenset(suppressed), expansions=expansions)
+    vmap = VocabularyMap(shared_size=shared, suppressed=frozenset(suppressed), expansions=expansions)
+    vmap.check_fits(teacher_vocab_size, student_vocab_size)
+    return vmap
 
 
 def suppress(dist: Distribution, vmap: VocabularyMap) -> Distribution:

@@ -264,6 +264,30 @@ class TestSweep:
         table = (out / "sweep_table.txt").read_text()
         assert table.splitlines()[0].startswith("p_th")
 
+    def test_pair_is_built_once_and_outputs_match_generate(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, answers=["bbbbbb", "zzz"])
+        thresholds = ("0.01", "0.3", "0.9")
+        expected = {}
+        for th in thresholds:
+            assert main(["generate", str(cfg_path), "--threshold", th]) == 0
+            expected[th] = [(tmp_path / name).read_bytes() for name in ("dataset.jsonl", "report.json")]
+
+        built = []
+        build_model = cli.build_model
+
+        def counting_build_model(spec, role="model"):
+            built.append(role)
+            return build_model(spec, role)
+
+        monkeypatch.setattr(cli, "build_model", counting_build_model)
+        out = tmp_path / "sweep"
+        argv = ["sweep", str(cfg_path), "--thresholds", ",".join(thresholds), "--out-dir", str(out)]
+        assert main(argv) == 0
+        assert sorted(built) == ["student", "teacher"]
+        for th in thresholds:
+            names = (f"dataset_p{float(th):g}.jsonl", f"report_p{float(th):g}.json")
+            assert [(out / name).read_bytes() for name in names] == expected[th]
+
     def test_default_threshold_set(self):
         args = build_parser().parse_args(["sweep", "cfg.json"])
         parsed = [float(x) for x in args.thresholds.split(",")]
@@ -458,6 +482,86 @@ class TestExitCodes:
         assert "'q1'" in error["message"]
         assert calls == []
         assert not (tmp_path / "dataset.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"verifier": {"mode": "exact-match", "normalisation": []}}, "normalisation"),
+            ({"output": {"datset": "mine.jsonl"}}, "datset"),
+            (
+                {"student": {"backend": "table", "eos_token": 3, "default": [0.25] * 4,
+                             "rows": [{"sufix": [0], "probs": [0.25] * 4}]}},
+                "sufix",
+            ),
+            ({"vocab_map": {"path": "map.json", "expansions": {}}}, "expansions"),
+            ({"vocab_map": {"shared_size": 4, "supressed": []}}, "supressed"),
+            ({"vocab_map": {"teacher_vocab_size": 4, "suppressed": [1]}}, "suppressed"),
+        ],
+        ids=["verifier", "output", "table-row", "map-path", "map-inline", "map-derived"],
+    )
+    def test_unknown_nested_key_is_config_error_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, overrides, key
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "decode", lambda *args: calls.append(args))
+        cfg_path = write_config(tmp_path, answers=["b"], **overrides)
+        before = sorted(tmp_path.iterdir())
+        assert main(["generate", str(cfg_path)]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert repr(key) in error["message"]
+        assert calls == []
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "vocab_map, message",
+        [
+            ({"shared_size": 4, "suppressed": [1], "expansions": {"1": [9]}}, "expansion value 9"),
+            ({"shared_size": 4, "suppressed": [], "expansions": {"7": [1]}}, "expansion key 7"),
+            ({"shared_size": 5}, "shared_size 5"),
+            ({"teacher_vocab_size": 6, "student_vocab_size": 4}, "(6, 4)"),
+        ],
+        ids=["value-outside-teacher", "key-outside-student", "shared-size", "derived-sizes"],
+    )
+    def test_map_that_does_not_fit_the_pair_is_config_error_before_any_decoding(
+        self, tmp_path, monkeypatch, capsys, vocab_map, message
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "decode", lambda *args: calls.append(args))
+        cfg_path = write_config(tmp_path, answers=["b"], vocab_map=vocab_map)
+        (tmp_path / "problems.jsonl").write_text(
+            json.dumps({"id": "a", "prompt_tokens": [0, 1], "answer": "b"}) + "\n"
+        )
+        assert main(["generate", str(cfg_path)]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert message in error["message"]
+        assert calls == []
+        assert not (tmp_path / "dataset.jsonl").exists()
+
+    def test_solo_regime_ignores_the_map(self, tmp_path):
+        generation = {"regime": "solo-student", "max_tokens": 6, "context_limit": 64, "seed": 11}
+        vocab_map = {"teacher_vocab_size": 6, "student_vocab_size": 4}
+        cfg_path = write_config(tmp_path, answers=["b"], generation=generation, vocab_map=vocab_map)
+        assert main(["generate", str(cfg_path)]) == 0
+
+    @pytest.mark.parametrize("order", [1.5, "2"])
+    def test_non_integer_ngram_order_is_config_error(self, tmp_path, capsys, order):
+        student = {"backend": "ngram", "eos_token": 3, "corpus": [0, 1, 2, 3], "order": order}
+        cfg_path = write_config(tmp_path, answers=["b"], student=student)
+        assert main(["generate", str(cfg_path)]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert "order" in error["message"]
+        assert not (tmp_path / "dataset.jsonl").exists()
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, answers=["b"])
+        cfg_path.write_bytes(cfg_path.read_bytes().replace(b'"rsd"', b'"rsd\xff"'))
+        assert main(["generate", str(cfg_path)]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert str(cfg_path) in error["message"]
 
     @pytest.mark.parametrize(
         "kind, line",

@@ -121,6 +121,17 @@ class TestVerifier:
         with pytest.raises(ValueError, match="mode"):
             Verifier(mode="vibes")
 
+    @pytest.mark.parametrize("normalization", [("strp",), ("strip", "lowercase"), "strip"])
+    def test_unknown_normalization_rejected(self, normalization):
+        # a misspelt name would otherwise normalize nothing and change which traces pass
+        with pytest.raises(ValueError, match="unknown normalization"):
+            Verifier(mode="exact-match", normalization=normalization)
+
+    def test_json_shaped_settings_are_converted(self):
+        v = Verifier(mode="external-command", command=["python3", "check.py"], timeout_s=5)
+        assert v.command == ("python3", "check.py")
+        assert v.timeout_s == 5.0 and isinstance(v.timeout_s, float)
+
 
 class TestRejectionSample:
     def problem(self) -> Problem:

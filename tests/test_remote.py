@@ -26,7 +26,6 @@ from rsdkit.remote import (
     BackendUnavailableError,
     CapabilityMismatchError,
     RemoteModel,
-    RetryPolicy,
     distribution_from_payload,
     handshake,
 )
@@ -87,12 +86,19 @@ class TestHandshake:
             assert remote.vocab_size == 8
             assert remote.eos_token == 7
 
+    @pytest.mark.parametrize("key", ["timeout_s", "max_retries", "backoff_s"])
+    def test_non_numeric_retry_setting_fails_at_construction(self, key):
+        # not at the first retry, in the middle of a run
+        with pytest.raises(ValueError):
+            BackendEndpoint(base_url="http://127.0.0.1:9", model_name="x", **{key: "fast"})
+
     def test_unreachable_server_retries_then_fails(self):
         dead = BackendEndpoint(
             base_url="http://127.0.0.1:9",  # discard port, nothing listens
             model_name="x",
             timeout_s=0.2,
-            retry=RetryPolicy(max_retries=2, backoff_s=0.01),
+            max_retries=2,
+            backoff_s=0.01,
         )
         with pytest.raises(BackendUnavailableError, match="after 3 tries"):
             handshake(dead)

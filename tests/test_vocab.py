@@ -61,6 +61,21 @@ class TestBuildVocabMap:
         with pytest.raises(VocabularyAlignmentError, match="teacher vocabulary"):
             build_vocab_map(8, 8, {5: (9,)})
 
+    @pytest.mark.parametrize(
+        "vmap, message",
+        [
+            (VocabularyMap(shared_size=8), "shared_size 8"),
+            (VocabularyMap(shared_size=4, suppressed={1}, expansions={1: (6,)}), "expansion value 6"),
+            (VocabularyMap(shared_size=4, expansions={7: (1,)}), "expansion key 7"),
+        ],
+    )
+    def test_map_that_does_not_fit_a_pair_rejected(self, vmap, message):
+        with pytest.raises(VocabularyAlignmentError, match=message):
+            vmap.check_fits(6, 6)
+
+    def test_map_that_fits_a_pair_passes(self):
+        build_vocab_map(10, 8, {6: (9, 1)}).check_fits(10, 8)
+
     def test_declared_map_expansion_into_suppressed_rejected(self):
         with pytest.raises(VocabularyAlignmentError, match="suppressed"):
             VocabularyMap(shared_size=8, suppressed={9}, expansions={8: (9,)})

@@ -545,8 +545,9 @@ class TestExitCodes:
         cfg_path = write_config(tmp_path, answers=["b"], generation=generation, vocab_map=vocab_map)
         assert main(["generate", str(cfg_path)]) == 0
 
-    @pytest.mark.parametrize("order", [1.5, "2"])
+    @pytest.mark.parametrize("order", [1.5, 2.0, "2"])
     def test_non_integer_ngram_order_is_config_error(self, tmp_path, capsys, order):
+        # int() used to truncate 1.5 to 1 without a word
         student = {"backend": "ngram", "eos_token": 3, "corpus": [0, 1, 2, 3], "order": order}
         cfg_path = write_config(tmp_path, answers=["b"], student=student)
         assert main(["generate", str(cfg_path)]) == 2

@@ -10,8 +10,7 @@ over the wire are byte-identical to in-process ones. A request without
 """
 
 import json
-
-import requests
+import urllib.request
 
 from rsdkit import (
     BackendEndpoint,
@@ -27,6 +26,15 @@ from rsdkit.remote import distribution_from_payload
 teacher = TableModel({(1,): [0.1, 0.2, 0.3, 0.4]}, [0.4, 0.3, 0.2, 0.1], eos_token=3)
 student = TableModel({}, [0.3, 0.3, 0.3, 0.1], eos_token=3)
 
+
+def post(url, payload):
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode(), headers={"Content-Type": "application/json"}
+    )
+    with urllib.request.build_opener(urllib.request.ProxyHandler({})).open(request) as resp:
+        return json.load(resp)
+
+
 with StubServer({"teacher": teacher}) as server:
     print("stub server at", server.base_url)
 
@@ -35,12 +43,10 @@ with StubServer({"teacher": teacher}) as server:
     print("capabilities:", caps)
 
     request = {"model": "teacher", "context": [0, 1], "want": "full"}
-    text = requests.post(f"{server.base_url}/v1/distribution", json=request).json()
+    text = post(f"{server.base_url}/v1/distribution", request)
     print("\ntext-JSON payload for context [0, 1]:")
     print(json.dumps({k: text[k] for k in ("model", "logprobs")}, indent=2))
-    binary = requests.post(
-        f"{server.base_url}/v1/distribution", json={**request, "encoding": "f64-b64"}
-    ).json()
+    binary = post(f"{server.base_url}/v1/distribution", {**request, "encoding": "f64-b64"})
     print("binary payload for the same context (what RemoteModel asks for):")
     print(json.dumps(binary, indent=2))
     print("decodes to:", distribution_from_payload(binary, caps.vocab_size).probs.tolist())
@@ -52,3 +58,4 @@ with StubServer({"teacher": teacher}) as server:
     print("\nlocal tokens:   ", local.tokens())
     print("over-wire tokens:", over_wire.tokens())
     print("byte-identical traces:", local.to_json_line() == over_wire.to_json_line())
+    print("client HTTP health:", dict(remote_teacher.stats))

@@ -50,7 +50,7 @@ from .pipeline import (
     run_generation,
     score_external_traces,
 )
-from .remote import BackendError
+from .remote import BackendError, RemoteModel
 from .stub_server import StubServer
 
 log = logging.getLogger("rsdkit")
@@ -140,6 +140,7 @@ def _build_pair(cfg: RunConfig):
         cfg.vocab_map_spec,
         (student or teacher).vocab_size,
         teacher.vocab_size if cfg.generation.regime in COORDINATED_REGIMES else None,
+        cfg.base_dir,
     )
     return teacher, student, vmap
 
@@ -179,6 +180,9 @@ def _run_dataset(cfg: RunConfig, pair, problems):
         workers=cfg.workers or os.cpu_count() or 1,
         progress=progress,
     )
+    for role, model in (("teacher", teacher), ("student", student)):
+        if isinstance(model, RemoteModel):  # running totals since the model was built
+            log.info("remote %s %s", role, json.dumps(model.stats))
     return assemble_dataset(results, cfg.prefix_length, cfg.prefix_source)
 
 

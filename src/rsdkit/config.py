@@ -241,12 +241,11 @@ _VOCAB_MAP_FORMS = {  # the key that names the form -> every key the form reads
 }
 
 
-def build_vocab_map_from_spec(
-    spec: Mapping | None, student_vocab_size: int, teacher_vocab_size: int | None = None
-) -> VocabularyMap:
-    """The map a ``vocab_map`` spec describes. Given ``teacher_vocab_size``
-    (a coordinated pair), the sizes and ids it names are checked against
-    the pair, so a map that cannot serve the pair fails before any decode."""
+def build_vocab_map_from_spec(spec: Mapping | None, student_vocab_size: int,
+                              teacher_vocab_size: int | None = None, base_dir=".") -> VocabularyMap:
+    """The map a ``vocab_map`` spec describes, a ``path`` read from ``base_dir``. Given
+    ``teacher_vocab_size`` (a coordinated pair), the sizes and ids it names are checked
+    against the pair, so a map that cannot serve the pair fails before any decode."""
     form = None
     if spec is not None:
         form = next((key for key in _VOCAB_MAP_FORMS if key in spec), None)
@@ -257,7 +256,7 @@ def build_vocab_map_from_spec(
         if form is None:
             vmap = VocabularyMap.identity(student_vocab_size)
         elif form == "path":
-            vmap = VocabularyMap.load(spec["path"])
+            vmap = VocabularyMap.load(Path(base_dir, spec["path"]))
         elif form == "shared_size":
             vmap = VocabularyMap.from_json_dict(spec)
         else:

@@ -22,29 +22,31 @@ Protocol (JSON over HTTP/1.1):
   A payload that is malformed, of the wrong length, or not a finite
   distribution raises :class:`BackendError`.
 
-``RSDKIT_REMOTE_URL`` and ``RSDKIT_REMOTE_TIMEOUT`` override the endpoint's
-base URL and timeout. Requests are idempotent and never mutate server
-state; responses are cached per context with a bounded LRU.
+Each thread keeps its own ``http.client`` connection alive; a non-2xx status,
+a redirect too, raises :class:`BackendError`. Requests are idempotent and never
+mutate server state; responses are cached per context with a bounded LRU.
 """
 
 from __future__ import annotations
 
 import base64
-import os
+import http.client
+import json
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from collections import Counter, OrderedDict
+from dataclasses import dataclass, field
 from typing import Sequence
+from urllib.parse import SplitResult, urlencode, urlsplit
 
 import numpy as np
-import requests
 
 from .models import Distribution, LanguageModel
 
 
 #: The binary encoding the client requests: base64 of little-endian float64 probs.
 F64_B64 = "f64-b64"
+_CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
 
 class BackendError(RuntimeError):
@@ -78,47 +80,73 @@ class BackendEndpoint:
     backoff_s: float = 0.2
     vocab_size: int | None = None
     eos_token: int | None = None
+    _url: SplitResult = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # convert here, so a bad value fails at build time, not at the first retry
         object.__setattr__(self, "timeout_s", float(self.timeout_s))
         object.__setattr__(self, "max_retries", int(self.max_retries))
         object.__setattr__(self, "backoff_s", float(self.backoff_s))
-
-    def resolved(self) -> "BackendEndpoint":
-        """Apply environment overrides for base URL and timeout."""
-        env = {"base_url": "RSDKIT_REMOTE_URL", "timeout_s": "RSDKIT_REMOTE_TIMEOUT"}
-        overrides = {field: os.environ.get(name) for field, name in env.items()}
-        return replace(self, **{field: value for field, value in overrides.items() if value})
+        url = urlsplit(str(self.base_url))
+        if url.scheme not in _CONNECTIONS or not url.hostname or url.port == 0:  # .port raises if bad
+            raise ValueError(f"base_url {self.base_url!r} is not an http:// or https:// URL with a host")
+        object.__setattr__(self, "_url", url)
 
 
-def _request(endpoint: BackendEndpoint, session, method: str, path: str, **kwargs):
-    url = endpoint.base_url.rstrip("/") + path
+def _request(endpoint: BackendEndpoint, local, method: str, path: str, *, params=None, body=None,
+             tally=lambda **counts: None):
+    """``body`` as JSON on this thread's connection; retries with backoff, ``tally``s each try."""
+    if getattr(local, "conn", None) is None:
+        local.conn = _CONNECTIONS[endpoint._url.scheme](endpoint._url.netloc, timeout=endpoint.timeout_s)
+    target = endpoint._url.path.rstrip("/") + path + (f"?{urlencode(params)}" if params else "")
+    data = None if body is None else json.dumps(body).encode("utf-8")
     last: Exception | None = None
     for attempt in range(endpoint.max_retries + 1):
+        if attempt:
+            time.sleep(endpoint.backoff_s * 2 ** (attempt - 1))
+        start = time.perf_counter()
         try:
-            resp = session.request(method, url, timeout=endpoint.timeout_s, **kwargs)
-        except requests.RequestException as exc:
-            last = exc
-            if attempt < endpoint.max_retries:
-                time.sleep(endpoint.backoff_s * (2**attempt))
+            status, reply = _exchange(local.conn, method, target, data)
+        except (OSError, http.client.HTTPException) as exc:
+            local.conn.close()  # the next try opens a new connection
+            last, status, reply = exc, None, b""
+        tally(requests=1, retries=attempt > 0, request_bytes=len(data or b""),
+              response_bytes=len(reply), round_trip_s=time.perf_counter() - start)
+        if status is None:
             continue
-        if resp.status_code >= 400:
-            raise BackendError(f"{method} {path} -> HTTP {resp.status_code}: {resp.text[:200]}")
+        if not 200 <= status < 300:
+            text = reply.decode("utf-8", "replace")[:200]
+            raise BackendError(f"{method} {path} -> HTTP {status}: {text}")
         try:
-            return resp.json()
-        except ValueError as exc:  # requests.JSONDecodeError
-            raise BackendError(f"{method} {path} -> body is not JSON: {resp.text[:200]!r}") from exc
+            return json.loads(reply)
+        except ValueError as exc:  # JSONDecodeError, or a body that is not UTF-8
+            text = reply.decode("utf-8", "replace")[:200]
+            raise BackendError(f"{method} {path} -> body is not JSON: {text!r}") from exc
+    url = endpoint.base_url.rstrip("/") + path
     raise BackendUnavailableError(f"{url} unreachable after {endpoint.max_retries + 1} tries: {last}")
 
 
-def handshake(endpoint: BackendEndpoint, session=None) -> ServerCapabilities:
+def _exchange(conn: http.client.HTTPConnection, method: str, target: str, data: bytes | None):
+    """``(status, body)`` of one request, sent once more, at once, if a kept-alive connection fails."""
+    reused = conn.sock is not None
+    try:
+        conn.request(method, target, body=data, headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+    except ConnectionError:  # reset, broken pipe, or closed before the status line
+        if not reused:  # the server may close an idle kept-alive connection
+            raise
+        conn.close()
+        return _exchange(conn, method, target, data)  # on a new socket: never again
+    return resp.status, resp.read()
+
+
+def handshake(endpoint: BackendEndpoint) -> ServerCapabilities:
     """Fetch server capabilities and check them against the configuration."""
-    endpoint = endpoint.resolved()
-    session = session or requests.Session()
-    payload = _request(
-        endpoint, session, "GET", "/v1/capabilities", params={"model": endpoint.model_name}
-    )
+    local = threading.local()
+    try:
+        payload = _request(endpoint, local, "GET", "/v1/capabilities", params={"model": endpoint.model_name})
+    finally:
+        local.conn.close()
     try:
         caps = ServerCapabilities(
             model_name=str(payload["model"]),
@@ -204,23 +232,26 @@ def _exact_distribution(probs: np.ndarray) -> Distribution:
 class RemoteModel(LanguageModel):
     """LanguageModel backed by the wire protocol above.
 
-    Thread-safe; the caller's worker count bounds the requests in flight.
-    The response cache is shared (sound, since responses are pure functions
-    of the context) and bounded.
+    Thread-safe; the caller's worker count bounds the requests in flight,
+    each thread on its own connection. The response cache is shared (sound,
+    since responses are pure functions of the context) and bounded. ``stats``
+    counts HTTP tries, retries, cache hits, body bytes and seconds in requests.
     """
 
     backend = "remote"
 
-    def __init__(self, endpoint: BackendEndpoint, session=None, cache_size: int = 256) -> None:
-        self.endpoint = endpoint.resolved()
-        self._session = session or requests.Session()
-        caps = handshake(self.endpoint, self._session)
+    def __init__(self, endpoint: BackendEndpoint, cache_size: int = 256) -> None:
+        self.endpoint = endpoint
+        caps = handshake(endpoint)
         self.capabilities = caps
         self.vocab_size = caps.vocab_size
         self.eos_token = caps.eos_token
         self._cache: OrderedDict[tuple[int, ...], Distribution] = OrderedDict()
         self._cache_size = cache_size
         self._lock = threading.Lock()
+        self._local = threading.local()
+        self.stats = Counter(requests=0, retries=0, cache_hits=0, request_bytes=0, response_bytes=0,
+                             round_trip_s=0.0)
 
     def next_distribution(self, context: Sequence[int]) -> Distribution:
         key = tuple(context)
@@ -228,6 +259,7 @@ class RemoteModel(LanguageModel):
             hit = self._cache.get(key)
             if hit is not None:
                 self._cache.move_to_end(key)
+                self.stats["cache_hits"] += 1
                 return hit
         if len(key) > self.capabilities.max_context:
             raise BackendError(
@@ -239,10 +271,15 @@ class RemoteModel(LanguageModel):
             "want": "full",
             "encoding": F64_B64,
         }
-        payload = _request(self.endpoint, self._session, "POST", "/v1/distribution", json=body)
+        payload = _request(self.endpoint, self._local, "POST", "/v1/distribution",
+                           body=body, tally=self._tally)
         dist = distribution_from_payload(payload, self.vocab_size)
         with self._lock:
             self._cache[key] = dist
             while len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
         return dist
+
+    def _tally(self, **counts) -> None:
+        with self._lock:
+            self.stats.update(counts)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,7 @@ from rsdkit.remote import BackendEndpoint, BackendUnavailableError, handshake
 
 TOKEN_TEXT = ["a", "b", "c", ""]
 TOY_DATASET = Path(__file__).resolve().parent.parent / "fixtures" / "toy_dataset.jsonl"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(tmp_path: Path, *, answers, attempts=2, p_th=0.01, student=None, **overrides):
@@ -95,6 +100,19 @@ class TestGenerate:
         assert main(["generate", str(cfg_path), "--workers", "4"]) == 0
         parallel = (tmp_path / "dataset.jsonl").read_bytes()
         assert serial == parallel
+
+    def test_map_path_resolves_against_the_config_directory(self, tmp_path, monkeypatch):
+        vm = tmp_path / "vm"
+        vm.mkdir()
+        (vm / "map.json").write_text(json.dumps({"shared_size": 4, "suppressed": [], "expansions": {}}))
+        write_config(vm, answers=["bbbbbb", "zzz"], vocab_map={"path": "map.json"})
+        monkeypatch.chdir(vm)
+        assert main(["generate", "run.json"]) == 0
+        from_inside = (vm / "dataset.jsonl").read_bytes()
+        (vm / "dataset.jsonl").unlink()
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "vm/run.json"]) == 0
+        assert (vm / "dataset.jsonl").read_bytes() == from_inside
 
     def test_threshold_flag_overrides_config(self, tmp_path):
         cfg_path = write_config(tmp_path, answers=["bbbbbb"])
@@ -292,6 +310,51 @@ class TestSweep:
         args = build_parser().parse_args(["sweep", "cfg.json"])
         parsed = [float(x) for x in args.thresholds.split(",")]
         assert parsed == list(DEFAULT_SWEEP_THRESHOLDS) == [0.10, 0.03, 0.01, 0.003]
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+class TestRemoteBackend:
+    def test_cli_import_leaves_requests_unloaded(self):
+        proc = run_python("import sys, rsdkit.cli; sys.exit('requests' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_remote_generate_runs_without_requests_and_logs_its_http_health(self, tmp_path):
+        served = build_stub_server(load_run_config(write_config(tmp_path, answers=["b"])), "127.0.0.1", 0)
+        with served:
+            teacher = {"backend": "remote", "base_url": served.base_url, "model_name": "teacher"}
+            cfg_path = write_config(tmp_path, answers=["bbbbbb", "zzz"], teacher=teacher)
+            code = (
+                "import sys; sys.modules['requests'] = None; from rsdkit import cli; "
+                "sys.exit(cli.main(sys.argv[1:]))"
+            )
+            proc = run_python(code, "generate", str(cfg_path))
+        assert proc.returncode == 0, proc.stderr
+        lines = [line for line in proc.stderr.splitlines() if line.startswith("remote ")]
+        assert [line.split()[1] for line in lines] == ["teacher"]
+        stats = json.loads(lines[0].split(maxsplit=2)[2])
+        assert set(stats) == {
+            "requests", "retries", "cache_hits", "request_bytes", "response_bytes", "round_trip_s"
+        }
+        assert stats["requests"] > 0
+        assert stats["retries"] == 0
+        assert stats["cache_hits"] > 0  # the same prompt in every attempt
+
+    @pytest.mark.parametrize("base_url", ["localhost:8000", "127.0.0.1:9", "ftp://127.0.0.1:1", "http://"])
+    def test_malformed_base_url_is_config_error_at_once(self, tmp_path, capsys, base_url):
+        teacher = {"backend": "remote", "base_url": base_url, "model_name": "m"}
+        cfg_path = write_config(tmp_path, answers=["b"], teacher=teacher)
+        start = time.perf_counter()
+        assert main(["generate", str(cfg_path)]) == 2
+        assert time.perf_counter() - start < 0.5
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert repr(base_url) in error["message"]
 
 
 class TestStubServe:

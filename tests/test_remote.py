@@ -3,16 +3,23 @@
 from __future__ import annotations
 
 import base64
+import http.client
 import json
 import math
 import socket
+import threading
 import time
+import urllib.error
+import urllib.request
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import urlparse
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -26,10 +33,11 @@ from rsdkit.remote import (
     BackendUnavailableError,
     CapabilityMismatchError,
     RemoteModel,
+    _request,
     distribution_from_payload,
     handshake,
 )
-from rsdkit.stub_server import StubServer, _full_payload
+from rsdkit.stub_server import StubServer, _full_payload, _make_handler
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "remote"
 
@@ -53,6 +61,68 @@ def endpoint(server: StubServer, **kwargs) -> BackendEndpoint:
 
 def f64_b64(values) -> str:
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+_DIRECT = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+
+
+def fetch(url: str, payload=None) -> tuple[int, str]:
+    """``(status, body text)`` of a GET, or of a POST of ``payload`` as JSON."""
+    data = None if payload is None else json.dumps(payload).encode("utf-8")
+    request = urllib.request.Request(url, data=data, headers={"Content-Type": "application/json"})
+    try:
+        with _DIRECT.open(request, timeout=5) as resp:
+            return resp.status, resp.read().decode("utf-8")
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read().decode("utf-8")
+
+
+def post_json(url: str, payload) -> dict:
+    status, text = fetch(url, payload)
+    assert status == 200, text
+    return json.loads(text)
+
+
+def record_requests(monkeypatch, method: str) -> list:
+    """The body of every ``method`` request sent through ``http.client`` from now on."""
+    sent = []
+    original = http.client.HTTPConnection.request
+
+    def request(self, verb, url, body=None, headers={}, **kwargs):
+        if verb == method:
+            sent.append(body)
+        return original(self, verb, url, body, headers, **kwargs)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "request", request)
+    return sent
+
+
+def record_connects(monkeypatch) -> list:
+    """``(thread id, connection)`` of every socket ``http.client`` opens from now on."""
+    opened = []
+    original = http.client.HTTPConnection.connect
+
+    def connect(self):
+        opened.append((threading.get_ident(), self))
+        return original(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", connect)
+    return opened
+
+
+@contextmanager
+def serving(handler):
+    """Serve ``handler`` on a free local port; yields the base URL."""
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{httpd.server_address[1]}"
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 class TestHandshake:
@@ -227,34 +297,20 @@ class TestRemoteModel:
         with pytest.raises(BackendError, match="exceeds server max"):
             remote.next_distribution([0, 1, 2])
 
-    def test_responses_cached_per_context(self, stub):
+    def test_responses_cached_per_context(self, stub, monkeypatch):
         server, _ = stub
-
-        class CountingSession(requests.Session):
-            posts = 0
-
-            def request(self, method, url, **kwargs):
-                if method == "POST":
-                    CountingSession.posts += 1
-                return super().request(method, url, **kwargs)
-
-        remote = RemoteModel(endpoint(server), session=CountingSession())
+        posts = record_requests(monkeypatch, "POST")
+        remote = RemoteModel(endpoint(server))
         remote.next_distribution([0, 1])
         remote.next_distribution([0, 1])
         remote.next_distribution([0, 1])
-        assert CountingSession.posts == 1
+        assert len(posts) == 1
 
-    def test_requests_the_binary_encoding(self, stub):
+    def test_requests_the_binary_encoding(self, stub, monkeypatch):
         server, _ = stub
-        bodies = []
-
-        class RecordingSession(requests.Session):
-            def request(self, method, url, **kwargs):
-                if method == "POST":
-                    bodies.append(kwargs["json"])
-                return super().request(method, url, **kwargs)
-
-        RemoteModel(endpoint(server), session=RecordingSession()).next_distribution([0, 1])
+        posts = record_requests(monkeypatch, "POST")
+        RemoteModel(endpoint(server)).next_distribution([0, 1])
+        bodies = [json.loads(body) for body in posts]
         assert bodies == [json.loads((FIXTURES / "distribution_request_f64.json").read_text())]
 
     def test_small_responses_do_not_wait_for_delayed_acks(self):
@@ -270,6 +326,109 @@ class TestRemoteModel:
         assert elapsed < 0.5
 
 
+class TestConnections:
+    def test_each_worker_thread_keeps_one_connection(self, stub, monkeypatch):
+        server, model = stub
+        remote = RemoteModel(endpoint(server))
+        opened = record_connects(monkeypatch)
+        barrier = threading.Barrier(4, timeout=5)
+
+        def work(worker):
+            barrier.wait()  # all four busy at once, so the pool starts four threads
+            for i in range(4):
+                ctx = [worker, i]
+                np.testing.assert_array_equal(
+                    remote.next_distribution(ctx).probs, model.next_distribution(ctx).probs
+                )
+            return threading.get_ident()
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threads = list(pool.map(work, range(4)))
+        assert len(set(threads)) == 4
+        assert sorted(thread for thread, _ in opened) == sorted(threads)
+        assert len({id(conn) for _, conn in opened}) == 4
+        assert remote.stats["requests"] == 16
+
+    def test_server_closing_kept_alive_connections_costs_no_retry(self, monkeypatch):
+        model = fixture_model()
+
+        class Hangup(_make_handler({"m": model}, 64, True)):
+            def handle_one_request(self):
+                super().handle_one_request()
+                self.close_connection = True  # hang up, without a Connection: close header
+
+        sleeps = []
+        with serving(Hangup) as base_url:
+            remote = RemoteModel(BackendEndpoint(base_url=base_url, model_name="m", backoff_s=5.0))
+            opened = record_connects(monkeypatch)
+            monkeypatch.setattr(time, "sleep", sleeps.append)
+            for i in range(20):
+                ctx = [i % 4] * (i + 1)
+                np.testing.assert_array_equal(
+                    remote.next_distribution(ctx).probs, model.next_distribution(ctx).probs
+                )
+        assert len(opened) == 20  # each request after the first found its connection closed
+        assert sleeps == []
+        assert remote.stats["retries"] == 0
+        assert remote.stats["requests"] == 20
+
+    def test_redirect_is_a_backend_error_naming_the_status(self):
+        class Redirect(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, fmt, *args):
+                pass
+
+            def do_GET(self):  # noqa: N802
+                self.send_response(302)
+                self.send_header("Location", "/v1/elsewhere")
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+        with serving(Redirect) as base_url:
+            with pytest.raises(BackendError, match="GET /v1/capabilities -> HTTP 302"):
+                handshake(BackendEndpoint(base_url=base_url, model_name="m"))
+
+
+class TestStats:
+    def test_counts_match_what_the_stub_served(self):
+        model = fixture_model()
+        served = []
+        inner = model.next_distribution
+
+        def counting(ctx):
+            served.append(list(ctx))
+            return inner(ctx)
+
+        model.next_distribution = counting
+        # each of 12 contexts twice in a row, two rounds: hits, and evictions from 4 slots
+        contexts = [[k % 3, k % 4] for _ in range(2) for k in range(12) for _ in range(2)]
+        with StubServer({"fixture-table": model}) as server:
+            remote = RemoteModel(endpoint(server), cache_size=4)
+            for ctx in contexts:
+                remote.next_distribution(ctx)
+        stats = remote.stats
+        assert stats["requests"] - stats["retries"] == len(served)
+        assert stats["cache_hits"] + stats["requests"] - stats["retries"] == len(contexts)
+        assert (stats["cache_hits"], len(served)) == (24, 24)
+        bodies = [json.dumps(_full_payload("fixture-table", inner(ctx), "f64-b64")) for ctx in served]
+        assert stats["response_bytes"] == sum(len(b.encode()) for b in bodies)
+        sent = [{"model": "fixture-table", "context": ctx, "want": "full", "encoding": "f64-b64"} for ctx in served]
+        assert stats["request_bytes"] == sum(len(json.dumps(b).encode()) for b in sent)
+        assert stats["round_trip_s"] > 0.0
+
+    def test_failed_tries_are_counted_as_retries(self):
+        dead = BackendEndpoint(
+            base_url="http://127.0.0.1:9", model_name="x", timeout_s=0.2, max_retries=2, backoff_s=0.01
+        )
+        counts = Counter()
+        with pytest.raises(BackendUnavailableError, match="after 3 tries"):
+            _request(dead, threading.local(), "POST", "/v1/distribution", body={}, tally=counts.update)
+        assert counts["requests"] == 3
+        assert counts["retries"] == 2
+        assert counts["response_bytes"] == 0
+
+
 class TestRecordReplay:
     def test_replayed_fixture_gives_identical_distribution(self):
         stored = json.loads((FIXTURES / "distribution_response_full.json").read_text())
@@ -281,7 +440,7 @@ class TestRecordReplay:
         server, _ = stub
         request = json.loads((FIXTURES / "distribution_request_full.json").read_text())
         stored = json.loads((FIXTURES / "distribution_response_full.json").read_text())
-        live = requests.post(f"{server.base_url}/v1/distribution", json=request).json()
+        live = post_json(f"{server.base_url}/v1/distribution", request)
         assert live == stored
 
     def test_replayed_binary_fixture_gives_identical_distribution(self):
@@ -294,16 +453,15 @@ class TestRecordReplay:
         server, _ = stub
         request = json.loads((FIXTURES / "distribution_request_f64.json").read_text())
         stored = json.loads((FIXTURES / "distribution_response_f64.json").read_text())
-        live = requests.post(f"{server.base_url}/v1/distribution", json=request).json()
+        live = post_json(f"{server.base_url}/v1/distribution", request)
         assert live == stored
 
     def test_capabilities_fixture_matches_live(self, stub):
         server, _ = stub
         stored = json.loads((FIXTURES / "capabilities_response.json").read_text())
-        live = requests.get(
-            f"{server.base_url}/v1/capabilities", params={"model": "fixture-table"}
-        ).json()
-        assert live == stored
+        status, text = fetch(f"{server.base_url}/v1/capabilities?model=fixture-table")
+        assert status == 200
+        assert json.loads(text) == stored
 
 
 class TestZeroMassTransport:
@@ -311,12 +469,11 @@ class TestZeroMassTransport:
         # zero entries must not become -Infinity (invalid strict JSON)
         model = TableModel({}, [0.0, 1.0, 0.0, 0.0], eos_token=3)
         with StubServer({"hot": model}) as server:
-            raw = requests.post(
-                f"{server.base_url}/v1/distribution",
-                json={"model": "hot", "context": [0], "want": "full"},
+            status, text = fetch(
+                f"{server.base_url}/v1/distribution", {"model": "hot", "context": [0], "want": "full"}
             )
-            json.loads(raw.text)  # strict parse of the body succeeds
-            payload = raw.json()
+            assert status == 200
+            payload = json.loads(text, parse_constant=pytest.fail)  # strict parse succeeds
             assert all(math.isfinite(x) for x in payload["logprobs"])
             remote = RemoteModel(BackendEndpoint(base_url=server.base_url, model_name="hot"))
             np.testing.assert_array_equal(
@@ -337,46 +494,45 @@ class TestStubValidation:
     def test_top_k_want_is_unsupported(self, stub):
         # the wire has one shape: the full distribution
         server, _ = stub
-        r = requests.post(
+        status, text = fetch(
             f"{server.base_url}/v1/distribution",
-            json={"model": "fixture-table", "context": [0], "want": {"top_k": 2, "score": [3]}},
+            {"model": "fixture-table", "context": [0], "want": {"top_k": 2, "score": [3]}},
         )
-        assert r.status_code == 400
-        assert "unsupported want" in r.json()["error"]
+        assert status == 400
+        assert "unsupported want" in json.loads(text)["error"]
 
     def test_unknown_encoding_is_unsupported(self, stub):
         server, _ = stub
-        r = requests.post(
+        status, text = fetch(
             f"{server.base_url}/v1/distribution",
-            json={"model": "fixture-table", "context": [0], "want": "full", "encoding": "f32"},
+            {"model": "fixture-table", "context": [0], "want": "full", "encoding": "f32"},
         )
-        assert r.status_code == 400
-        assert "unsupported encoding" in r.json()["error"]
+        assert status == 400
+        assert "unsupported encoding" in json.loads(text)["error"]
 
     def test_unknown_model_404(self, stub):
         server, _ = stub
-        r = requests.post(
-            f"{server.base_url}/v1/distribution",
-            json={"model": "ghost", "context": [], "want": "full"},
+        status, _ = fetch(
+            f"{server.base_url}/v1/distribution", {"model": "ghost", "context": [], "want": "full"}
         )
-        assert r.status_code == 404
+        assert status == 404
 
     def test_malformed_body_400(self, stub):
         server, _ = stub
-        r = requests.post(f"{server.base_url}/v1/distribution", json={"model": "fixture-table"})
-        assert r.status_code == 400
+        status, _ = fetch(f"{server.base_url}/v1/distribution", {"model": "fixture-table"})
+        assert status == 400
 
     def test_out_of_vocab_context_400(self, stub):
         server, _ = stub
-        r = requests.post(
+        status, _ = fetch(
             f"{server.base_url}/v1/distribution",
-            json={"model": "fixture-table", "context": [99], "want": "full"},
+            {"model": "fixture-table", "context": [99], "want": "full"},
         )
-        assert r.status_code == 400
+        assert status == 400
 
     def test_unknown_path_404(self, stub):
         server, _ = stub
-        assert requests.get(f"{server.base_url}/v2/whatever").status_code == 404
+        assert fetch(f"{server.base_url}/v2/whatever")[0] == 404
 
     def test_negative_content_length_400_without_reading(self, stub):
         # rfile.read(-1) would wait for the client to hang up
@@ -404,18 +560,6 @@ class TestBackendEquivalence:
             local = decode(table_teacher, student, [0], cfg)
             remote = decode(remote_teacher, student, [0], cfg)
             assert local.to_json_line() == remote.to_json_line()
-
-
-class TestEnvironmentOverrides:
-    def test_env_overrides_url_and_timeout(self, monkeypatch, stub):
-        server, _ = stub
-        monkeypatch.setenv("RSDKIT_REMOTE_URL", server.base_url)
-        monkeypatch.setenv("RSDKIT_REMOTE_TIMEOUT", "3.5")
-        ep = BackendEndpoint(base_url="http://example.invalid", model_name="fixture-table")
-        resolved = ep.resolved()
-        assert resolved.base_url == server.base_url
-        assert resolved.timeout_s == 3.5
-        handshake(ep)  # resolves internally, so it must reach the stub
 
 
 class TestConcurrentRemoteGeneration:

@@ -15,12 +15,12 @@ from rsdkit import (
     GenerationConfig,
     TableModel,
     decode,
+    low_prob_token_tally,
+    records_perplexity,
     step_entropy,
     sub_threshold_ratio,
-    token_surprisal,
-    trace_perplexity,
 )
-from rsdkit.metrics import low_prob_token_tally, write_surprisal_csv
+from rsdkit.metrics import write_surprisal_csv
 
 rng = np.random.default_rng(0)
 teacher = TableModel({}, rng.dirichlet(np.ones(6) * 2.0), eos_token=5)
@@ -35,9 +35,9 @@ traces = [
 ]
 
 one = traces[0]
-series = token_surprisal(one)
+series = np.array([r.surprisal_student for r in one.records])  # -ln p_student, as recorded
 print("surprisal series (nats):", np.round(series, 3))
-print("trace perplexity:       ", round(trace_perplexity(one), 4))
+print("trace perplexity:       ", round(records_perplexity(one.records), 4))
 print("exp(mean surprisal):    ", round(math.exp(series.mean()), 4), "(identical by definition)")
 
 print("\nstep entropy of the student's opening distribution:")
@@ -59,7 +59,7 @@ solo = [
 ]
 solo_ratio = sub_threshold_ratio(solo, 0.01)
 print(f"sub-1% ratio of unfiltered teacher traces:       {100 * solo_ratio:.3f}%")
-print("most frequent sub-1% tokens there:", low_prob_token_tally(solo, 0.01))
+print("most frequent sub-1% tokens there:", low_prob_token_tally((t.records for t in solo), 0.01))
 
-write_surprisal_csv(one, "surprisal_demo.csv")
+write_surprisal_csv(one.records, "surprisal_demo.csv")
 print("\nwrote per-token series to surprisal_demo.csv (step,surprisal,accepted,fallback)")

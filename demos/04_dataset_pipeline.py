@@ -64,5 +64,5 @@ for rec in records:
     print(f"  {rec.problem_id}: {rec.kind}, {len(rec.tokens)} tokens, verdict={rec.verdict}")
 
 print("\nreport:")
-print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+print(json.dumps(report, indent=2, sort_keys=True))
 print("\nwrote demo_dataset.jsonl (one record per line + trailing manifest)")

@@ -5,8 +5,8 @@ inference server would expose (`GET /v1/capabilities`,
 `POST /v1/distribution`). The client handshakes, validates capabilities, and
 then behaves as an ordinary model handle. It asks for the binary encoding:
 the exact probabilities as base64 little-endian float64, so traces decoded
-over the wire are byte-identical to in-process ones. A request without
-``encoding`` gets the text-JSON payload instead.
+over the wire are byte-identical to in-process ones. The stub answers
+nothing else: a request without ``encoding`` gets HTTP 400.
 """
 
 import json
@@ -42,12 +42,9 @@ with StubServer({"teacher": teacher}) as server:
     caps = handshake(endpoint)
     print("capabilities:", caps)
 
-    request = {"model": "teacher", "context": [0, 1], "want": "full"}
-    text = post(f"{server.base_url}/v1/distribution", request)
-    print("\ntext-JSON payload for context [0, 1]:")
-    print(json.dumps({k: text[k] for k in ("model", "logprobs")}, indent=2))
-    binary = post(f"{server.base_url}/v1/distribution", {**request, "encoding": "f64-b64"})
-    print("binary payload for the same context (what RemoteModel asks for):")
+    request = {"model": "teacher", "context": [0, 1], "want": "full", "encoding": "f64-b64"}
+    binary = post(f"{server.base_url}/v1/distribution", request)
+    print("\nbinary payload for context [0, 1] (what RemoteModel asks for):")
     print(json.dumps(binary, indent=2))
     print("decodes to:", distribution_from_payload(binary, caps.vocab_size).probs.tolist())
 
@@ -59,3 +56,4 @@ with StubServer({"teacher": teacher}) as server:
     print("over-wire tokens:", over_wire.tokens())
     print("byte-identical traces:", local.to_json_line() == over_wire.to_json_line())
     print("client HTTP health:", dict(remote_teacher.stats))
+    remote_teacher.close()

@@ -14,14 +14,12 @@ from .decoding import (
     decode,
 )
 from .metrics import (
-    DatasetReport,
     dataset_report,
     fallback_rate,
     low_prob_token_tally,
+    records_perplexity,
     step_entropy,
     sub_threshold_ratio,
-    token_surprisal,
-    trace_perplexity,
 )
 from .models import (
     ContextOverflowError,

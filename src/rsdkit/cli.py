@@ -170,26 +170,29 @@ def _run_dataset(cfg: RunConfig, pair, problems):
         solved = result.solved is not None
         log.info("problem=%s attempts=%d solved=%s", result.problem_id, len(result.attempts), solved)
 
-    results = run_generation(
-        problems,
-        generator,
-        cfg.verifier,
-        cfg.attempts,
-        gen_cfg.seed,
-        build_detokenizer(cfg.token_text),
-        workers=cfg.workers or os.cpu_count() or 1,
-        progress=progress,
-    )
-    for role, model in (("teacher", teacher), ("student", student)):
-        if isinstance(model, RemoteModel):  # running totals since the model was built
-            log.info("remote %s %s", role, json.dumps(model.stats))
+    try:
+        results = run_generation(
+            problems,
+            generator,
+            cfg.verifier,
+            cfg.attempts,
+            gen_cfg.seed,
+            build_detokenizer(cfg.token_text),
+            workers=cfg.workers or os.cpu_count() or 1,
+            progress=progress,
+        )
+    finally:
+        for role, model in (("teacher", teacher), ("student", student)):
+            if isinstance(model, RemoteModel):  # running totals since the model was built
+                model.close()
+                log.info("remote %s %s", role, json.dumps(model.stats))
     return assemble_dataset(results, cfg.prefix_length, cfg.prefix_source)
 
 
-def _write_outputs(cfg: RunConfig, records, dataset_path: Path, report_path: Path):
+def _write_outputs(cfg: RunConfig, records, dataset_path: Path, report_path: Path) -> dict:
     _write_atomically(dataset_path, lambda partial: export_dataset(records, partial))
     report = dataset_report(records, cfg.diagnostic_threshold)
-    _write_atomically(report_path, report.save)
+    _write_atomically(report_path, _json_writer(report))
     return report
 
 
@@ -210,8 +213,8 @@ def cmd_generate(args) -> int:
     log.info(
         "dataset=%s records=%d solved=%d report=%s",
         dataset_path,
-        report.problems_attempted,
-        report.correctly_solved,
+        report["problems_attempted"],
+        report["correctly_solved"],
         report_path,
     )
     return 0
@@ -257,13 +260,14 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out) if args.out else dataset_path.with_name(dataset_path.stem + "_analysis")
     kind = _sniff_kind(dataset_path)
 
-    # read the whole input before creating anything, so bad input leaves no directory
+    # read the whole input before creating anything, so bad input leaves no directory;
+    # each item is (name, regime, token records), and external scores have no regime
     if kind == "dataset":
-        records = import_dataset(dataset_path)
-        if not records:
+        dataset = import_dataset(dataset_path)
+        if not dataset:
             raise DataError(f"{dataset_path}: dataset is empty")
-        write_report = dataset_report(records, threshold).save
-        items = [(r.problem_id, r) for r in records]
+        report = dataset_report(dataset, threshold)
+        items = [(r.problem_id, r.regime, r.records) for r in dataset]
     else:
         if kind == "external":
             if not args.config:
@@ -272,23 +276,26 @@ def cmd_analyze(args) -> int:
             if cfg.student_spec is None:
                 raise ConfigError("--config carries no student model spec")
             student = build_model(cfg.student_spec, "student")
-            traces = score_external_traces(dataset_path, student)
+            try:
+                scored = score_external_traces(dataset_path, student)
+            finally:
+                if isinstance(student, RemoteModel):
+                    student.close()
+            items = [(str(i), None, records) for i, records in enumerate(scored)]
         else:
             traces = read_traces_jsonl(dataset_path)  # not empty: the first row is a trace
-        agg = aggregate_records(((t.config.regime, t.records) for t in traces), threshold)
-        report_dict = {"traces": len(traces), "sub_threshold": threshold, **agg.report_fields()}
-        write_report = _json_writer(report_dict)
-        items = [(str(i), t) for i, t in enumerate(traces)]
+            items = [(str(i), t.config.regime, t.records) for i, t in enumerate(traces)]
+        agg = aggregate_records(((regime, records) for _, regime, records in items), threshold)
+        report = {"traces": len(items), "sub_threshold": threshold, **agg.report_fields()}
 
-    _write_atomically(out_dir / "report.json", write_report)
-    # dataset records and traces both carry ``.records``
-    for name, item in items:
-        write_surprisal_csv(item, out_dir / f"surprisal_{_slug(name)}.csv")
+    _write_atomically(out_dir / "report.json", _json_writer(report))
+    for name, _, records in items:
+        write_surprisal_csv(records, out_dir / f"surprisal_{_slug(name)}.csv")
     write_perplexity_csv(
-        ((name, records_perplexity(item.records), len(item.records)) for name, item in items),
+        ((name, records_perplexity(records), len(records)) for name, _, records in items),
         out_dir / "perplexity.csv",
     )
-    tally = low_prob_token_tally((item for _, item in items), threshold)
+    tally = low_prob_token_tally((records for _, _, records in items), threshold)
     write_token_tally_csv(tally, out_dir / "token_tally.csv")
     log.info("analysis=%s items=%d threshold=%g", out_dir, len(items), threshold)
     return 0
@@ -317,8 +324,8 @@ def cmd_sweep(args) -> int:
         report = _write_outputs(
             run_cfg, records, out_dir / f"dataset_{tag}.jsonl", out_dir / f"report_{tag}.json"
         )
-        rows.append({"p_th": th, **report.to_json_dict()})
-        log.info("sweep p_th=%g solved=%d/%d", th, report.correctly_solved, report.problems_attempted)
+        rows.append({"p_th": th, **report})
+        log.info("sweep p_th=%g solved=%d/%d", th, report["correctly_solved"], report["problems_attempted"])
 
     _write_atomically(
         out_dir / "sweep_report.json", _json_writer({"thresholds": thresholds, "rows": rows})

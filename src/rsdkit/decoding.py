@@ -236,8 +236,9 @@ def decode(
     """Decode one trace in the regime named by ``cfg.regime``.
 
     ``rsd`` and ``skd`` need both models. ``solo-teacher`` needs the teacher
-    and scores with the student when one is given (tokens outside the
-    student's vocabulary score 0); ``solo-student`` needs the student and
+    and scores with the student when one is given (a token outside the
+    student's vocabulary scores 0, and the next step raises ValueError, as
+    the student cannot read it); ``solo-student`` needs the student and
     ignores the teacher. Solo regimes ignore ``vmap``.
     """
     if cfg.regime in COORDINATED_REGIMES and (teacher is None or student is None):
@@ -267,11 +268,18 @@ def decode(
 
     records: list[TokenRecord] = []
     terminated = "length-budget"
+    checked = 0  # other_ctx[:checked] lies in other's vocabulary; own_ctx always does
     for step in range(cfg.max_tokens):
         stream = StepStream(cfg.seed, step)
         own = proposer.next_distribution(own_ctx)
         token = draw(teacher_proposes, own, stream)
-        judge = None if other is None else other.next_distribution(other_ctx)
+        judge = None
+        if other is not None:  # only a solo teacher's ids can lie outside the student's vocabulary
+            for t in other_ctx[checked:]:
+                if not 0 <= t < other.vocab_size:
+                    raise ValueError(f"context token {t} outside vocabulary of size {other.vocab_size}")
+            checked = len(other_ctx)
+            judge = other.next_distribution(other_ctx)
         fallback = False
         if approving:
             if vmap.is_student_only(token):  # unscoreable by a teacher approver

@@ -23,7 +23,6 @@ every perplexity through :func:`records_perplexity`.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,23 +37,6 @@ if TYPE_CHECKING:
     from .pipeline import DatasetRecord
 
 DEFAULT_SUB_THRESHOLD = 0.01
-
-
-def token_surprisal(trace: Trace) -> np.ndarray:
-    """Per-token ``-ln(p_student)``; length equals trace length.
-
-    A token recorded with probability 0 yields ``inf``, the sentinel for an
-    unscoreable or impossible token. Raises if any record lacks a student
-    probability (unscored solo traces).
-    """
-    probs = []
-    for i, rec in enumerate(trace.records):
-        if rec.p_student is None:
-            raise ValueError(f"record {i} carries no student probability; score the trace first")
-        probs.append(rec.p_student)
-    arr = np.asarray(probs, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        return np.where(arr > 0.0, -np.log(np.where(arr > 0.0, arr, 1.0)), np.inf)
 
 
 def step_entropy(dist: Distribution) -> float:
@@ -78,13 +60,6 @@ def records_perplexity(records: Sequence[TokenRecord]) -> float:
     if any(math.isinf(s) for s in surprisals):
         return math.inf
     return float(math.exp(sum(surprisals) / len(surprisals)))
-
-
-def trace_perplexity(trace: Trace) -> float:
-    """:func:`records_perplexity` of a trace, which must not be empty."""
-    if not trace.records:
-        raise ValueError("perplexity of an empty trace is undefined")
-    return records_perplexity(trace.records)
 
 
 @dataclass(frozen=True)
@@ -157,62 +132,19 @@ def fallback_rate(traces: Iterable[Trace]) -> float:
     return agg.fallbacks / agg.tokens
 
 
-def low_prob_token_tally(traces: Iterable[Trace], threshold: float) -> dict[int, int]:
+def low_prob_token_tally(
+    record_lists: Iterable[Sequence[TokenRecord]], threshold: float
+) -> dict[int, int]:
     """Counts of tokens strictly below ``threshold``, highest count first.
 
     Ties break on ascending token id so the emission order is deterministic.
     """
     counts: dict[int, int] = {}
-    for trace in traces:
-        for rec in trace.records:
+    for records in record_lists:
+        for rec in records:
             if rec.p_student is not None and rec.p_student < threshold:
                 counts[rec.token] = counts.get(rec.token, 0) + 1
     return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
-
-
-@dataclass(frozen=True)
-class DatasetReport:
-    """Aggregate statistics of one generated dataset (one table row)."""
-
-    problems_attempted: int
-    correctly_solved: int
-    fallback_rate_pct: float | None
-    sub_threshold_pct: float
-    sub_threshold: float
-    avg_token_count: float
-    perplexity_summary: dict[str, float]
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.correctly_solved <= self.problems_attempted:
-            raise ValueError("correctly_solved must lie in [0, problems_attempted]")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "problems_attempted": self.problems_attempted,
-            "correctly_solved": self.correctly_solved,
-            "fallback_rate_pct": self.fallback_rate_pct,
-            "sub_threshold_pct": self.sub_threshold_pct,
-            "sub_threshold": self.sub_threshold,
-            "avg_token_count": self.avg_token_count,
-            "perplexity_summary": dict(self.perplexity_summary),
-        }
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        )
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "DatasetReport":
-        return cls(
-            problems_attempted=int(payload["problems_attempted"]),
-            correctly_solved=int(payload["correctly_solved"]),
-            fallback_rate_pct=payload["fallback_rate_pct"],
-            sub_threshold_pct=float(payload["sub_threshold_pct"]),
-            sub_threshold=float(payload["sub_threshold"]),
-            avg_token_count=float(payload["avg_token_count"]),
-            perplexity_summary=dict(payload["perplexity_summary"]),
-        )
 
 
 def summary_stats(values: Sequence[float]) -> dict[str, float]:
@@ -230,10 +162,9 @@ def summary_stats(values: Sequence[float]) -> dict[str, float]:
     }
 
 
-def dataset_report(
-    records: Sequence["DatasetRecord"], threshold: float = DEFAULT_SUB_THRESHOLD
-) -> DatasetReport:
-    """Aggregate one dataset into its summary row.
+def dataset_report(records: Sequence["DatasetRecord"], threshold: float = DEFAULT_SUB_THRESHOLD) -> dict:
+    """One dataset's summary row: ``problems_attempted``, ``correctly_solved``,
+    ``sub_threshold`` and the fields of :meth:`RecordsAggregate.report_fields`.
 
     Fallback rate is None (rendered "not applicable") unless every record
     was generated by a coordinated regime.
@@ -241,20 +172,20 @@ def dataset_report(
     if not records:
         raise ValueError("cannot report on an empty dataset")
     agg = aggregate_records(((r.regime, r.records) for r in records), threshold)
-    return DatasetReport(
-        problems_attempted=len(records),
-        correctly_solved=sum(1 for r in records if r.kind == "full-trace"),
-        sub_threshold=threshold,
+    return {
+        "problems_attempted": len(records),
+        "correctly_solved": sum(1 for r in records if r.kind == "full-trace"),
+        "sub_threshold": threshold,
         **agg.report_fields(),
-    )
+    }
 
 
-def write_surprisal_csv(item: "Trace | DatasetRecord", path: str | Path) -> None:
+def write_surprisal_csv(records: Sequence[TokenRecord], path: str | Path) -> None:
     """Columns: step, surprisal (nats), accepted (0/1), fallback (0/1)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "surprisal", "accepted", "fallback"])
-        for i, rec in enumerate(item.records):
+        for i, rec in enumerate(records):
             s = rec.surprisal_student
             writer.writerow([i, "" if s is None else repr(s), int(rec.accepted), int(rec.fallback)])
 

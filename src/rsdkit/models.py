@@ -126,18 +126,13 @@ class LanguageModel(ABC):
     the context, and the remote model locks its own cache.
     """
 
-    backend: str = "abstract"
     vocab_size: int
     eos_token: int
 
     @abstractmethod
     def next_distribution(self, context: Sequence[int]) -> Distribution:
-        """Raw (temperature-1) distribution after the given context."""
-
-    def _check_context(self, context: Sequence[int]) -> None:
-        for t in context:
-            if not 0 <= t < self.vocab_size:
-                raise ValueError(f"context token {t} outside vocabulary of size {self.vocab_size}")
+        """Raw (temperature-1) distribution after the given context, whose
+        tokens the caller has checked against ``vocab_size``."""
 
 
 class TableModel(LanguageModel):
@@ -146,8 +141,6 @@ class TableModel(LanguageModel):
     The longest declared suffix matching the context tail wins; contexts
     matching no row get the default. All rows must share one vocab size.
     """
-
-    backend = "table"
 
     def __init__(
         self,
@@ -174,7 +167,6 @@ class TableModel(LanguageModel):
             raise ValueError(f"eos token {self.eos_token} outside vocabulary")
 
     def next_distribution(self, context: Sequence[int]) -> Distribution:
-        self._check_context(context)
         n = len(context)
         for length in self._key_lengths:
             if length > n:
@@ -192,8 +184,6 @@ class NgramModel(LanguageModel):
     context whose counts are all zero backs off to the next shorter order
     (order 0, the corpus unigram, always has mass).
     """
-
-    backend = "ngram"
 
     def __init__(
         self,
@@ -233,7 +223,6 @@ class NgramModel(LanguageModel):
             raise ValueError(f"eos token {self.eos_token} outside vocabulary")
 
     def next_distribution(self, context: Sequence[int]) -> Distribution:
-        self._check_context(context)
         k = min(self.order - 1, len(context))
         while True:
             ctx = tuple(context[len(context) - k :]) if k else ()

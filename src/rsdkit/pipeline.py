@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .decoding import REGIMES, GenerationConfig, TokenRecord, Trace, _surprisal
+from .decoding import REGIMES, TokenRecord, Trace, _surprisal
 from .metrics import aggregate_records
 from .models import LanguageModel
 from .remote import BackendError
@@ -437,21 +437,21 @@ def read_traces_jsonl(path: str | Path) -> list[Trace]:
 
 def score_external_traces(
     source: str | Path | Iterable[Mapping], student: LanguageModel
-) -> list[Trace]:
+) -> list[list[TokenRecord]]:
     """Force-score externally generated token sequences under the student.
 
     ``source`` is an external-traces JSONL file, whose faults name the path
     and the line, or the entries themselves, whose faults name the 0-based
     entry index. Each entry carries ``prompt_tokens`` and ``tokens`` (both
-    in the student vocabulary; out-of-vocabulary ids raise). The result is
-    a solo-shaped trace with per-token student probabilities filled, ready
-    for any of the trace metrics.
+    in the student vocabulary; out-of-vocabulary ids raise). Each entry
+    yields one list of token records with the student probabilities filled,
+    ready for the records-level metrics.
     """
     if isinstance(source, (str, Path)):
         located = ((f"{source}: line {i}", row) for i, row in read_jsonl(source))
     else:
         located = ((f"external trace {n}", entry) for n, entry in enumerate(source))
-    out: list[Trace] = []
+    out: list[list[TokenRecord]] = []
     for where, entry in located:
         try:
             prompt = [int(t) for t in entry["prompt_tokens"]]
@@ -479,22 +479,7 @@ def score_external_traces(
                 )
             )
             ctx.append(token)
-        cfg = GenerationConfig(
-            p_th=0.0,
-            max_tokens=len(tokens),
-            temperature=1.0,
-            context_limit=max(len(ctx), len(tokens)),
-            seed=0,
-            regime="solo-teacher",
-        )
-        out.append(
-            Trace(
-                prompt=tuple(prompt),
-                records=records,
-                config=cfg,
-                terminated_by="eos" if tokens[-1] == student.eos_token else "length-budget",
-            )
-        )
+        out.append(records)
     return out
 
 

@@ -87,6 +87,12 @@ class BackendEndpoint:
         object.__setattr__(self, "timeout_s", float(self.timeout_s))
         object.__setattr__(self, "max_retries", int(self.max_retries))
         object.__setattr__(self, "backoff_s", float(self.backoff_s))
+        if not self.timeout_s > 0:  # NaN fails each of these three checks
+            raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not self.backoff_s >= 0:
+            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
         url = urlsplit(str(self.base_url))
         if url.scheme not in _CONNECTIONS or not url.hostname or url.port == 0:  # .port raises if bad
             raise ValueError(f"base_url {self.base_url!r} is not an http:// or https:// URL with a host")
@@ -97,7 +103,7 @@ def _request(endpoint: BackendEndpoint, local, method: str, path: str, *, params
              tally=lambda **counts: None):
     """``body`` as JSON on this thread's connection; retries with backoff, ``tally``s each try."""
     if getattr(local, "conn", None) is None:
-        local.conn = _CONNECTIONS[endpoint._url.scheme](endpoint._url.netloc, timeout=endpoint.timeout_s)
+        local.conn = _connect(endpoint)
     target = endpoint._url.path.rstrip("/") + path + (f"?{urlencode(params)}" if params else "")
     data = None if body is None else json.dumps(body).encode("utf-8")
     last: Exception | None = None
@@ -124,6 +130,11 @@ def _request(endpoint: BackendEndpoint, local, method: str, path: str, *, params
             raise BackendError(f"{method} {path} -> body is not JSON: {text!r}") from exc
     url = endpoint.base_url.rstrip("/") + path
     raise BackendUnavailableError(f"{url} unreachable after {endpoint.max_retries + 1} tries: {last}")
+
+
+def _connect(endpoint: BackendEndpoint) -> http.client.HTTPConnection:
+    """A new, not yet connected, connection to ``endpoint``."""
+    return _CONNECTIONS[endpoint._url.scheme](endpoint._url.netloc, timeout=endpoint.timeout_s)
 
 
 def _exchange(conn: http.client.HTTPConnection, method: str, target: str, data: bytes | None):
@@ -233,12 +244,11 @@ class RemoteModel(LanguageModel):
     """LanguageModel backed by the wire protocol above.
 
     Thread-safe; the caller's worker count bounds the requests in flight,
-    each thread on its own connection. The response cache is shared (sound,
-    since responses are pure functions of the context) and bounded. ``stats``
-    counts HTTP tries, retries, cache hits, body bytes and seconds in requests.
+    each thread on its own connection, and :meth:`close` closes them all.
+    The response cache is shared (sound, since responses are pure functions
+    of the context) and bounded. ``stats`` counts HTTP tries, retries, cache
+    hits, body bytes and seconds in requests.
     """
-
-    backend = "remote"
 
     def __init__(self, endpoint: BackendEndpoint, cache_size: int = 256) -> None:
         self.endpoint = endpoint
@@ -250,6 +260,7 @@ class RemoteModel(LanguageModel):
         self._cache_size = cache_size
         self._lock = threading.Lock()
         self._local = threading.local()
+        self._opened: list[http.client.HTTPConnection] = []  # every thread's, for close()
         self.stats = Counter(requests=0, retries=0, cache_hits=0, request_bytes=0, response_bytes=0,
                              round_trip_s=0.0)
 
@@ -271,6 +282,10 @@ class RemoteModel(LanguageModel):
             "want": "full",
             "encoding": F64_B64,
         }
+        if getattr(self._local, "conn", None) is None:  # this thread's first request
+            self._local.conn = _connect(self.endpoint)
+            with self._lock:
+                self._opened.append(self._local.conn)
         payload = _request(self.endpoint, self._local, "POST", "/v1/distribution",
                            body=body, tally=self._tally)
         dist = distribution_from_payload(payload, self.vocab_size)
@@ -283,3 +298,9 @@ class RemoteModel(LanguageModel):
     def _tally(self, **counts) -> None:
         with self._lock:
             self.stats.update(counts)
+
+    def close(self) -> None:
+        """Close every thread's connection; a thread's next request reconnects it."""
+        with self._lock:
+            for conn in self._opened:
+                conn.close()

@@ -2,11 +2,11 @@
 
 Wraps any in-process LanguageModel (tables, n-grams) behind the same wire
 surface a real inference server would expose, so decoders can be exercised
-end to end over HTTP without GPUs. A request with
-``"encoding": "f64-b64"`` gets only ``probs_f64``, the exact probabilities
-as base64 little-endian float64; a request without ``encoding`` gets
-``logprobs`` and exact ``probs`` as JSON lists (see :mod:`rsdkit.remote`
-for why both exist). Any other ``encoding`` or ``want`` is HTTP 400.
+end to end over HTTP without GPUs. A request must carry
+``"encoding": "f64-b64"`` and gets ``probs_f64``, the exact probabilities
+as base64 little-endian float64. Any other or missing ``encoding``, any
+other ``want`` and any context token outside the model's vocabulary is
+HTTP 400.
 
 Usable as a context manager in tests (background thread) or run in the
 foreground via the ``stub-serve`` CLI subcommand.
@@ -135,7 +135,7 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
             if want != "full":
                 self._fail(400, f"unsupported want {want!r}")
                 return
-            if encoding not in (None, F64_B64):
+            if encoding != F64_B64:
                 self._fail(400, f"unsupported encoding {encoding!r}")
                 return
             model = models.get(name)
@@ -145,29 +145,15 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
             if len(context) > max_context:
                 self._fail(400, f"context length {len(context)} exceeds max {max_context}")
                 return
-            try:
-                dist = model.next_distribution(context)
-            except ValueError as exc:
-                self._fail(400, str(exc))
-                return
-            self._send(200, _full_payload(name, dist, encoding))
+            for t in context:
+                if not 0 <= t < model.vocab_size:
+                    self._fail(400, f"context token {t} outside vocabulary of size {model.vocab_size}")
+                    return
+            self._send(200, _full_payload(name, model.next_distribution(context)))
 
     return Handler
 
 
-# zero-probability entries clamp to a huge negative logprob instead of
-# -Infinity so the emitted JSON stays strict-parser friendly
-ZERO_MASS_LOGPROB = -1e300
-
-
-def _full_payload(name: str, dist: Distribution, encoding: str | None) -> dict:
-    if encoding == F64_B64:
-        raw = np.ascontiguousarray(dist.probs, dtype="<f8").tobytes()
-        return {"model": name, "probs_f64": base64.b64encode(raw).decode("ascii")}
-    with np.errstate(divide="ignore"):
-        lp = np.log(dist.probs)
-    return {
-        "model": name,
-        "logprobs": [float(x) if np.isfinite(x) else ZERO_MASS_LOGPROB for x in lp],
-        "probs": [float(p) for p in dist.probs],
-    }
+def _full_payload(name: str, dist: Distribution) -> dict:
+    raw = np.ascontiguousarray(dist.probs, dtype="<f8").tobytes()
+    return {"model": name, "probs_f64": base64.b64encode(raw).decode("ascii")}

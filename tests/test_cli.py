@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ import pytest
 from rsdkit import cli
 from rsdkit.cli import DEFAULT_SWEEP_THRESHOLDS, build_parser, build_stub_server, main
 from rsdkit.config import load_run_config, build_model
-from rsdkit.metrics import sub_threshold_ratio
+from rsdkit.metrics import aggregate_records
 from rsdkit.pipeline import import_dataset, score_external_traces
 from rsdkit.remote import BackendEndpoint, BackendUnavailableError, handshake
 
@@ -207,8 +209,9 @@ class TestAnalyze:
 
         cfg = load_run_config(cfg_path)
         student = build_model(cfg.student_spec, "student")
-        traces = score_external_traces(rows, student)
-        expected = 100.0 * sub_threshold_ratio(traces, 0.01)
+        scored = score_external_traces(rows, student)
+        agg = aggregate_records(((None, records) for records in scored), 0.01)
+        expected = 100.0 * agg.below / agg.tokens
         assert report["sub_threshold_pct"] == expected
         assert report["fallback_rate_pct"] is None
         assert report["traces"] == 2
@@ -247,7 +250,7 @@ class TestAnalyze:
             decode(None, student, [0], GenerationConfig(p_th=0.3, max_tokens=4, regime="solo-student")),
         ]
         records = [full_trace_record(f"p{i}", t, f"p{i}#attempt-0") for i, t in enumerate(traces)]
-        assert dataset_report(records).fallback_rate_pct is None
+        assert dataset_report(records)["fallback_rate_pct"] is None
 
         path = tmp_path / "traces.jsonl"
         write_traces_jsonl(traces, path)
@@ -344,6 +347,26 @@ class TestRemoteBackend:
         assert stats["requests"] > 0
         assert stats["retries"] == 0
         assert stats["cache_hits"] > 0  # the same prompt in every attempt
+
+    def test_remote_generate_closes_every_connection(self, tmp_path):
+        served = build_stub_server(load_run_config(write_config(tmp_path, answers=["b"])), "127.0.0.1", 0)
+        with served:
+            teacher = {"backend": "remote", "base_url": served.base_url, "model_name": "teacher"}
+            cfg_path = write_config(tmp_path, answers=["bbbbbb", "zzz", "bb", "ab"], teacher=teacher, workers=2)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["generate", str(cfg_path)]) == 0
+                gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    @pytest.mark.parametrize("key, value", [("max_retries", -1), ("timeout_s", 0), ("backoff_s", -0.5)])
+    def test_impossible_retry_setting_is_config_error_at_once(self, tmp_path, capsys, key, value):
+        teacher = {"backend": "remote", "base_url": "http://127.0.0.1:9", "model_name": "m", key: value}
+        cfg_path = write_config(tmp_path, answers=["b"], teacher=teacher)
+        assert main(["generate", str(cfg_path)]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert f"{key} must be" in error["message"]
 
     @pytest.mark.parametrize("base_url", ["localhost:8000", "127.0.0.1:9", "ftp://127.0.0.1:1", "http://"])
     def test_malformed_base_url_is_config_error_at_once(self, tmp_path, capsys, base_url):

@@ -175,6 +175,16 @@ class TestSolo:
         assert all(r.p_student is None and r.surprisal_student is None for r in trace.records)
         assert all(not r.accepted and not r.fallback for r in trace.records)
 
+    def test_token_outside_scoring_student_scores_zero_then_stops_the_decode(self):
+        teacher = TableModel({}, one_hot(6, 4), eos_token=5)
+        student = TableModel({}, [0.25] * 4, eos_token=3)
+        last_step = decode(teacher, student, [0], cfg(regime="solo-teacher", max_tokens=1))
+        assert [(r.token, r.p_student) for r in last_step.records] == [(4, 0.0)]
+        with pytest.raises(ValueError, match="context token 4 outside vocabulary of size 4"):
+            decode(teacher, student, [0], cfg(regime="solo-teacher", max_tokens=2))
+        with pytest.raises(ValueError, match="context token 5 outside vocabulary of size 4"):
+            decode(teacher, student, [0, 5], cfg(regime="solo-teacher", max_tokens=1))
+
 
 class TestDecodeChecks:
     @pytest.mark.parametrize(

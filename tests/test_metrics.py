@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from rsdkit.decoding import GenerationConfig, TokenRecord, Trace, decode
+from rsdkit.decoding import GenerationConfig, TokenRecord, Trace, _surprisal, decode
 from rsdkit.metrics import (
     dataset_report,
     fallback_rate,
@@ -16,8 +16,6 @@ from rsdkit.metrics import (
     records_perplexity,
     step_entropy,
     sub_threshold_ratio,
-    token_surprisal,
-    trace_perplexity,
     write_surprisal_csv,
     write_token_tally_csv,
 )
@@ -45,25 +43,27 @@ def make_trace(p_students, regime="rsd", fallbacks=None, tokens=None) -> Trace:
 
 
 class TestSurprisal:
+    """The surprisal decoding records for each token, ``-ln(p_student)``."""
+
     def test_certain_token_has_zero_surprisal(self):
-        assert token_surprisal(make_trace([1.0]))[0] == 0.0
+        assert _surprisal(1.0) == 0.0
 
     def test_inverse_e_token_has_unit_surprisal(self):
-        assert token_surprisal(make_trace([math.exp(-1)]))[0] == pytest.approx(1.0, abs=1e-12)
+        assert _surprisal(math.exp(-1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_one_percent_token(self):
-        assert token_surprisal(make_trace([0.01]))[0] == pytest.approx(4.605170185988091, abs=1e-9)
+        assert _surprisal(0.01) == pytest.approx(4.605170185988091, abs=1e-9)
 
     def test_zero_probability_flags_infinity(self):
-        series = token_surprisal(make_trace([0.5, 0.0, 0.5]))
+        series = [_surprisal(p) for p in (0.5, 0.0, 0.5)]
         assert series[1] == math.inf
-        assert np.isfinite(series[[0, 2]]).all()
+        assert np.isfinite([series[0], series[2]]).all()
 
     def test_unscored_trace_rejected(self):
         trace = make_trace([0.5])
-        trace.records[0].p_student = None
-        with pytest.raises(ValueError, match="no student probability"):
-            token_surprisal(trace)
+        trace.records[0].surprisal_student = None
+        with pytest.raises(ValueError, match="no surprisal values"):
+            records_perplexity(trace.records)
 
 
 class TestEntropy:
@@ -88,29 +88,28 @@ class TestEntropy:
 
 class TestPerplexity:
     def test_constant_half_probability_gives_two(self):
-        assert trace_perplexity(make_trace([0.5, 0.5, 0.5])) == pytest.approx(2.0, rel=1e-12)
+        assert records_perplexity(make_trace([0.5, 0.5, 0.5]).records) == pytest.approx(2.0, rel=1e-12)
 
     def test_single_tenth_probability_gives_ten(self):
-        assert trace_perplexity(make_trace([0.1])) == pytest.approx(10.0, rel=1e-12)
+        assert records_perplexity(make_trace([0.1]).records) == pytest.approx(10.0, rel=1e-12)
 
     def test_geometric_mean_identity(self):
-        assert trace_perplexity(make_trace([0.5, 0.125])) == pytest.approx(4.0, rel=1e-12)
+        assert records_perplexity(make_trace([0.5, 0.125]).records) == pytest.approx(4.0, rel=1e-12)
 
     def test_equals_exp_mean_surprisal(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             probs = rng.uniform(1e-4, 1.0, size=int(rng.integers(1, 30)))
             trace = make_trace(list(probs))
-            lhs = trace_perplexity(trace)
-            rhs = math.exp(float(token_surprisal(trace).mean()))
+            lhs = records_perplexity(trace.records)
+            rhs = math.exp(float(np.mean(-np.log(probs))))
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            trace_perplexity(make_trace([]))
+    def test_empty_records_have_nan_perplexity(self):
+        assert math.isnan(records_perplexity(make_trace([]).records))
 
     def test_infinite_surprisal_flags_infinite_perplexity(self):
-        assert trace_perplexity(make_trace([0.5, 0.0])) == math.inf
+        assert records_perplexity(make_trace([0.5, 0.0]).records) == math.inf
 
 
 class TestSubThreshold:
@@ -201,20 +200,20 @@ class TestRecountOracle:
             for r in recs:
                 if r["p_student"] < 0.3:
                     counts[r["token"]] = counts.get(r["token"], 0) + 1
-        assert low_prob_token_tally(traces, 0.3) == counts
+        assert low_prob_token_tally((t.records for t in traces), 0.3) == counts
 
 
 class TestTally:
     def test_empty_when_nothing_below(self):
-        assert low_prob_token_tally([make_trace([0.5, 0.6])], 0.01) == {}
+        assert low_prob_token_tally([make_trace([0.5, 0.6]).records], 0.01) == {}
 
     def test_single_token_counted_three_times(self):
         trace = make_trace([0.001, 0.001, 0.001], tokens=[7, 7, 7])
-        assert low_prob_token_tally([trace], 0.01) == {7: 3}
+        assert low_prob_token_tally([trace.records], 0.01) == {7: 3}
 
     def test_descending_count_order(self):
         trace = make_trace([0.001] * 5, tokens=[3, 1, 3, 2, 3])
-        tally = low_prob_token_tally([trace], 0.01)
+        tally = low_prob_token_tally([trace.records], 0.01)
         assert list(tally.items()) == [(3, 3), (1, 1), (2, 1)]
 
 
@@ -235,10 +234,10 @@ class TestDatasetReport:
     def test_single_solved_trace_no_fallbacks(self):
         rec = record_from_trace(make_trace([0.5, 0.5]), "p0", "full-trace")
         report = dataset_report([rec], 0.01)
-        assert report.problems_attempted == 1
-        assert report.correctly_solved == 1
-        assert report.fallback_rate_pct == 0.0
-        assert report.sub_threshold_pct == 0.0
+        assert report["problems_attempted"] == 1
+        assert report["correctly_solved"] == 1
+        assert report["fallback_rate_pct"] == 0.0
+        assert report["sub_threshold_pct"] == 0.0
 
     def test_hand_computed_small_dataset(self):
         # 3 records, 2 solved; 8 tokens total, 2 below 1%, 3 fallbacks
@@ -250,44 +249,41 @@ class TestDatasetReport:
             make_trace([0.6, 0.7, 0.8], fallbacks=[True, True, False]), "c", "upft-prefix"
         )
         report = dataset_report([r1, r2, r3], 0.01)
-        assert report.problems_attempted == 3
-        assert report.correctly_solved == 2
-        assert report.fallback_rate_pct == pytest.approx(100 * 3 / 8)
-        assert report.sub_threshold_pct == pytest.approx(100 * 2 / 8)
-        assert report.avg_token_count == pytest.approx(8 / 3)
+        assert report["problems_attempted"] == 3
+        assert report["correctly_solved"] == 2
+        assert report["fallback_rate_pct"] == pytest.approx(100 * 3 / 8)
+        assert report["sub_threshold_pct"] == pytest.approx(100 * 2 / 8)
+        assert report["avg_token_count"] == pytest.approx(8 / 3)
         ppls = [
             records_perplexity(r1.records),
             records_perplexity(r2.records),
             records_perplexity(r3.records),
         ]
-        assert report.perplexity_summary["min"] == pytest.approx(min(ppls))
-        assert report.perplexity_summary["max"] == pytest.approx(max(ppls))
-        assert report.perplexity_summary["mean"] == pytest.approx(sum(ppls) / 3)
+        summary = report["perplexity_summary"]
+        assert summary["min"] == pytest.approx(min(ppls))
+        assert summary["max"] == pytest.approx(max(ppls))
+        assert summary["mean"] == pytest.approx(sum(ppls) / 3)
 
     def test_solo_dataset_reports_no_fallback_rate(self):
         rec = record_from_trace(make_trace([0.5], regime="solo-student"), "p", "full-trace")
-        assert dataset_report([rec], 0.01).fallback_rate_pct is None
+        assert dataset_report([rec], 0.01)["fallback_rate_pct"] is None
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             dataset_report([], 0.01)
 
-    def test_report_json_round_trip(self, tmp_path):
-        from rsdkit.metrics import DatasetReport
-
+    def test_report_json_round_trip(self):
+        # plain JSON types only: what the CLI writes reads back equal
         rec = record_from_trace(make_trace([0.5, 0.25]), "p0", "full-trace")
         report = dataset_report([rec], 0.01)
-        path = tmp_path / "report.json"
-        report.save(path)
-        loaded = DatasetReport.from_json_dict(json.loads(path.read_text()))
-        assert loaded == report
+        assert json.loads(json.dumps(report)) == report
 
 
 class TestCsvEmission:
     def test_surprisal_csv_one_row_per_token(self, tmp_path):
         trace = make_trace([0.5, 0.004, 1.0], fallbacks=[False, True, False])
         path = tmp_path / "s.csv"
-        write_surprisal_csv(trace, path)
+        write_surprisal_csv(trace.records, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,surprisal,accepted,fallback"
         assert len(lines) == 4

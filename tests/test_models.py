@@ -153,11 +153,6 @@ class TestTableModel:
         with pytest.raises(ValueError, match="vocab size"):
             TableModel({(0,): [0.5, 0.5]}, [0.25] * 4)
 
-    def test_out_of_vocab_context_rejected(self):
-        m = TableModel({}, [0.25] * 4)
-        with pytest.raises(ValueError, match="outside vocabulary"):
-            m.next_distribution([4])
-
     def test_eos_defaults_to_last_token(self):
         assert TableModel({}, [0.25] * 4).eos_token == 3
         assert TableModel({}, [0.25] * 4, eos_token=1).eos_token == 1

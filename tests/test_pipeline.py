@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rsdkit.decoding import GenerationConfig, decode
+from rsdkit.metrics import aggregate_records
 from rsdkit.models import TableModel
 from rsdkit.pipeline import (
     DataError,
@@ -404,11 +405,11 @@ class TestScoreExternal:
             t = int(np.argmax(d.probs))
             tokens.append(t)
             ctx.append(t)
-        (trace,) = score_external_traces(
+        (records,) = score_external_traces(
             [{"prompt_tokens": [0], "tokens": tokens}], student
         )
         replay_ctx = [0]
-        for rec in trace.records:
+        for rec in records:
             d = student.next_distribution(replay_ctx)
             assert rec.token == int(np.argmax(d.probs))
             assert rec.p_student == d[rec.token]
@@ -416,19 +417,18 @@ class TestScoreExternal:
 
     def test_one_hot_student_gives_zero_surprisal(self):
         student = TableModel({}, [1.0, 0.0], eos_token=1)
-        (trace,) = score_external_traces(
+        (records,) = score_external_traces(
             [{"prompt_tokens": [0], "tokens": [0, 0, 0]}], student
         )
-        assert all(r.surprisal_student == 0.0 for r in trace.records)
+        assert all(r.surprisal_student == 0.0 for r in records)
 
     def test_sub_threshold_matches_hand_count(self):
-        from rsdkit.metrics import sub_threshold_ratio
-
         student = TableModel({}, [0.9, 0.02, 0.005, 0.075], eos_token=3)
         tokens = [0, 1, 2, 0, 2, 1, 0, 0, 1, 2, 0, 1, 0, 0, 2, 0, 1, 0, 0, 2]
-        traces = score_external_traces([{"prompt_tokens": [0], "tokens": tokens}], student)
+        scored = score_external_traces([{"prompt_tokens": [0], "tokens": tokens}], student)
+        agg = aggregate_records(((None, records) for records in scored), 0.01)
         # hand count: context-free student, p(2)=0.005 < 1%; token 2 occurs 5 times in 20
-        assert sub_threshold_ratio(traces, 0.01) == pytest.approx(5 / 20)
+        assert agg.below / agg.tokens == pytest.approx(5 / 20)
 
     def test_out_of_vocabulary_token_rejected(self):
         student = TableModel({}, [0.5, 0.5], eos_token=1)
@@ -436,12 +436,11 @@ class TestScoreExternal:
             score_external_traces([{"prompt_tokens": [0], "tokens": [0, 7]}], student)
 
     def test_traces_are_solo_shaped_for_metrics(self):
-        from rsdkit.metrics import fallback_rate
-
+        # scored, never proposed or approved: no regime, so no fallback rate
         student = TableModel({}, [0.5, 0.5], eos_token=1)
-        traces = score_external_traces([{"prompt_tokens": [0], "tokens": [0, 1]}], student)
-        with pytest.raises(ValueError, match="undefined"):
-            fallback_rate(traces)
+        (records,) = score_external_traces([{"prompt_tokens": [0], "tokens": [0, 1]}], student)
+        assert not any(r.accepted or r.fallback for r in records)
+        assert aggregate_records([(None, records)]).report_fields()["fallback_rate_pct"] is None
 
 
 class TestRunGeneration:

@@ -14,9 +14,10 @@ proposal is at least ``p_th``, and otherwise samples the token itself (a
 
 Teacher-side samples come from the suppression-filtered, tempered teacher
 distribution, so every one is student-scoreable; student-side samples come
-from the tempered student distribution; rows memoize both (``_tempered``).
-Solo decodes use the identity map of the decoding model, under which
-suppression changes nothing. Generation
+from the tempered student distribution. Both are one fused pass,
+:func:`~rsdkit.models.sample`, over weights each row memoizes once per
+(temperature, suppressed ids). Solo decodes use the identity map of the
+decoding model, under which suppression changes nothing. Generation
 stops at the student's EOS token (the decoding model's own in solo regimes)
 or after ``max_tokens`` emitted tokens; every step is recorded in full.
 
@@ -29,21 +30,22 @@ corresponding solo decodes (for ``rsd``, when suppression removes no mass).
 
 Thresholding uses the *raw* (temperature-1) probability by default so the
 acceptance rule measures the same quantity as the sub-threshold diagnostics;
-``threshold_uses_raw=False`` switches the check to the tempered value (the
-recorded probabilities stay raw either way).
+``threshold_uses_raw=False`` switches the check to the tempered value, read
+off the approver row's memoized weights (the recorded probabilities stay raw
+either way).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .models import Distribution, LanguageModel, apply_temperature, sample
+# apply_temperature and suppress stay attributes here, beside sample, for profilers to patch
+from .models import Distribution, LanguageModel, apply_temperature, sample  # noqa: F401
 from .seeding import StepStream
-from .vocab import DualContext, VocabularyAlignmentError, VocabularyMap, suppress
+from .vocab import DualContext, VocabularyAlignmentError, VocabularyMap, suppress  # noqa: F401
 
 REGIMES = ("rsd", "skd", "solo-teacher", "solo-student")
 COORDINATED_REGIMES = ("rsd", "skd")
@@ -186,27 +188,6 @@ def _surprisal(p: float) -> float:
     return math.inf if p <= 0.0 else -math.log(p)
 
 
-_FILL = threading.Lock()  # one fill per (row, key) however workers race, so a run's work repeats
-
-
-def _tempered(
-    dist: Distribution, temperature: float, vmap: VocabularyMap | None = None
-) -> Distribution:
-    """``dist`` without ``vmap``'s suppressed ids, at ``temperature``; memoized
-    on ``dist`` under (temperature, suppressed ids), so maps that suppress
-    nothing share one entry. A result that is ``dist`` itself is stored as
-    None, as a self-cycle would outlive the row's last reference."""
-    key = (temperature, frozenset() if vmap is None else vmap.suppressed)
-    with _FILL:
-        memo = dist._tempered or {}
-        if key not in memo:
-            out = apply_temperature(suppress(dist, vmap) if key[1] else dist, temperature)
-            memo[key] = None if out is dist else out
-            dist._tempered = memo
-        out = memo[key]
-    return dist if out is None else out
-
-
 def prompt_context(
     teacher: LanguageModel | None,
     student: LanguageModel | None,
@@ -257,13 +238,9 @@ def decode(
     eos = home.eos_token
 
     def draw(teacher_side: bool, dist: Distribution, stream: StepStream) -> int:
-        if not teacher_side:
-            return sample(_tempered(dist, cfg.temperature), stream)
-        token = sample(_tempered(dist, cfg.temperature, vmap), stream)
-        if approving and (token >= student.vocab_size or vmap.is_student_only(token)):
-            raise VocabularyAlignmentError(
-                f"suppression failed to filter token {token}, unscoreable by the student"
-            )
+        token = sample(dist, stream, cfg.temperature, vmap if teacher_side else None)
+        if teacher_side and approving and (token >= student.vocab_size or vmap.is_student_only(token)):
+            raise VocabularyAlignmentError(f"suppression failed to filter token {token}, unscoreable by the student")
         return token
 
     records: list[TokenRecord] = []
@@ -285,8 +262,7 @@ def decode(
             if vmap.is_student_only(token):  # unscoreable by a teacher approver
                 decision_p = 0.0
             else:
-                judged = judge if cfg.threshold_uses_raw else _tempered(judge, cfg.temperature)
-                decision_p = _prob(judged, token, 0.0)
+                decision_p = _prob(judge, token, 0.0, 1.0 if cfg.threshold_uses_raw else cfg.temperature)
             fallback = decision_p < cfg.p_th
             if fallback:
                 token = draw(not teacher_proposes, judge, stream)
@@ -313,10 +289,13 @@ def decode(
     return Trace(prompt=tuple(prompt), records=records, config=cfg, terminated_by=terminated)
 
 
-def _prob(dist: Distribution, token: int, outside: float | None) -> float | None:
-    """Raw probability of ``token`` (a sampled, so non-negative, id), or
-    ``outside`` beyond the vocabulary."""
+def _prob(dist: Distribution, token: int, outside: float | None, temperature: float = 1.0) -> float | None:
+    """Probability of ``token`` (a sampled, so non-negative, id) at ``temperature``, read off the
+    row's memoized cumulative weights unless T = 1; ``outside`` beyond the vocabulary."""
     try:
-        return dist[token]
+        if temperature == 1.0:
+            return dist[token]
+        cdf = dist.cdf(temperature)
+        return float(cdf[token] - cdf[token - 1] if token else cdf[0]) / float(cdf[-1])
     except IndexError:
         return outside

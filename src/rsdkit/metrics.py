@@ -147,11 +147,24 @@ def low_prob_token_tally(
     return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.percentile(values, 100 * q)`` bit for bit, computed as numpy's ``linear`` method does
+    (same partition, lerp from the upper value past t = 0.5, ``inf - inf`` is NaN), without the
+    ``numpy.ma`` import (about 10 ms) that numpy's first call makes."""
+    index = (values.shape[0] - 1) * q
+    lo, hi = (-1, -1) if index >= values.shape[0] - 1 else (math.floor(index), math.floor(index) + 1)
+    arr = np.partition(values, sorted({0, -1, lo, hi}))
+    if math.isnan(arr[-1]):  # NaN sorts last and makes every quantile NaN
+        return math.nan
+    a, b, t = float(arr[lo]), float(arr[hi]), index - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def summary_stats(values: Sequence[float]) -> dict[str, float]:
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         return {k: math.nan for k in ("min", "q1", "median", "q3", "max", "mean")}
-    q1, median, q3 = (float(np.percentile(arr, q)) for q in (25, 50, 75))
+    q1, median, q3 = (_quantile(arr, q) for q in (0.25, 0.5, 0.75))
     return {
         "min": float(arr.min()),
         "q1": q1,

@@ -19,10 +19,14 @@ concurrent workers.
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .vocab import VocabularyMap
 
 NORMALIZATION_ATOL = 1e-9
 
@@ -39,13 +43,13 @@ class Distribution:
     """Dense normalized probability vector over a vocabulary.
 
     Entries are finite float64, non-negative, and sum to 1 within
-    ``NORMALIZATION_ATOL``. Instances are immutable, so each memoizes its
-    sampling CDF and, beside it, the tempered copies :mod:`rsdkit.decoding`
-    samples from (racing workers would store identical results; a lock makes
-    each fill happen once). Both memos die with the row.
+    ``NORMALIZATION_ATOL``. Instances are immutable, so each memoizes the
+    cumulative :func:`tempered_weights` :func:`sample` draws from, one vector
+    per (temperature, suppressed ids); the memo dies with the row.
     """
 
-    __slots__ = ("probs", "_cdf", "_tempered")
+    __slots__ = ("probs", "_cdfs")
+    _fill = threading.Lock()  # one fill per (row, key) however workers race, so a run's work repeats
 
     def __init__(self, probs: Sequence[float] | np.ndarray, *, validate: bool = True) -> None:
         arr = np.asarray(probs, dtype=np.float64)
@@ -60,8 +64,7 @@ class Distribution:
             if abs(total - 1.0) > NORMALIZATION_ATOL:
                 raise ValueError(f"distribution sums to {total!r}, expected 1 within {NORMALIZATION_ATOL}")
         self.probs = arr
-        self._cdf: np.ndarray | None = None
-        self._tempered: dict[tuple[float, frozenset[int]], Distribution | None] | None = None
+        self._cdfs: dict[tuple[float, frozenset[int]], np.ndarray] = {}
 
     @property
     def vocab_size(self) -> int:
@@ -70,52 +73,67 @@ class Distribution:
     def __getitem__(self, token: int) -> float:
         return float(self.probs[token])
 
-    def cdf(self) -> np.ndarray:
-        if self._cdf is None:
-            self._cdf = np.cumsum(self.probs)
-        return self._cdf
+    def cdf(self, temperature: float = 1.0, suppressed: VocabularyMap | None = None) -> np.ndarray:
+        """Cumulative :func:`tempered_weights`, memoized per (temperature, suppressed ids)."""
+        key = (temperature, frozenset() if suppressed is None else suppressed.suppressed)
+        with self._fill:
+            cdf = self._cdfs.get(key)
+            if cdf is None:
+                w = tempered_weights(self, temperature, suppressed)
+                cdf = self._cdfs[key] = np.cumsum(w, out=None if w is self.probs else w)
+        return cdf
 
     def __repr__(self) -> str:
         return f"Distribution({self.probs!r})"
 
 
-def apply_temperature(dist: Distribution, temperature: float) -> Distribution:
-    """Rescale a distribution to ``p_i^(1/T) / Z``.
-
-    Equivalent to dividing logits by T for softmax-derived distributions.
-    T = 1 returns the input object unchanged (exact identity). Computed in
-    log space so extreme temperatures do not underflow the whole vector.
-    """
+def tempered_weights(dist: Distribution, temperature: float = 1.0, suppressed: VocabularyMap | None = None) -> np.ndarray:
+    """The one tempering formula: unnormalized ``p_i^(1/T)`` without ``suppressed``'s ids, largest
+    weight 1. ``dist.probs`` itself at T = 1 with no suppressed mass, else one pass over a fresh
+    vector in log space, so extreme temperatures cannot underflow the whole vector."""
     if temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
+    p = dist.probs
+    ids = [] if suppressed is None else suppressed.suppressed_ids[suppressed.suppressed_ids < p.shape[0]]
+    cut = bool(p[ids].any())
+    if temperature == 1.0:
+        if not cut:
+            return p
+        w = p.copy()
+        w[ids] = 0.0
+        if not w.any():
+            raise EmptySupportError("suppression removed all probability mass")
+        return w
+    with np.errstate(divide="ignore"):
+        w = np.log(p)
+    w[ids] = -np.inf
+    w /= temperature
+    top = w.max()
+    if top == -np.inf:
+        cause = "suppression removed all probability mass" if cut else "cannot temper a distribution with no mass"
+        raise EmptySupportError(cause)
+    w -= top
+    return np.exp(w, out=w)
+
+
+def apply_temperature(dist: Distribution, temperature: float) -> Distribution:
+    """Rescale a distribution to ``p_i^(1/T) / Z``, as dividing logits by T
+    does; T = 1 returns the input object unchanged (exact identity)."""
     if temperature == 1.0:
         return dist
-    p = dist.probs
-    out = np.zeros_like(p)
-    positive = p > 0.0
-    if not np.any(positive):
-        raise EmptySupportError("cannot temper a distribution with no mass")
-    logs = np.log(p[positive]) / temperature
-    logs -= logs.max()
-    w = np.exp(logs)
-    out[positive] = w / w.sum()
-    return Distribution(out, validate=False)
+    w = tempered_weights(dist, temperature)
+    return Distribution(w / w.sum(), validate=False)
 
 
-def sample(dist: Distribution, rng) -> int:
-    """Draw one token; consumes exactly one uniform from ``rng``.
-
-    ``rng`` needs only a ``.random()`` method yielding uniform [0, 1)
-    doubles (a :class:`~rsdkit.seeding.StepStream` or an
-    ``np.random.Generator``). Pure function of (distribution, uniform
-    draw): inverse-CDF over the memoized cumulative sums.
-    """
-    cdf = dist.cdf()
+def sample(dist: Distribution, rng, temperature: float = 1.0, suppressed: VocabularyMap | None = None) -> int:
+    """Draw one token at ``temperature`` without ``suppressed``'s ids by inverse CDF over the row's
+    cumulative weights, the uniform scaled by their total; consumes exactly one ``rng.random()``
+    draw (a :class:`~rsdkit.seeding.StepStream` or an ``np.random.Generator``)."""
+    cdf = dist.cdf(temperature, suppressed)
     total = float(cdf[-1])
     if total <= 0.0:
         raise EmptySupportError("cannot sample from an all-zero distribution")
-    idx = int(np.searchsorted(cdf, rng.random() * total, side="right"))
-    return idx
+    return int(np.searchsorted(cdf, rng.random() * total, side="right"))
 
 
 class LanguageModel(ABC):

@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .models import ContextOverflowError, Distribution, EmptySupportError
+import numpy as np
+
+from .models import ContextOverflowError, Distribution, tempered_weights
 
 
 class VocabularyAlignmentError(ValueError):
@@ -72,6 +75,11 @@ class VocabularyMap:
                 raise VocabularyAlignmentError(
                     f"suppressed id {t} lies in the shared range and is not an expansion key"
                 )
+
+    @cached_property
+    def suppressed_ids(self) -> np.ndarray:
+        """The suppressed ids as one sorted index array, built once per map."""
+        return np.array(sorted(self.suppressed), dtype=np.intp)
 
     @classmethod
     def identity(cls, vocab_size: int) -> "VocabularyMap":
@@ -152,23 +160,14 @@ def build_vocab_map(
 
 
 def suppress(dist: Distribution, vmap: VocabularyMap) -> Distribution:
-    """Zero suppressed entries and renormalize the survivors.
+    """Zero suppressed entries and renormalize the survivors: normalized
+    :func:`~rsdkit.models.tempered_weights` at T = 1.
 
     Returns the input object unchanged when no suppressed entry carries
     mass, which also makes the operation exactly idempotent.
     """
-    ids = [t for t in vmap.suppressed if t < dist.vocab_size]
-    if not ids:
-        return dist
-    removed = float(dist.probs[ids].sum())
-    if removed == 0.0:
-        return dist
-    out = dist.probs.copy()
-    out[ids] = 0.0
-    total = float(out.sum())
-    if total <= 0.0:
-        raise EmptySupportError("suppression removed all probability mass")
-    return Distribution(out / total, validate=False)
+    w = tempered_weights(dist, 1.0, vmap)
+    return dist if w is dist.probs else Distribution(w / w.sum(), validate=False)
 
 
 @dataclass

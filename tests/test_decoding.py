@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from rsdkit import decoding
+from rsdkit import decoding, models, vocab
 from rsdkit.decoding import GenerationConfig, Trace, decode
 from rsdkit.metrics import fallback_rate
 from rsdkit.models import ContextOverflowError, Distribution, LanguageModel, TableModel
@@ -366,22 +366,17 @@ class TestTemperedMemo:
         assert student.most_alive <= 2
 
     def test_a_row_suppression_leaves_unchanged_is_suppressed_once(self, monkeypatch):
-        # at T = 1 the memo holds no copy of such a row, yet must still hit
-        calls = []
-
-        def counting(dist, vmap):
-            calls.append(dist)
-            return suppress(dist, vmap)
-
-        suppress = decoding.suppress
-        monkeypatch.setattr(decoding, "suppress", counting)
+        # at T = 1 such a row's weights are its own probs, yet its memo must still hit
+        calls = count_fills(monkeypatch)
         vmap = build_vocab_map(5, 4)  # suppresses teacher id 4, on which the teacher puts no mass
         teacher = TableModel({}, [0.3, 0.3, 0.2, 0.2, 0.0], eos_token=3)
         student = TableModel({}, [0.25] * 4, eos_token=3)
         for seed in range(20):
             decode(teacher, student, [0], cfg(p_th=0.2, temperature=1.0, seed=seed), vmap)
-        assert len(calls) == 1
-        assert calls[0]._tempered == {(1.0, frozenset({4})): None}
+        row = teacher.next_distribution([0])
+        assert [c for c in calls if c[0] is row] == [(row, 1.0, vmap.suppressed)]
+        assert list(row._cdfs) == [(1.0, frozenset({4}))]
+        np.testing.assert_array_equal(row._cdfs[1.0, frozenset({4})], np.cumsum(row.probs))
 
     @pytest.mark.parametrize(
         "regime, with_map",
@@ -394,14 +389,7 @@ class TestTemperedMemo:
         ],
     )
     def test_each_table_row_is_tempered_once_across_decodes(self, monkeypatch, regime, with_map):
-        calls = []
-
-        def counting(dist, temperature):
-            calls.append(temperature)
-            return apply_temperature(dist, temperature)
-
-        apply_temperature = decoding.apply_temperature
-        monkeypatch.setattr(decoding, "apply_temperature", counting)
+        calls = count_fills(monkeypatch)
         rng = np.random.default_rng(17)
         teacher, student = (
             TableModel({(t,): rng.dirichlet(ones) for t in range(3)}, rng.dirichlet(ones))
@@ -413,10 +401,11 @@ class TestTemperedMemo:
             run = cfg(regime=regime, p_th=0.2, max_tokens=8, seed=seed)
             decode(teacher, student, [seed % 3], run, vmap)
         assert 0 < len(calls) <= 4 + 4  # at most once per row of either table
+        assert len({(id(row), t, key) for row, t, key in calls}) == len(calls)
 
     def test_workers_racing_on_shared_rows_decode_as_serial(self, monkeypatch):
         # the memo lives on rows that worker threads share: a racing fill must
-        # neither hand out a wrong copy nor temper a row twice
+        # neither hand out a wrong vector nor fill a row twice
         def pair():
             rng = np.random.default_rng(23)
             return tuple(
@@ -428,15 +417,7 @@ class TestTemperedMemo:
         runs = [cfg(p_th=0.2, max_tokens=8, seed=seed) for seed in range(400)]
         expected = [decode(*pair(), [0], run, vmap).to_json_line() for run in runs]
 
-        calls = []
-
-        def counting(dist, temperature):
-            calls.append(temperature)
-            time.sleep(0.001)  # widens the window a racing fill would need
-            return apply_temperature(dist, temperature)
-
-        apply_temperature = decoding.apply_temperature
-        monkeypatch.setattr(decoding, "apply_temperature", counting)
+        calls = count_fills(monkeypatch, delay_s=0.001)  # widens the window a racing fill would need
         serial = pair()
         for run in runs:
             decode(*serial, [0], run, vmap)
@@ -456,3 +437,46 @@ class TestTemperedMemo:
             sys.setswitchinterval(interval)
         assert got == expected
         assert len(calls) == fills
+
+
+def count_fills(monkeypatch, delay_s: float = 0.0) -> list:
+    """Count every memo fill as ``(row, temperature, suppressed ids)``: each
+    one is a call of the one weights function."""
+    calls = []
+    weights = models.tempered_weights
+
+    def counting(dist, temperature=1.0, suppressed=None):
+        calls.append((dist, temperature, frozenset() if suppressed is None else suppressed.suppressed))
+        time.sleep(delay_s)
+        return weights(dist, temperature, suppressed)
+
+    monkeypatch.setattr(models, "tempered_weights", counting)
+    return calls
+
+
+class TestTracingPatchPoints:
+    """Profilers wrap the decode path's layers where ``decode`` finds them."""
+
+    def test_layers_stay_attributes_of_the_decoding_module(self):
+        assert decoding.apply_temperature is models.apply_temperature
+        assert decoding.sample is models.sample
+        assert decoding.suppress is vocab.suppress
+
+    @pytest.mark.parametrize("regime", ["rsd", "skd", "solo-teacher", "solo-student"])
+    def test_decode_looks_sample_up_at_call_time(self, monkeypatch, regime):
+        calls = []
+        inner = decoding.sample
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(decoding, "sample", counting)
+        vmap = build_vocab_map(5, 5, {4: (1, 2)})
+        teacher = TableModel({(1,): [0.1, 0.3, 0.3, 0.05, 0.25]}, [0.3, 0.15, 0.3, 0.05, 0.2], eos_token=3)
+        student = TableModel({}, [0.4, 0.1, 0.4, 0.02, 0.08], eos_token=3)
+        trace = decode(teacher, student, [0], cfg(regime=regime, p_th=0.3, max_tokens=40, seed=2), vmap)
+        fallbacks = sum(r.fallback for r in trace.records)
+        assert len(calls) == len(trace) + fallbacks
+        if regime in ("rsd", "skd"):
+            assert 0 < fallbacks < len(trace)

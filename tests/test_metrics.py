@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rsdkit import metrics
 from rsdkit.decoding import GenerationConfig, TokenRecord, Trace, _surprisal, decode
 from rsdkit.metrics import (
     dataset_report,
@@ -16,6 +21,7 @@ from rsdkit.metrics import (
     records_perplexity,
     step_entropy,
     sub_threshold_ratio,
+    summary_stats,
     write_surprisal_csv,
     write_token_tally_csv,
 )
@@ -277,6 +283,37 @@ class TestDatasetReport:
         rec = record_from_trace(make_trace([0.5, 0.25]), "p0", "full-trace")
         report = dataset_report([rec], 0.01)
         assert json.loads(json.dumps(report)) == report
+
+
+
+class TestSummaryStats:
+    def test_quartiles_match_numpy_percentile_bit_for_bit(self):
+        # ties, signed zeros, inf and NaN included: the lerp's upper branch
+        # and inf - inf must come out as numpy computes them
+        rng = np.random.default_rng(41)
+        for size in range(1, 51):
+            for _ in range(20):
+                pool = np.concatenate(
+                    [rng.normal(size=4) * 10.0 ** rng.integers(-3, 4), [math.inf, -math.inf, 0.0, -0.0, 1.0]]
+                )
+                if rng.random() < 0.1:
+                    pool = np.append(pool, math.nan)
+                values = rng.choice(pool, size=size)
+                with np.errstate(invalid="ignore"):  # inf - inf, in numpy and in the mean
+                    expected = [repr(float(np.percentile(values, q))) for q in (25, 50, 75)]
+                    stats = summary_stats(values.tolist())
+                assert [repr(stats[k]) for k in ("q1", "median", "q3")] == expected
+
+    def test_does_not_import_numpy_ma(self):
+        code = (
+            "import sys; from rsdkit.metrics import summary_stats; "
+            "summary_stats([3.0, 1.0, float('inf'), 2.0, 2.0]); "
+            "print('numpy.ma' in sys.modules)"
+        )
+        src = str(Path(metrics.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestCsvEmission:

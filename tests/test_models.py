@@ -9,12 +9,14 @@ import pytest
 
 from rsdkit.models import (
     Distribution,
+    EmptySupportError,
     NgramModel,
     TableModel,
     apply_temperature,
     sample,
 )
 from rsdkit.seeding import StepStream
+from rsdkit.vocab import VocabularyMap
 
 
 def bigram_counts_oracle(corpus: list[int], context: int, smoothing: float, vocab: int) -> list[float]:
@@ -115,6 +117,106 @@ class TestSample:
         d = Distribution([0.5, 0.0, 0.5])
         draws = {sample(d, StepStream(1, i)) for i in range(2000)}
         assert 1 not in draws
+
+
+
+def reference_cdf(dist: Distribution, temperature: float, vmap: VocabularyMap) -> np.ndarray:
+    """The unfused path the fused pass replaced, kept as the oracle: suppress
+    and renormalize, temper the positive entries and renormalize, then take
+    cumulative sums of the normalized copy."""
+    p = dist.probs
+    ids = [t for t in vmap.suppressed if t < p.shape[0]]
+    if ids and float(p[ids].sum()) != 0.0:
+        p = p.copy()
+        p[ids] = 0.0
+        total = float(p.sum())
+        if total <= 0.0:
+            raise EmptySupportError("suppression removed all probability mass")
+        p = p / total
+    if temperature != 1.0:
+        out = np.zeros_like(p)
+        positive = p > 0.0
+        logs = np.log(p[positive]) / temperature
+        logs -= logs.max()
+        w = np.exp(logs)
+        out[positive] = w / w.sum()
+        p = out
+    return np.cumsum(p)
+
+
+def suppressing(ids: set[int], vocab: int) -> VocabularyMap:
+    """A map suppressing exactly ``ids``; ids below its shared range of 2 are
+    carved out as markers spelt with an id that stays."""
+    keep = next(t for t in range(vocab) if t not in ids)
+    return VocabularyMap(shared_size=2, suppressed=frozenset(ids), expansions={t: (keep,) for t in ids if t < 2})
+
+
+class CountingStream:
+    def __init__(self, seed: int, step: int) -> None:
+        self._stream = StepStream(seed, step)
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self._stream.random()
+
+
+class TestFusedSample:
+    """``sample`` draws from memoized unnormalized weights; it must emit the
+    very token the unfused suppress -> temper -> sample path emits."""
+
+    @pytest.mark.parametrize("vocab", [2, 12, 4096, 32064])
+    def test_matches_the_unfused_path(self, vocab):
+        rng = np.random.default_rng(vocab)
+        rows = [rng.dirichlet(np.full(vocab, 0.3)), rng.dirichlet(np.full(vocab, 2.0))]
+        holed = rng.dirichlet(np.ones(vocab)) * (rng.random(vocab) < 0.6)
+        holed[int(rng.integers(vocab))] += 0.5  # some mass survives the zeroing
+        rows.append(holed / holed.sum())
+        ids = rng.permutation(vocab)
+        survivor = int(rng.integers(vocab))
+        sets = [set(), {int(ids[0])}, set(ids[: vocab // 10].tolist()), set(ids[: vocab // 2].tolist())]
+        sets.append(set(range(vocab)) - {survivor})
+        sets.append({t for t in range(vocab) if holed[t] > 0.0} - {int(np.flatnonzero(holed)[0])})
+        draws = 0
+        for r, row in enumerate(rows):
+            for s, suppressed in enumerate(sets):
+                vmap = suppressing(suppressed, vocab)
+                for temperature in (0.05, 0.7, 1.0, 3.0):
+                    dist = Distribution(row, validate=False)
+                    try:
+                        cdf = reference_cdf(dist, temperature, vmap)
+                    except EmptySupportError as exc:
+                        with pytest.raises(EmptySupportError, match=f"^{exc}$"):
+                            sample(dist, StepStream(0, 0), temperature, vmap)
+                        continue
+                    for step in range(100):
+                        seed = 1000 * r + 100 * s + vocab
+                        expected = int(
+                            np.searchsorted(cdf, StepStream(seed, step).random() * float(cdf[-1]), side="right")
+                        )
+                        stream = CountingStream(seed, step)
+                        assert sample(dist, stream, temperature, vmap) == expected
+                        assert stream.draws == 1
+                        draws += 1
+        assert draws >= 5000
+
+    def test_suppressing_all_mass_raises(self):
+        d = Distribution([0.0, 0.5, 0.5, 0.0])
+        vmap = suppressing({1, 2}, 4)
+        for temperature in (0.7, 1.0):
+            with pytest.raises(EmptySupportError, match="^suppression removed all probability mass$"):
+                sample(d, StepStream(0, 0), temperature, vmap)
+
+    def test_suppressed_ids_beyond_the_row_are_ignored(self):
+        d = Distribution([0.5, 0.25, 0.25])
+        vmap = suppressing({2, 7}, 8)
+        assert {sample(d, StepStream(3, i), 0.7, vmap) for i in range(200)} == {0, 1}
+
+    def test_untouched_row_samples_from_its_own_cumulative_probs(self):
+        d = Distribution([0.25, 0.0, 0.75])
+        sample(d, StepStream(0, 0), 1.0, suppressing({1}, 3))
+        (cdf,) = d._cdfs.values()
+        np.testing.assert_array_equal(cdf, np.cumsum(d.probs))
 
 
 class TestTableModel:

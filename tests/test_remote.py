@@ -53,6 +53,21 @@ def stub():
         yield server, model
 
 
+@pytest.fixture()
+def remote_model():
+    """Build ``RemoteModel``s that are closed when the test ends, so none
+    leaves a socket open."""
+    built = []
+
+    def build(*args, **kwargs) -> RemoteModel:
+        built.append(RemoteModel(*args, **kwargs))
+        return built[-1]
+
+    yield build
+    for model in built:
+        model.close()
+
+
 def endpoint(server: StubServer, **kwargs) -> BackendEndpoint:
     base = dict(base_url=server.base_url, model_name="fixture-table")
     base.update(kwargs)
@@ -149,10 +164,10 @@ class TestHandshake:
         with pytest.raises(BackendError, match="404"):
             handshake(endpoint(server, model_name="nope"))
 
-    def test_vocab_eight_stub_yields_vocab_eight_handle(self):
+    def test_vocab_eight_stub_yields_vocab_eight_handle(self, remote_model):
         model = TableModel({}, [0.125] * 8, eos_token=7)
         with StubServer({"wide": model}) as server:
-            remote = RemoteModel(BackendEndpoint(base_url=server.base_url, model_name="wide"))
+            remote = remote_model(BackendEndpoint(base_url=server.base_url, model_name="wide"))
             assert remote.vocab_size == 8
             assert remote.eos_token == 7
 
@@ -180,9 +195,9 @@ class TestNonJsonBody:
         with pytest.raises(BackendError, match="GET /v1/capabilities -> body is not JSON"):
             handshake(ep)
 
-    def test_next_distribution_refuses_a_non_json_body(self, html_server):
+    def test_next_distribution_refuses_a_non_json_body(self, html_server, remote_model):
         ep = BackendEndpoint(base_url=html_server(capabilities=True), model_name="m")
-        remote = RemoteModel(ep)
+        remote = remote_model(ep)
         with pytest.raises(BackendError, match="POST /v1/distribution -> body is not JSON"):
             remote.next_distribution([0])
 
@@ -280,45 +295,45 @@ class TestPayloadConversion:
 
 
 class TestRemoteModel:
-    def test_distributions_match_wrapped_table_exactly(self, stub):
+    def test_distributions_match_wrapped_table_exactly(self, stub, remote_model):
         server, model = stub
-        remote = RemoteModel(endpoint(server))
+        remote = remote_model(endpoint(server))
         for ctx in ([], [0], [0, 1], [3, 2, 1]):
             np.testing.assert_array_equal(
                 remote.next_distribution(ctx).probs, model.next_distribution(ctx).probs
             )
 
-    def test_context_beyond_server_max_rejected(self, stub):
+    def test_context_beyond_server_max_rejected(self, stub, remote_model):
         server, _ = stub
-        remote = RemoteModel(endpoint(server))
+        remote = remote_model(endpoint(server))
         remote.capabilities = remote.capabilities.__class__(
             model_name="fixture-table", vocab_size=4, eos_token=3, max_context=2
         )
         with pytest.raises(BackendError, match="exceeds server max"):
             remote.next_distribution([0, 1, 2])
 
-    def test_responses_cached_per_context(self, stub, monkeypatch):
+    def test_responses_cached_per_context(self, stub, monkeypatch, remote_model):
         server, _ = stub
         posts = record_requests(monkeypatch, "POST")
-        remote = RemoteModel(endpoint(server))
+        remote = remote_model(endpoint(server))
         remote.next_distribution([0, 1])
         remote.next_distribution([0, 1])
         remote.next_distribution([0, 1])
         assert len(posts) == 1
 
-    def test_requests_the_binary_encoding(self, stub, monkeypatch):
+    def test_requests_the_binary_encoding(self, stub, monkeypatch, remote_model):
         server, _ = stub
         posts = record_requests(monkeypatch, "POST")
-        RemoteModel(endpoint(server)).next_distribution([0, 1])
+        remote_model(endpoint(server)).next_distribution([0, 1])
         bodies = [json.loads(body) for body in posts]
         assert bodies == [json.loads((FIXTURES / "distribution_request_f64.json").read_text())]
 
-    def test_small_responses_do_not_wait_for_delayed_acks(self):
+    def test_small_responses_do_not_wait_for_delayed_acks(self, remote_model):
         # the stub writes headers and body separately; with Nagle on, each
         # small body waits ~40 ms for the client's delayed ACK
         model = TableModel({}, [0.25, 0.25, 0.25, 0.25], eos_token=3)
         with StubServer({"v4": model}) as server:
-            remote = RemoteModel(BackendEndpoint(base_url=server.base_url, model_name="v4"))
+            remote = remote_model(BackendEndpoint(base_url=server.base_url, model_name="v4"))
             start = time.perf_counter()
             for i in range(40):
                 remote.next_distribution([i % 4] * (i + 1))
@@ -327,9 +342,9 @@ class TestRemoteModel:
 
 
 class TestConnections:
-    def test_each_worker_thread_keeps_one_connection(self, stub, monkeypatch):
+    def test_each_worker_thread_keeps_one_connection(self, stub, monkeypatch, remote_model):
         server, model = stub
-        remote = RemoteModel(endpoint(server))
+        remote = remote_model(endpoint(server))
         opened = record_connects(monkeypatch)
         barrier = threading.Barrier(4, timeout=5)
 
@@ -349,7 +364,7 @@ class TestConnections:
         assert len({id(conn) for _, conn in opened}) == 4
         assert remote.stats["requests"] == 16
 
-    def test_server_closing_kept_alive_connections_costs_no_retry(self, monkeypatch):
+    def test_server_closing_kept_alive_connections_costs_no_retry(self, monkeypatch, remote_model):
         model = fixture_model()
 
         class Hangup(_make_handler({"m": model}, 64, True)):
@@ -359,7 +374,7 @@ class TestConnections:
 
         sleeps = []
         with serving(Hangup) as base_url:
-            remote = RemoteModel(BackendEndpoint(base_url=base_url, model_name="m", backoff_s=5.0))
+            remote = remote_model(BackendEndpoint(base_url=base_url, model_name="m", backoff_s=5.0))
             opened = record_connects(monkeypatch)
             monkeypatch.setattr(time, "sleep", sleeps.append)
             for i in range(20):
@@ -391,7 +406,7 @@ class TestConnections:
 
 
 class TestStats:
-    def test_counts_match_what_the_stub_served(self):
+    def test_counts_match_what_the_stub_served(self, remote_model):
         model = fixture_model()
         served = []
         inner = model.next_distribution
@@ -404,7 +419,7 @@ class TestStats:
         # each of 12 contexts twice in a row, two rounds: hits, and evictions from 4 slots
         contexts = [[k % 3, k % 4] for _ in range(2) for k in range(12) for _ in range(2)]
         with StubServer({"fixture-table": model}) as server:
-            remote = RemoteModel(endpoint(server), cache_size=4)
+            remote = remote_model(endpoint(server), cache_size=4)
             for ctx in contexts:
                 remote.next_distribution(ctx)
         stats = remote.stats
@@ -548,10 +563,10 @@ class TestStubValidation:
 
 
 class TestBackendEquivalence:
-    def test_decoding_against_stub_matches_in_process(self, stub):
+    def test_decoding_against_stub_matches_in_process(self, stub, remote_model):
         server, table_teacher = stub
         student = TableModel({}, [0.4, 0.1, 0.3, 0.2], eos_token=3)
-        remote_teacher = RemoteModel(endpoint(server))
+        remote_teacher = remote_model(endpoint(server))
         for seed in range(10):
             cfg = GenerationConfig(p_th=0.05, max_tokens=8, temperature=0.7, seed=seed)
             local = decode(table_teacher, student, [0], cfg)
@@ -563,7 +578,7 @@ class TestConcurrentRemoteGeneration:
     """The shared client must stay correct under a parallel worker pool:
     serial and 4-worker runs over a remote teacher produce identical bytes."""
 
-    def test_parallel_pipeline_over_the_wire_matches_serial(self, stub, tmp_path):
+    def test_parallel_pipeline_over_the_wire_matches_serial(self, stub, tmp_path, remote_model):
         from rsdkit.pipeline import (
             Problem,
             Verifier,
@@ -573,7 +588,7 @@ class TestConcurrentRemoteGeneration:
         )
 
         server, _ = stub
-        remote_teacher = RemoteModel(endpoint(server), cache_size=64)
+        remote_teacher = remote_model(endpoint(server), cache_size=64)
         student = TableModel({}, [0.4, 0.1, 0.3, 0.2], eos_token=3)
 
         def generator(prompt, seed):

@@ -285,7 +285,6 @@ class TestDatasetReport:
         assert json.loads(json.dumps(report)) == report
 
 
-
 class TestSummaryStats:
     def test_quartiles_match_numpy_percentile_bit_for_bit(self):
         # ties, signed zeros, inf and NaN included: the lerp's upper branch

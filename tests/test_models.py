@@ -119,7 +119,6 @@ class TestSample:
         assert 1 not in draws
 
 
-
 def reference_cdf(dist: Distribution, temperature: float, vmap: VocabularyMap) -> np.ndarray:
     """The unfused path the fused pass replaced, kept as the oracle: suppress
     and renormalize, temper the positive entries and renormalize, then take

@@ -3,10 +3,12 @@
 A stub server wraps any in-process model behind the HTTP surface a real
 inference server would expose (`GET /v1/capabilities`,
 `POST /v1/distribution`). The client handshakes, validates capabilities, and
-then behaves as an ordinary model handle. It asks for the binary encoding:
-the exact probabilities as base64 little-endian float64, so traces decoded
-over the wire are byte-identical to in-process ones. The stub answers
-nothing else: a request without ``encoding`` gets HTTP 400.
+then behaves as an ordinary model handle. It asks for the raw encoding
+``"f64-le"``: the reply is an ``application/octet-stream`` body of exactly
+8·V bytes, the exact probabilities as little-endian float64, so traces
+decoded over the wire are byte-identical to in-process ones. The stub
+answers nothing else: a request without ``encoding``, or with the retired
+``"f64-b64"``, gets HTTP 400.
 """
 
 import json
@@ -32,7 +34,7 @@ def post(url, payload):
         url, data=json.dumps(payload).encode(), headers={"Content-Type": "application/json"}
     )
     with urllib.request.build_opener(urllib.request.ProxyHandler({})).open(request) as resp:
-        return json.load(resp)
+        return resp.headers["Content-Type"], resp.read()
 
 
 with StubServer({"teacher": teacher}) as server:
@@ -42,11 +44,11 @@ with StubServer({"teacher": teacher}) as server:
     caps = handshake(endpoint)
     print("capabilities:", caps)
 
-    request = {"model": "teacher", "context": [0, 1], "want": "full", "encoding": "f64-b64"}
-    binary = post(f"{server.base_url}/v1/distribution", request)
-    print("\nbinary payload for context [0, 1] (what RemoteModel asks for):")
-    print(json.dumps(binary, indent=2))
-    print("decodes to:", distribution_from_payload(binary, caps.vocab_size).probs.tolist())
+    request = {"model": "teacher", "context": [0, 1], "want": "full", "encoding": "f64-le"}
+    content_type, body = post(f"{server.base_url}/v1/distribution", request)
+    print("\nraw reply for context [0, 1] (what RemoteModel asks for):")
+    print(f"  Content-Type: {content_type}, {len(body)} bytes = 8 x vocab size {caps.vocab_size}")
+    print("decodes to:", distribution_from_payload(body, caps.vocab_size).probs.tolist())
 
     remote_teacher = RemoteModel(endpoint)
     cfg = GenerationConfig(p_th=0.05, max_tokens=8, temperature=0.7, context_limit=32, seed=1)

@@ -1,25 +1,25 @@
 """HTTP client exposing a log-probability server as a LanguageModel.
 
-Protocol (JSON over HTTP/1.1):
+Protocol (HTTP/1.1, JSON requests):
 
 * ``GET /v1/capabilities?model=NAME`` returns
   ``{"model": NAME, "vocab_size": V, "eos_token": E, "max_context": C}``.
 * ``POST /v1/distribution`` with body
-  ``{"model": NAME, "context": [int, ...], "want": "full", "encoding": "f64-b64"}``
-  returns one of two dense shapes, and the client reads either:
+  ``{"model": NAME, "context": [int, ...], "want": "full", "encoding": "f64-le"}``
+  returns the full distribution; the client dispatches on ``Content-Type``:
 
-  - ``{"probs_f64": B64}``: the base64 of the ``V`` exact probabilities as
-    little-endian float64. This is what the client asks for: it is
-    bit-exact and about a quarter of the text-JSON bytes. The bundled stub
-    answers it; a server that ignores ``encoding`` answers with the next
-    shape instead.
-  - ``{"logprobs": [float; V]}``: possibly unnormalized logits, which the
-    client softmaxes into a distribution. Servers that hold exact
-    probabilities may add ``"probs": [float; V]`` and the client will take
-    those verbatim, preserving bit-exactness that a log/exp round trip
-    cannot.
+  - ``application/octet-stream``: exactly ``8·V`` bytes, the ``V`` exact
+    probabilities as little-endian float64, with no JSON and no base64.
+    The client asks for this: it is bit-exact and nearly free to encode and
+    decode. The bundled stub answers it, and answers any other ``encoding``
+    (the retired ``"f64-b64"`` and a missing one included) with HTTP 400.
+  - anything else is JSON, so a server that ignores ``encoding`` still
+    works: ``{"logprobs": [float; V]}`` holds possibly unnormalized logits,
+    which the client softmaxes. Servers that hold exact probabilities may
+    add ``"probs": [float; V]``, taken verbatim, which keeps the
+    bit-exactness a log/exp round trip cannot.
 
-  A payload that is malformed, of the wrong length, or not a finite
+  A body that is malformed, of the wrong length, or not a finite
   distribution raises :class:`BackendError`.
 
 Each thread keeps its own ``http.client`` connection alive; a non-2xx status,
@@ -29,7 +29,6 @@ mutate server state; responses are cached per context with a bounded LRU.
 
 from __future__ import annotations
 
-import base64
 import http.client
 import json
 import threading
@@ -44,8 +43,9 @@ import numpy as np
 from .models import Distribution, LanguageModel
 
 
-#: The binary encoding the client requests: base64 of little-endian float64 probs.
-F64_B64 = "f64-b64"
+#: The encoding the client requests: a raw body of little-endian float64 probs.
+F64_LE = "f64-le"
+OCTET_STREAM = "application/octet-stream"
 _CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
 
@@ -101,7 +101,8 @@ class BackendEndpoint:
 
 def _request(endpoint: BackendEndpoint, local, method: str, path: str, *, params=None, body=None,
              tally=lambda **counts: None):
-    """``body`` as JSON on this thread's connection; retries with backoff, ``tally``s each try."""
+    """``body`` as JSON on this thread's connection; retries with backoff, ``tally``s each try.
+    Returns a 2xx octet stream as ``bytes``, any other 2xx body parsed as JSON."""
     if getattr(local, "conn", None) is None:
         local.conn = _connect(endpoint)
     target = endpoint._url.path.rstrip("/") + path + (f"?{urlencode(params)}" if params else "")
@@ -112,10 +113,10 @@ def _request(endpoint: BackendEndpoint, local, method: str, path: str, *, params
             time.sleep(endpoint.backoff_s * 2 ** (attempt - 1))
         start = time.perf_counter()
         try:
-            status, reply = _exchange(local.conn, method, target, data)
+            status, kind, reply = _exchange(local.conn, method, target, data)
         except (OSError, http.client.HTTPException) as exc:
             local.conn.close()  # the next try opens a new connection
-            last, status, reply = exc, None, b""
+            last, status, kind, reply = exc, None, "", b""
         tally(requests=1, retries=attempt > 0, request_bytes=len(data or b""),
               response_bytes=len(reply), round_trip_s=time.perf_counter() - start)
         if status is None:
@@ -123,6 +124,8 @@ def _request(endpoint: BackendEndpoint, local, method: str, path: str, *, params
         if not 200 <= status < 300:
             text = reply.decode("utf-8", "replace")[:200]
             raise BackendError(f"{method} {path} -> HTTP {status}: {text}")
+        if kind.partition(";")[0].strip().lower() == OCTET_STREAM:
+            return reply
         try:
             return json.loads(reply)
         except ValueError as exc:  # JSONDecodeError, or a body that is not UTF-8
@@ -138,7 +141,7 @@ def _connect(endpoint: BackendEndpoint) -> http.client.HTTPConnection:
 
 
 def _exchange(conn: http.client.HTTPConnection, method: str, target: str, data: bytes | None):
-    """``(status, body)`` of one request, sent once more, at once, if a kept-alive connection fails."""
+    """``(status, content type, body)`` of one request, sent once more, at once, if a kept-alive connection fails."""
     reused = conn.sock is not None
     try:
         conn.request(method, target, body=data, headers={"Content-Type": "application/json"})
@@ -148,7 +151,7 @@ def _exchange(conn: http.client.HTTPConnection, method: str, target: str, data: 
             raise
         conn.close()
         return _exchange(conn, method, target, data)  # on a new socket: never again
-    return resp.status, resp.read()
+    return resp.status, resp.getheader("Content-Type", ""), resp.read()
 
 
 def handshake(endpoint: BackendEndpoint) -> ServerCapabilities:
@@ -178,20 +181,22 @@ def handshake(endpoint: BackendEndpoint) -> ServerCapabilities:
     return caps
 
 
-def distribution_from_payload(payload: dict, vocab_size: int) -> Distribution:
+def distribution_from_payload(payload: dict | bytes, vocab_size: int) -> Distribution:
     """Dense payload -> normalized distribution.
 
-    Prefers exact probabilities when the server supplies them, as
-    ``probs_f64`` (base64 little-endian float64) or as a ``probs`` list;
-    otherwise softmaxes ``logprobs`` (which are then allowed to be arbitrary
-    logits, already-normalized log-probabilities included, with ``-inf``
-    for zero mass). 32-bit servers are fine: values widen to float64 on
-    ingestion.
+    Takes a raw body (``bytes``, exactly ``8·V`` of little-endian float64
+    probabilities) verbatim, as it takes exact ``probs`` from a JSON
+    object; otherwise softmaxes ``logprobs`` (which are then allowed to be
+    arbitrary logits, already-normalized log-probabilities included, with
+    ``-inf`` for zero mass). 32-bit servers are fine: values widen to
+    float64 on ingestion.
     """
+    if isinstance(payload, bytes):
+        if len(payload) != 8 * vocab_size:
+            raise BackendError(f"raw body holds {len(payload)} bytes, expected 8 x vocab size {vocab_size}")
+        return _exact_distribution(np.frombuffer(payload, dtype="<f8"))
     if not isinstance(payload, dict):
         raise BackendError(f"payload is not a JSON object: {type(payload).__name__}")
-    if payload.get("probs_f64") is not None:
-        return _exact_distribution(_f64_from_base64(payload["probs_f64"], vocab_size))
     if payload.get("probs") is not None:
         return _exact_distribution(_float_vector(payload, "probs", vocab_size))
     if "logprobs" not in payload:
@@ -209,18 +214,6 @@ def distribution_from_payload(payload: dict, vocab_size: int) -> Distribution:
     if not np.isfinite(total) or total <= 0.0:
         raise BackendError("logprobs vector is not normalizable")
     return Distribution(w / total)
-
-
-def _f64_from_base64(value, vocab_size: int) -> np.ndarray:
-    if not isinstance(value, str):
-        raise BackendError(f"probs_f64 must be a base64 string, got {type(value).__name__}")
-    try:
-        raw = base64.b64decode(value, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII str
-        raise BackendError(f"probs_f64 is not valid base64: {exc}") from exc
-    if len(raw) != 8 * vocab_size:
-        raise BackendError(f"probs_f64 holds {len(raw)} bytes, expected 8 x vocab size {vocab_size}")
-    return np.frombuffer(raw, dtype="<f8")
 
 
 def _float_vector(payload: dict, key: str, vocab_size: int) -> np.ndarray:
@@ -247,7 +240,7 @@ class RemoteModel(LanguageModel):
     each thread on its own connection, and :meth:`close` closes them all.
     The response cache is shared (sound, since responses are pure functions
     of the context) and bounded. ``stats`` counts HTTP tries, retries, cache
-    hits, body bytes and seconds in requests.
+    hits, body bytes (raw ones: ``8·V`` a reply) and seconds in requests.
     """
 
     def __init__(self, endpoint: BackendEndpoint, cache_size: int = 256) -> None:
@@ -280,7 +273,7 @@ class RemoteModel(LanguageModel):
             "model": self.endpoint.model_name,
             "context": list(key),
             "want": "full",
-            "encoding": F64_B64,
+            "encoding": F64_LE,
         }
         if getattr(self._local, "conn", None) is None:  # this thread's first request
             self._local.conn = _connect(self.endpoint)

@@ -3,10 +3,12 @@
 Wraps any in-process LanguageModel (tables, n-grams) behind the same wire
 surface a real inference server would expose, so decoders can be exercised
 end to end over HTTP without GPUs. A request must carry
-``"encoding": "f64-b64"`` and gets ``probs_f64``, the exact probabilities
-as base64 little-endian float64. Any other or missing ``encoding``, any
-other ``want`` and any context token outside the model's vocabulary is
-HTTP 400.
+``"encoding": "f64-le"`` and gets an ``application/octet-stream`` body of
+exactly ``8·V`` bytes, the exact probabilities as little-endian float64.
+Any other ``encoding`` (``"f64-b64"`` and a missing one included), any
+other ``want``, a ``model`` that is not a string, a ``context`` that is
+not a list of ints and a context token outside the model's vocabulary is
+HTTP 400. Errors and capabilities are JSON.
 
 Usable as a context manager in tests (background thread) or run in the
 foreground via the ``stub-serve`` CLI subcommand.
@@ -14,7 +16,6 @@ foreground via the ``stub-serve`` CLI subcommand.
 
 from __future__ import annotations
 
-import base64
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -24,7 +25,7 @@ from urllib.parse import parse_qs, urlparse
 import numpy as np
 
 from .models import Distribution, LanguageModel
-from .remote import F64_B64
+from .remote import F64_LE, OCTET_STREAM
 
 
 class StubServer:
@@ -80,10 +81,12 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
             if not quiet:
                 super().log_message(fmt, *args)
 
-        def _send(self, status: int, payload: dict) -> None:
-            body = json.dumps(payload).encode("utf-8")
+        def _send(self, status: int, payload: dict | bytes) -> None:
+            """``payload`` as JSON, or raw ``bytes`` as an octet stream."""
+            raw = isinstance(payload, bytes)
+            body = payload if raw else json.dumps(payload).encode("utf-8")
             self.send_response(status)
-            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Type", OCTET_STREAM if raw else "application/json")
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
@@ -124,8 +127,11 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
                 if length < 0:  # rfile.read(-1) would block until the client hangs up
                     raise ValueError(f"negative Content-Length {length}")
                 body = json.loads(self.rfile.read(length))
-                name = body["model"]
-                context = [int(t) for t in body["context"]]
+                name, context = body["model"], body["context"]
+                if not isinstance(name, str):
+                    raise TypeError(f"model must be a string, got {type(name).__name__}")
+                if not isinstance(context, list) or any(type(t) is not int for t in context):
+                    raise TypeError("context must be a list of ints")  # bools are not ints here
                 want = body.get("want", "full")
                 encoding = body.get("encoding")
             except (KeyError, TypeError, ValueError) as exc:
@@ -135,7 +141,7 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
             if want != "full":
                 self._fail(400, f"unsupported want {want!r}")
                 return
-            if encoding != F64_B64:
+            if encoding != F64_LE:
                 self._fail(400, f"unsupported encoding {encoding!r}")
                 return
             model = models.get(name)
@@ -149,11 +155,11 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
                 if not 0 <= t < model.vocab_size:
                     self._fail(400, f"context token {t} outside vocabulary of size {model.vocab_size}")
                     return
-            self._send(200, _full_payload(name, model.next_distribution(context)))
+            self._send(200, _full_payload(model.next_distribution(context)))
 
     return Handler
 
 
-def _full_payload(name: str, dist: Distribution) -> dict:
-    raw = np.ascontiguousarray(dist.probs, dtype="<f8").tobytes()
-    return {"model": name, "probs_f64": base64.b64encode(raw).decode("ascii")}
+def _full_payload(dist: Distribution) -> bytes:
+    """The raw ``f64-le`` body: ``dist``'s probabilities as little-endian float64."""
+    return np.ascontiguousarray(dist.probs, dtype="<f8").tobytes()

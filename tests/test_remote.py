@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import base64
 import http.client
 import json
 import math
@@ -20,7 +19,7 @@ from urllib.parse import urlparse
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -74,28 +73,29 @@ def endpoint(server: StubServer, **kwargs) -> BackendEndpoint:
     return BackendEndpoint(**base)
 
 
-def f64_b64(values) -> str:
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+def f64le(values) -> bytes:
+    return np.asarray(values, dtype="<f8").tobytes()
 
 
 _DIRECT = urllib.request.build_opener(urllib.request.ProxyHandler({}))
 
 
-def fetch(url: str, payload=None) -> tuple[int, str]:
-    """``(status, body text)`` of a GET, or of a POST of ``payload`` as JSON."""
+def exchange(url: str, payload=None) -> tuple[int, str, bytes]:
+    """``(status, content type, body)`` of a GET, or of a POST of ``payload`` as JSON."""
     data = None if payload is None else json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(url, data=data, headers={"Content-Type": "application/json"})
     try:
         with _DIRECT.open(request, timeout=5) as resp:
-            return resp.status, resp.read().decode("utf-8")
+            return resp.status, resp.headers["Content-Type"], resp.read()
     except urllib.error.HTTPError as exc:
-        return exc.code, exc.read().decode("utf-8")
+        with exc:
+            return exc.code, exc.headers["Content-Type"], exc.read()
 
 
-def post_json(url: str, payload) -> dict:
-    status, text = fetch(url, payload)
-    assert status == 200, text
-    return json.loads(text)
+def fetch(url: str, payload=None) -> tuple[int, str]:
+    """``(status, body text)`` of a GET, or of a POST of ``payload`` as JSON."""
+    status, _, body = exchange(url, payload)
+    return status, body.decode("utf-8")
 
 
 def record_requests(monkeypatch, method: str) -> list:
@@ -123,6 +123,33 @@ def record_connects(monkeypatch) -> list:
 
     monkeypatch.setattr(http.client.HTTPConnection, "connect", connect)
     return opened
+
+
+def backend(content_type: str, body: bytes):
+    """A handler for a V=4 model that answers every ``POST`` with ``body``, whatever was asked."""
+
+    class Backend(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def log_message(self, fmt, *args):
+            pass
+
+        def _answer(self, kind: str, data: bytes) -> None:
+            self.send_response(200)
+            self.send_header("Content-Type", kind)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def do_GET(self):  # noqa: N802
+            caps = {"model": "m", "vocab_size": 4, "eos_token": 3, "max_context": 64}
+            self._answer("application/json", json.dumps(caps).encode())
+
+        def do_POST(self):  # noqa: N802
+            self.rfile.read(int(self.headers.get("Content-Length", "0")))
+            self._answer(content_type, body)
+
+    return Backend
 
 
 @contextmanager
@@ -243,7 +270,7 @@ class TestPayloadConversion:
         with pytest.raises(BackendError):
             distribution_from_payload({"probs": vector}, 3)
         with pytest.raises(BackendError):
-            distribution_from_payload({"probs_f64": f64_b64(vector)}, 3)
+            distribution_from_payload(f64le(vector), 3)
         # json.loads accepts the non-standard NaN and Infinity literals
         with pytest.raises(BackendError):
             distribution_from_payload(json.loads(json.dumps({"probs": vector})), 3)
@@ -254,21 +281,47 @@ class TestPayloadConversion:
             distribution_from_payload({"logprobs": [0.0, bad, 0.0]}, 3)
 
     @pytest.mark.parametrize(
-        "value, match",
+        "body, match",
         [
-            ("not base64!", "base64"),
-            ("AAAAAAAA4D8", "base64"),  # padding stripped
-            ("AAAAAAAA4D8\u00e9", "base64"),  # not ASCII
-            ([0.5, 0.5], "string"),
-            (12, "string"),
-            (f64_b64([0.5, 0.5]), "bytes"),  # 2 floats for V=3
-            (f64_b64([0.25, 0.25, 0.25, 0.25]), "bytes"),  # 4 floats for V=3
-            (base64.b64encode(bytes(23)).decode("ascii"), "bytes"),  # not whole float64s
+            (f64le([0.5, 0.5]), "16 bytes"),  # 2 floats for V=3
+            (f64le([0.25, 0.25, 0.25, 0.25]), "32 bytes"),  # 4 floats for V=3
+            (bytes(23), "23 bytes"),  # not whole float64s
+            (b"", "0 bytes"),
+            (f64le([math.nan, 0.5, 0.5]), "finite"),
+            (f64le([math.inf, 0.5, 0.5]), "finite"),
+            (f64le([-math.inf, 0.5, 0.5]), "non-negative"),
+            (f64le([-0.5, 0.75, 0.75]), "non-negative"),
+            (f64le([0.0, 0.0, 0.0]), "sums to 0.0"),
         ],
+        ids=["2-floats", "4-floats", "23-bytes", "empty", "nan", "inf", "-inf", "negative", "zero-sum"],
     )
-    def test_malformed_binary_probs_rejected(self, value, match):
+    def test_malformed_raw_body_rejected(self, body, match):
         with pytest.raises(BackendError, match=match):
-            distribution_from_payload({"probs_f64": value}, 3)
+            distribution_from_payload(body, 3)
+
+    @given(
+        body=st.one_of(
+            st.binary(max_size=168),
+            arrays("<f8", st.integers(0, 20)).map(np.ndarray.tobytes),  # NaN and infinities included
+            arrays("<f8", st.integers(2, 20), elements=st.floats(0.0, 1.0))
+            .filter(lambda w: w.sum() > 0.0)
+            .map(lambda w: (w / w.sum()).tobytes()),
+        ),
+        offset=st.sampled_from([0, 0, -1, 1]),
+    )
+    @example(body=f64le([math.nan, 0.5, 0.5]), offset=0)
+    @example(body=f64le([math.inf, 0.0]), offset=0)
+    @example(body=f64le([-math.inf, 1.0]), offset=0)
+    @example(body=f64le([-0.5, 1.5]), offset=0)
+    @example(body=f64le([0.0, 0.0]), offset=0)
+    @example(body=bytes(23), offset=0)
+    def test_raw_body_is_taken_verbatim_or_refused(self, body, offset):
+        """Any body for V = len(body) // 8 + offset decodes bit for bit or is a BackendError."""
+        try:
+            dist = distribution_from_payload(body, len(body) // 8 + offset)
+        except BackendError:
+            return
+        assert dist.probs.tobytes() == body
 
     @pytest.mark.parametrize(
         "payload",
@@ -289,8 +342,7 @@ class TestPayloadConversion:
         # zeros and subnormals as explicit entries; they move the sum by < 1e-300
         tiny = data.draw(st.lists(st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308])))
         dist = Distribution(np.concatenate([weights / weights.sum(), tiny]))
-        wire = json.loads(json.dumps(_full_payload("m", dist)))
-        decoded = distribution_from_payload(wire, dist.vocab_size).probs
+        decoded = distribution_from_payload(_full_payload(dist), dist.vocab_size).probs
         assert decoded.tobytes() == dist.probs.tobytes()
 
 
@@ -326,7 +378,21 @@ class TestRemoteModel:
         posts = record_requests(monkeypatch, "POST")
         remote_model(endpoint(server)).next_distribution([0, 1])
         bodies = [json.loads(body) for body in posts]
-        assert bodies == [json.loads((FIXTURES / "distribution_request_f64.json").read_text())]
+        assert bodies == [json.loads((FIXTURES / "distribution_request_f64le.json").read_text())]
+
+    def test_raw_body_of_the_wrong_length_is_a_backend_error(self, remote_model):
+        with serving(backend("application/octet-stream", f64le([0.5, 0.5]))) as base_url:
+            remote = remote_model(BackendEndpoint(base_url=base_url, model_name="m"))
+            with pytest.raises(BackendError, match="raw body holds 16 bytes, expected 8 x vocab size 4"):
+                remote.next_distribution([0])
+
+    def test_server_ignoring_the_encoding_is_read_as_json(self, remote_model):
+        logprobs = json.dumps({"logprobs": [0.0, 0.0, math.log(2.0), -1e300]}).encode()
+        with serving(backend("application/json", logprobs)) as base_url:
+            remote = remote_model(BackendEndpoint(base_url=base_url, model_name="m"))
+            probs = remote.next_distribution([0]).probs
+        np.testing.assert_allclose(probs, [0.25, 0.25, 0.5, 0.0], rtol=1e-12)
+        assert remote.stats["response_bytes"] == len(logprobs)
 
     def test_small_responses_do_not_wait_for_delayed_acks(self, remote_model):
         # the stub writes headers and body separately; with Nagle on, each
@@ -426,9 +492,8 @@ class TestStats:
         assert stats["requests"] - stats["retries"] == len(served)
         assert stats["cache_hits"] + stats["requests"] - stats["retries"] == len(contexts)
         assert (stats["cache_hits"], len(served)) == (24, 24)
-        bodies = [json.dumps(_full_payload("fixture-table", inner(ctx))) for ctx in served]
-        assert stats["response_bytes"] == sum(len(b.encode()) for b in bodies)
-        sent = [{"model": "fixture-table", "context": ctx, "want": "full", "encoding": "f64-b64"} for ctx in served]
+        assert stats["response_bytes"] == 8 * model.vocab_size * len(served)  # raw bodies, nothing else
+        sent = [{"model": "fixture-table", "context": ctx, "want": "full", "encoding": "f64-le"} for ctx in served]
         assert stats["request_bytes"] == sum(len(json.dumps(b).encode()) for b in sent)
         assert stats["round_trip_s"] > 0.0
 
@@ -452,17 +517,18 @@ class TestRecordReplay:
         np.testing.assert_array_equal(replayed.probs, expected.probs)
 
     def test_replayed_binary_fixture_gives_identical_distribution(self):
-        stored = json.loads((FIXTURES / "distribution_response_f64.json").read_text())
+        stored = (FIXTURES / "distribution_response_f64le.bin").read_bytes()
         replayed = distribution_from_payload(stored, 4)
         expected = fixture_model().next_distribution([0, 1])
-        np.testing.assert_array_equal(replayed.probs, expected.probs)
+        assert replayed.probs.tobytes() == expected.probs.tobytes()
 
     def test_live_stub_still_matches_recorded_binary_response(self, stub):
         server, _ = stub
-        request = json.loads((FIXTURES / "distribution_request_f64.json").read_text())
-        stored = json.loads((FIXTURES / "distribution_response_f64.json").read_text())
-        live = post_json(f"{server.base_url}/v1/distribution", request)
-        assert live == stored
+        request = json.loads((FIXTURES / "distribution_request_f64le.json").read_text())
+        status, content_type, body = exchange(f"{server.base_url}/v1/distribution", request)
+        assert status == 200
+        assert content_type == "application/octet-stream"  # what a .bin record holds
+        assert body == (FIXTURES / "distribution_response_f64le.bin").read_bytes()
 
     def test_capabilities_fixture_matches_live(self, stub):
         server, _ = stub
@@ -490,7 +556,7 @@ class TestStubValidation:
                 "model": "fixture-table",
                 "context": [0],
                 "want": {"top_k": 2, "score": [3]},
-                "encoding": "f64-b64",
+                "encoding": "f64-le",
             },
         )
         assert status == 400
@@ -514,11 +580,20 @@ class TestStubValidation:
         assert status == 400
         assert "unsupported encoding" in json.loads(text)["error"]
 
+    def test_retired_base64_encoding_is_unsupported(self, stub):
+        server, _ = stub
+        status, text = fetch(
+            f"{server.base_url}/v1/distribution",
+            {"model": "fixture-table", "context": [0], "want": "full", "encoding": "f64-b64"},
+        )
+        assert status == 400
+        assert json.loads(text)["error"] == "unsupported encoding 'f64-b64'"
+
     def test_unknown_model_404(self, stub):
         server, _ = stub
         status, text = fetch(
             f"{server.base_url}/v1/distribution",
-            {"model": "ghost", "context": [], "want": "full", "encoding": "f64-b64"},
+            {"model": "ghost", "context": [], "want": "full", "encoding": "f64-le"},
         )
         assert status == 404
         assert json.loads(text)["error"] == "unknown model 'ghost'"
@@ -526,16 +601,46 @@ class TestStubValidation:
     def test_malformed_body_400(self, stub):
         server, _ = stub
         status, text = fetch(
-            f"{server.base_url}/v1/distribution", {"model": "fixture-table", "encoding": "f64-b64"}
+            f"{server.base_url}/v1/distribution", {"model": "fixture-table", "encoding": "f64-le"}
         )
         assert status == 400
         assert json.loads(text)["error"] == "malformed request: 'context'"
+
+    @pytest.mark.parametrize(
+        "context",
+        ["01", [1.7], [True, 0], [1.0], {"0": 1}, None],
+        ids=["string", "float", "bool", "integral-float", "object", "null"],
+    )
+    def test_context_that_is_not_a_list_of_ints_400(self, stub, context):
+        server, _ = stub
+        status, text = fetch(
+            f"{server.base_url}/v1/distribution",
+            {"model": "fixture-table", "context": context, "want": "full", "encoding": "f64-le"},
+        )
+        assert status == 400
+        assert json.loads(text)["error"] == "malformed request: context must be a list of ints"
+
+    def test_model_that_is_not_a_string_400(self, stub):
+        # was a TypeError inside the handler: the connection dropped, and the client retried it
+        server, _ = stub
+        status, text = fetch(
+            f"{server.base_url}/v1/distribution",
+            {"model": ["t"], "context": [0], "want": "full", "encoding": "f64-le"},
+        )
+        assert status == 400
+        assert json.loads(text)["error"] == "malformed request: model must be a string, got list"
+
+    def test_non_object_body_400(self, stub):
+        server, _ = stub
+        status, text = fetch(f"{server.base_url}/v1/distribution", [0, 1])
+        assert status == 400
+        assert json.loads(text)["error"].startswith("malformed request: ")
 
     def test_out_of_vocab_context_400(self, stub):
         server, _ = stub
         status, text = fetch(
             f"{server.base_url}/v1/distribution",
-            {"model": "fixture-table", "context": [0, 99], "want": "full", "encoding": "f64-b64"},
+            {"model": "fixture-table", "context": [0, 99], "want": "full", "encoding": "f64-le"},
         )
         assert status == 400
         assert json.loads(text)["error"] == "context token 99 outside vocabulary of size 4"

@@ -8,7 +8,8 @@ with different preferences so both outcomes show up.
 
 import numpy as np
 
-from rsdkit import GenerationConfig, TableModel, decode, fallback_rate
+from rsdkit import GenerationConfig, TableModel, decode
+from rsdkit.metrics import aggregate_records
 
 VOCAB = ["the", "cat", "sat", "<eos>"]
 
@@ -34,14 +35,16 @@ for i, rec in enumerate(trace.records):
         f"step {i}: {outcome} token={VOCAB[rec.token]!r:8} "
         f"p_student={rec.p_student:.4f} surprisal={rec.surprisal_student:.3f} nats"
     )
-print(f"terminated by {trace.terminated_by}, fallback rate {fallback_rate([trace]):.2f}\n")
+agg = aggregate_records([(cfg.regime, trace.records)])
+print(f"terminated by {trace.terminated_by}, fallback rate {agg.fallbacks / agg.tokens:.2f}\n")
 
 print("=== mirror regime: student proposes, teacher approves (skd) ===")
 mirror = decode(teacher, student, [0], GenerationConfig(
     p_th=0.01, max_tokens=8, temperature=0.7, context_limit=64, seed=3, regime="skd"
 ))
 print("tokens:", [VOCAB[t] for t in mirror.tokens()])
-print("fallback rate:", fallback_rate([mirror]), "\n")
+agg = aggregate_records([(mirror.config.regime, mirror.records)])
+print("fallback rate:", agg.fallbacks / agg.tokens, "\n")
 
 print("=== solo decoding, with the student scoring the teacher's output ===")
 solo = decode(

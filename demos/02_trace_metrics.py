@@ -18,9 +18,8 @@ from rsdkit import (
     low_prob_token_tally,
     records_perplexity,
     step_entropy,
-    sub_threshold_ratio,
 )
-from rsdkit.metrics import write_surprisal_csv
+from rsdkit.metrics import aggregate_records, write_surprisal_csv
 
 rng = np.random.default_rng(0)
 teacher = TableModel({}, rng.dirichlet(np.ones(6) * 2.0), eos_token=5)
@@ -44,7 +43,8 @@ print("\nstep entropy of the student's opening distribution:")
 d = student.next_distribution([0])
 print(f"  H = {step_entropy(d):.4f} nats (max possible ln {d.vocab_size} = {math.log(d.vocab_size):.4f})")
 
-ratio = sub_threshold_ratio(traces, 0.01)
+agg = aggregate_records(((t.config.regime, t.records) for t in traces), 0.01)
+ratio = agg.below / agg.tokens
 print(f"\nsub-1% token ratio across {len(traces)} coordinated traces: {100 * ratio:.3f}%")
 
 # contrast: the same teacher decoding alone, scored under the student,
@@ -57,7 +57,8 @@ solo = [
     )
     for s in range(40)
 ]
-solo_ratio = sub_threshold_ratio(solo, 0.01)
+agg = aggregate_records(((t.config.regime, t.records) for t in solo), 0.01)
+solo_ratio = agg.below / agg.tokens
 print(f"sub-1% ratio of unfiltered teacher traces:       {100 * solo_ratio:.3f}%")
 print("most frequent sub-1% tokens there:", low_prob_token_tally((t.records for t in solo), 0.01))
 

@@ -4,6 +4,9 @@ Each problem gets up to `attempts` decodes (seeds derived from the base seed,
 problem id, and attempt index), each verified against the reference answer.
 The first correct trace becomes a full training record; problems that never
 verify contribute a short prefix instead, so nothing is wasted.
+
+Here each problem's attempts are kept to show them; `run_generation` does the
+same work but reduces each problem to its record as soon as it is decided.
 """
 
 import json
@@ -17,7 +20,7 @@ from rsdkit import (
     dataset_report,
     decode,
     export_dataset,
-    run_generation,
+    rejection_sample,
 )
 
 TOKEN_TEXT = ["a", "b", "c", ""]
@@ -42,15 +45,11 @@ problems = [
     Problem(id="hard-2", prompt_tokens=(0,), answer="abcabc"),   # extremely unlikely
 ]
 
-results = run_generation(
-    problems,
-    generator,
-    Verifier(mode="exact-match", normalization=()),
-    attempts=16,
-    base_seed=cfg.seed,
-    detokenize=detokenize,
-    workers=2,
-)
+verifier = Verifier(mode="exact-match", normalization=())
+results = [
+    rejection_sample(p, generator, verifier, attempts=16, base_seed=cfg.seed, detokenize=detokenize)
+    for p in problems
+]
 for r in results:
     status = f"solved at attempt {r.solved.attempt_index}" if r.solved else "unsolved"
     print(f"{r.problem_id}: {status} ({len(r.attempts)} attempts)")

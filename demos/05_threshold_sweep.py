@@ -9,8 +9,8 @@ The headline configuration uses 1%; the canonical comparison set is
 
 import numpy as np
 
-from rsdkit import GenerationConfig, TableModel, decode, sub_threshold_ratio
-from rsdkit.metrics import fallback_rate, records_perplexity
+from rsdkit import GenerationConfig, TableModel, decode
+from rsdkit.metrics import aggregate_records, records_perplexity
 
 # flat teacher vs peaky student: many proposals land where the student
 # assigns almost no mass, so the threshold has something to filter
@@ -33,8 +33,9 @@ for p_th in (0.10, 0.03, 0.01, 0.003, 0.0):
         for s in range(200)
     ]
     traces = [t for t in traces if len(t.records)]
-    fb = 100 * fallback_rate(traces)
-    sub = 100 * sub_threshold_ratio(traces, 0.01)
+    agg = aggregate_records(((t.config.regime, t.records) for t in traces), 0.01)
+    fb = 100 * agg.fallbacks / agg.tokens
+    sub = 100 * agg.below / agg.tokens
     ppl = np.mean([records_perplexity(t.records) for t in traces])
     print(f"{p_th:>6g}  {fb:>10.2f}  {sub:>9.2f}  {ppl:>9.2f}")
 

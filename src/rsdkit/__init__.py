@@ -15,11 +15,9 @@ from .decoding import (
 )
 from .metrics import (
     dataset_report,
-    fallback_rate,
     low_prob_token_tally,
     records_perplexity,
     step_entropy,
-    sub_threshold_ratio,
 )
 from .models import (
     ContextOverflowError,
@@ -41,11 +39,11 @@ from .pipeline import (
     assemble_dataset,
     export_dataset,
     import_dataset,
+    problem_record,
     read_traces_jsonl,
     rejection_sample,
     run_generation,
     score_external_traces,
-    upft_prefix,
     write_traces_jsonl,
 )
 from .remote import (

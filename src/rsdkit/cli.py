@@ -28,7 +28,7 @@ from .config import (
     load_problems,
     load_run_config,
 )
-from .decoding import COORDINATED_REGIMES, decode, prompt_context
+from .decoding import ROLES, decode, prompt_context
 from .metrics import (
     DEFAULT_SUB_THRESHOLD,
     aggregate_records,
@@ -40,9 +40,10 @@ from .metrics import (
     write_token_tally_csv,
 )
 from .models import ContextOverflowError
+# assemble_dataset stays an attribute here, unused, for perfbench/child.py to patch
 from .pipeline import (
     DataError,
-    assemble_dataset,
+    assemble_dataset,  # noqa: F401
     export_dataset,
     import_dataset,
     read_jsonl,
@@ -139,7 +140,7 @@ def _build_pair(cfg: RunConfig):
     vmap = build_vocab_map_from_spec(
         cfg.vocab_map_spec,
         (student or teacher).vocab_size,
-        teacher.vocab_size if cfg.generation.regime in COORDINATED_REGIMES else None,
+        teacher.vocab_size if ROLES[cfg.generation.regime][1] else None,
         cfg.base_dir,
     )
     return teacher, student, vmap
@@ -166,27 +167,27 @@ def _run_dataset(cfg: RunConfig, pair, problems):
     def generator(prompt, seed):
         return decode(teacher, student, prompt, gen_cfg.with_seed(seed), vmap)
 
-    def progress(result):
-        solved = result.solved is not None
-        log.info("problem=%s attempts=%d solved=%s", result.problem_id, len(result.attempts), solved)
-
+    records = []
     try:
-        results = run_generation(
+        for record in run_generation(
             problems,
             generator,
             cfg.verifier,
             cfg.attempts,
             gen_cfg.seed,
             build_detokenizer(cfg.token_text),
+            prefix_length=cfg.prefix_length,
+            prefix_source=cfg.prefix_source,
             workers=cfg.workers or os.cpu_count() or 1,
-            progress=progress,
-        )
+        ):
+            log.info("problem=%s kind=%s source=%s", record.problem_id, record.kind, record.source_trace_ref)
+            records.append(record)
     finally:
         for role, model in (("teacher", teacher), ("student", student)):
             if isinstance(model, RemoteModel):  # running totals since the model was built
                 model.close()
                 log.info("remote %s %s", role, json.dumps(model.stats))
-    return assemble_dataset(results, cfg.prefix_length, cfg.prefix_source)
+    return records
 
 
 def _write_outputs(cfg: RunConfig, records, dataset_path: Path, report_path: Path) -> dict:

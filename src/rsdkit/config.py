@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .decoding import COORDINATED_REGIMES, GenerationConfig
+from .decoding import ROLES, GenerationConfig
 from .metrics import DEFAULT_SUB_THRESHOLD
 from .models import LanguageModel, NgramModel, TableModel
 from .pipeline import (
@@ -137,18 +137,14 @@ def parse_run_config(payload: Mapping, base_dir: str | Path = ".") -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad generation settings: {exc}") from exc
 
-    regime = generation.regime
-    teacher_spec = payload.get("teacher")
-    student_spec = payload.get("student")
-    if regime in COORDINATED_REGIMES and (teacher_spec is None or student_spec is None):
-        raise ConfigError(f"regime {regime!r} needs both teacher and student model specs")
-    if regime == "solo-teacher" and teacher_spec is None:
-        raise ConfigError("regime 'solo-teacher' needs a teacher model spec")
-    if regime == "solo-student" and student_spec is None:
-        raise ConfigError("regime 'solo-student' needs a student model spec")
-    for role, spec in (("teacher", teacher_spec), ("student", student_spec)):
+    specs = {role: payload.get(role) for role in ("teacher", "student")}
+    needed = [role for role in ROLES[generation.regime] if role]
+    if any(specs[role] is None for role in needed):
+        raise ConfigError(f"regime {generation.regime!r} needs {' and '.join(needed)} model specs")
+    for role, spec in specs.items():
         if spec is not None:
             validate_model_spec(spec, role)
+    teacher_spec, student_spec = specs["teacher"], specs["student"]
 
     token_text = payload.get("token_text")
     if token_text is not None:

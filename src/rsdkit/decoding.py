@@ -47,8 +47,15 @@ from .models import Distribution, LanguageModel, apply_temperature, sample  # no
 from .seeding import StepStream
 from .vocab import DualContext, VocabularyAlignmentError, VocabularyMap, suppress  # noqa: F401
 
-REGIMES = ("rsd", "skd", "solo-teacher", "solo-student")
-COORDINATED_REGIMES = ("rsd", "skd")
+# regime -> (proposer role, approver role or None): the one place a regime's roles are named
+ROLES = {
+    "rsd": ("teacher", "student"),
+    "skd": ("student", "teacher"),
+    "solo-teacher": ("teacher", None),
+    "solo-student": ("student", None),
+}
+REGIMES = tuple(ROLES)
+COORDINATED_REGIMES = tuple(regime for regime, (_, approver) in ROLES.items() if approver)
 TERMINATIONS = ("eos", "length-budget")
 
 
@@ -65,10 +72,19 @@ class GenerationConfig:
     threshold_uses_raw: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("p_th", "temperature"):
+            if isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be a number, got {getattr(self, name)!r}")
+        for name in ("max_tokens", "context_limit", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.threshold_uses_raw, bool):
+            raise TypeError(f"threshold_uses_raw must be true or false, got {self.threshold_uses_raw!r}")
         if not 0.0 <= self.p_th <= 1.0:
             raise ValueError(f"p_th must lie in [0, 1], got {self.p_th}")
-        if self.temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
         if self.max_tokens <= 0:
             raise ValueError(f"max_tokens must be positive, got {self.max_tokens}")
         if self.context_limit <= 0:
@@ -198,8 +214,9 @@ def prompt_context(
     """The model keying prompts and maps, the map and the starting context of a
     decode of ``prompt``: ValueError for a token outside that model's
     vocabulary, ContextOverflowError if it overflows ``cfg.context_limit``."""
-    home = teacher if cfg.regime == "solo-teacher" else student
-    if vmap is None or cfg.regime not in COORDINATED_REGIMES:
+    roles = ROLES[cfg.regime]
+    home = student if "student" in roles else teacher
+    if vmap is None or roles[1] is None:
         vmap = VocabularyMap.identity(home.vocab_size)
     for t in prompt:
         if not 0 <= t < home.vocab_size:
@@ -222,16 +239,15 @@ def decode(
     the student cannot read it); ``solo-student`` needs the student and
     ignores the teacher. Solo regimes ignore ``vmap``.
     """
-    if cfg.regime in COORDINATED_REGIMES and (teacher is None or student is None):
-        raise ValueError(f"regime {cfg.regime!r} needs both a teacher and a student")
-    if cfg.regime == "solo-teacher" and teacher is None:
-        raise ValueError("regime 'solo-teacher' needs a teacher")
-    if cfg.regime == "solo-student":
-        if student is None:
-            raise ValueError("regime 'solo-student' needs a student")
+    proposer_role, approver_role = ROLES[cfg.regime]
+    models = {"teacher": teacher, "student": student}
+    needed = [role for role in (proposer_role, approver_role) if role]
+    if any(models[role] is None for role in needed):
+        raise ValueError(f"regime {cfg.regime!r} needs {' and '.join(needed)}")
+    if "teacher" not in needed:  # solo-student ignores the teacher; solo-teacher keeps the student to score
         teacher = None
-    approving = cfg.regime in COORDINATED_REGIMES
-    teacher_proposes = cfg.regime in ("rsd", "solo-teacher")
+    approving = approver_role is not None
+    teacher_proposes = proposer_role == "teacher"
     proposer, other = (teacher, student) if teacher_proposes else (student, teacher)
     home, vmap, ctx = prompt_context(teacher, student, prompt, cfg, vmap)
     own_ctx, other_ctx = (ctx.teacher, ctx.student) if teacher_proposes else (ctx.student, ctx.teacher)

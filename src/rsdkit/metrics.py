@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .decoding import COORDINATED_REGIMES, TokenRecord, Trace
+from .decoding import COORDINATED_REGIMES, TokenRecord
 from .models import Distribution
 
 if TYPE_CHECKING:
@@ -110,26 +110,6 @@ def aggregate_records(
                 scored = False
         perplexities.append(records_perplexity(records) if scored else None)
     return RecordsAggregate(n, tokens, below, fallbacks, coordinated, perplexities)
-
-
-def sub_threshold_ratio(traces: Iterable[Trace], threshold: float) -> float:
-    """Fraction of tokens with ``p_student`` strictly below ``threshold``."""
-    agg = aggregate_records(((t.config.regime, t.records) for t in traces), threshold)
-    if None in agg.perplexities:
-        raise ValueError("trace carries unscored records")
-    if agg.tokens == 0:
-        raise ValueError("no tokens in the given traces")
-    return agg.below / agg.tokens
-
-
-def fallback_rate(traces: Iterable[Trace]) -> float:
-    """Fallback records over total records; coordinated regimes only."""
-    agg = aggregate_records((t.config.regime, t.records) for t in traces)
-    if not agg.coordinated:
-        raise ValueError("fallback rate is undefined for regimes other than rsd and skd")
-    if agg.tokens == 0:
-        raise ValueError("no tokens in the given traces")
-    return agg.fallbacks / agg.tokens
 
 
 def low_prob_token_tally(

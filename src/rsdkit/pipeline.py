@@ -2,14 +2,16 @@
 
 Per problem: decode up to ``attempts`` candidate traces with seeds derived
 from ``(base_seed, problem id, attempt index)``, verify each against the
-reference answer, and keep the first correct one. Solved problems contribute
-their full trace to the dataset; unsolved problems are salvaged as a short
-prefix (first 128 generated tokens by default) so no training instance is
-wasted.
+reference answer, and keep the first correct one. :func:`problem_record`
+then reduces the problem to its one dataset record: a solved problem
+contributes its full trace; an unsolved one is salvaged as a short prefix
+(first 128 generated tokens by default) so no training instance is wasted.
 
 Problems are independent work items; a worker pool may run them
-concurrently, and results are always reduced in problem order, so parallel
-runs produce byte-identical datasets to serial ones.
+concurrently. Each problem is reduced to its record as soon as its attempts
+end, so no attempt trace outlives its problem, and records are yielded in
+problem order, so parallel runs produce byte-identical datasets to serial
+ones.
 """
 
 from __future__ import annotations
@@ -285,58 +287,6 @@ def rejection_sample(
     return RejectionResult(problem.id, solved=None, attempts=outcomes)
 
 
-def _dataset_record(
-    problem_id: str,
-    kind: str,
-    verdict: str,
-    trace: Trace,
-    records: list[TokenRecord],
-    source_trace_ref: str,
-) -> DatasetRecord:
-    agg = aggregate_records([(trace.config.regime, records)])
-    return DatasetRecord(
-        problem_id=problem_id,
-        kind=kind,
-        verdict=verdict,
-        tokens=tuple(r.token for r in records),
-        source_trace_ref=source_trace_ref,
-        regime=trace.config.regime,
-        records=records,
-        stats={
-            "token_count": agg.tokens,
-            "fallback_count": agg.fallbacks,
-            "perplexity": agg.perplexities[0] if records else None,
-        },
-    )
-
-
-def full_trace_record(problem_id: str, trace: Trace, source_trace_ref: str) -> DatasetRecord:
-    return _dataset_record(
-        problem_id, "full-trace", "correct", trace, list(trace.records), source_trace_ref
-    )
-
-
-def upft_prefix(
-    trace: Trace,
-    prefix_length: int = DEFAULT_PREFIX_LENGTH,
-    *,
-    problem_id: str,
-    source_trace_ref: str,
-    verdict: str = "incorrect",
-) -> DatasetRecord:
-    """Salvage record holding the first ``prefix_length`` generated tokens.
-
-    Counts generated tokens only (the prompt is excluded); shorter traces
-    keep everything they have.
-    """
-    if prefix_length < 1:
-        raise ValueError(f"prefix_length must be >= 1, got {prefix_length}")
-    if not trace.records:
-        raise ValueError("cannot take a prefix of an empty trace")
-    clipped = list(trace.records[:prefix_length])
-    return _dataset_record(problem_id, "upft-prefix", verdict, trace, clipped, source_trace_ref)
-
-
 def _pick_prefix_source(result: RejectionResult, policy: str) -> AttemptOutcome:
     candidates = [a for a in result.attempts if a.trace is not None and a.trace.records]
     if not candidates:
@@ -356,32 +306,47 @@ def _pick_prefix_source(result: RejectionResult, policy: str) -> AttemptOutcome:
     raise ValueError(f"unknown prefix source policy {policy!r}")
 
 
+def problem_record(
+    result: RejectionResult,
+    prefix_length: int = DEFAULT_PREFIX_LENGTH,
+    prefix_source: str = DEFAULT_PREFIX_SOURCE,
+) -> DatasetRecord:
+    """A problem's one training record: its first correct trace in full, or else
+    the first ``prefix_length`` generated tokens (the prompt excluded; a shorter
+    trace keeps everything) of the attempt named by ``prefix_source``."""
+    if prefix_length < 1:
+        raise ValueError(f"prefix_length must be >= 1, got {prefix_length}")
+    if result.solved is not None:
+        source, kind = result.solved, "full-trace"
+        records = list(source.trace.records)
+    else:
+        source, kind = _pick_prefix_source(result, prefix_source), "upft-prefix"
+        records = list(source.trace.records[:prefix_length])
+    regime = source.trace.config.regime
+    agg = aggregate_records([(regime, records)])
+    return DatasetRecord(
+        problem_id=result.problem_id,
+        kind=kind,
+        verdict=source.verdict,
+        tokens=tuple(r.token for r in records),
+        source_trace_ref=f"{result.problem_id}#attempt-{source.attempt_index}",
+        regime=regime,
+        records=records,
+        stats={
+            "token_count": agg.tokens,
+            "fallback_count": agg.fallbacks,
+            "perplexity": agg.perplexities[0] if records else None,
+        },
+    )
+
+
 def assemble_dataset(
     results: Sequence[RejectionResult],
     prefix_length: int = DEFAULT_PREFIX_LENGTH,
     prefix_source: str = DEFAULT_PREFIX_SOURCE,
 ) -> list[DatasetRecord]:
-    """One record per problem, in input order: full trace if solved, else a
-    prefix drawn from the attempt named by ``prefix_source``."""
-    records: list[DatasetRecord] = []
-    for result in results:
-        if result.solved is not None:
-            assert result.solved.trace is not None
-            ref = f"{result.problem_id}#attempt-{result.solved.attempt_index}"
-            records.append(full_trace_record(result.problem_id, result.solved.trace, ref))
-        else:
-            source = _pick_prefix_source(result, prefix_source)
-            ref = f"{result.problem_id}#attempt-{source.attempt_index}"
-            records.append(
-                upft_prefix(
-                    source.trace,
-                    prefix_length,
-                    problem_id=result.problem_id,
-                    source_trace_ref=ref,
-                    verdict=source.verdict,
-                )
-            )
-    return records
+    """The :func:`problem_record` of each result, in input order."""
+    return [problem_record(r, prefix_length, prefix_source) for r in results]
 
 
 def export_dataset(records: Sequence[DatasetRecord], path: str | Path) -> None:
@@ -490,27 +455,28 @@ def run_generation(
     attempts: int,
     base_seed: int,
     detokenize: Detokenizer,
+    *,
+    prefix_length: int = DEFAULT_PREFIX_LENGTH,
+    prefix_source: str = DEFAULT_PREFIX_SOURCE,
     workers: int = 1,
-    progress: Callable[[RejectionResult], None] | None = None,
-) -> list[RejectionResult]:
-    """Rejection-sample every problem, reducing results in problem order.
+) -> Iterator[DatasetRecord]:
+    """Rejection-sample every problem and yield its :func:`problem_record`,
+    in problem order.
 
-    ``workers=1`` runs fully serial; higher values fan problems out to a
-    thread pool. Either way the returned list order (and any downstream
-    dataset bytes) is identical.
+    Each worker reduces its problem's result to the record before returning
+    it, so no attempt trace outlives its problem. ``workers=1`` runs serially
+    on the calling thread and stops at the first problem that raises; higher
+    values fan problems out to a thread pool. Either way the records, and so
+    the dataset bytes, are identical.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    def one(problem: Problem) -> RejectionResult:
-        return rejection_sample(problem, generator, verifier, attempts, base_seed, detokenize)
+    def one(problem: Problem) -> DatasetRecord:
+        result = rejection_sample(problem, generator, verifier, attempts, base_seed, detokenize)
+        return problem_record(result, prefix_length, prefix_source)
 
-    results = []
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        # serial runs map on the calling thread; pool.map yields in
-        # submission order, so progress streams in problem order either way
-        for result in (map if pool is None else pool.map)(one, problems):
-            if progress is not None:
-                progress(result)
-            results.append(result)
-    return results
+        # pool.map yields in submission order, and cancels what has not started
+        # when a problem raises
+        yield from (map if pool is None else pool.map)(one, problems)

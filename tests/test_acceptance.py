@@ -19,17 +19,15 @@ import pytest
 from rsdkit.cli import main
 from rsdkit.decoding import GenerationConfig, decode
 from rsdkit.metrics import (
-    fallback_rate,
+    aggregate_records,
     low_prob_token_tally,
     records_perplexity,
     step_entropy,
-    sub_threshold_ratio,
 )
 from rsdkit.models import Distribution, TableModel
 from rsdkit.pipeline import (
     Problem,
     Verifier,
-    assemble_dataset,
     run_generation,
     write_traces_jsonl,
 )
@@ -277,7 +275,8 @@ class TestCriterion4MetricIdentities:
             h = step_entropy(Distribution(rng.dirichlet(np.ones(size) * rng.uniform(0.1, 3))))
             assert 0.0 <= h <= math.log(size) + 1e-12
         thresholds = sorted(float(t) for t in rng.uniform(0.0, 0.5, size=20))
-        ratios = [sub_threshold_ratio(traces, t) for t in thresholds]
+        items = [(t.config.regime, t.records) for t in traces]
+        ratios = [aggregate_records(items, t).below / sum(map(len, traces)) for t in thresholds]
         assert ratios == sorted(ratios)
         passed(
             4,
@@ -311,8 +310,10 @@ class TestCriterion5RecountOracles:
                 if rec["p_student"] < 0.01:
                     scan_tally[rec["token"]] = scan_tally.get(rec["token"], 0) + 1
 
-        assert fallback_rate(traces) == scan_fallbacks / total
-        assert sub_threshold_ratio(traces, 0.01) == scan_below / total
+        agg = aggregate_records(((t.config.regime, t.records) for t in traces), 0.01)
+        assert agg.coordinated
+        assert agg.fallbacks / agg.tokens == scan_fallbacks / total
+        assert agg.below / agg.tokens == scan_below / total
         assert low_prob_token_tally((t.records for t in traces), 0.01) == scan_tally
         passed(5, f"fallback, sub-threshold, tally over {total} serialized records, bit-exact")
 
@@ -342,15 +343,17 @@ class TestCriterion6PipelineShape:
         def generator(prompt, seed):
             return decode(teacher, student, prompt, cfg.with_seed(seed))
 
-        results = run_generation(
-            problems,
-            generator,
-            Verifier(mode="exact-match", normalization=()),
-            attempts=2,
-            base_seed=99,
-            detokenize=lambda ts: "".join(token_text[t] for t in ts),
+        records = list(
+            run_generation(
+                problems,
+                generator,
+                Verifier(mode="exact-match", normalization=()),
+                attempts=2,
+                base_seed=99,
+                detokenize=lambda ts: "".join(token_text[t] for t in ts),
+                prefix_length=128,
+            )
         )
-        records = assemble_dataset(results, prefix_length=128)
 
         kinds = [r.kind for r in records]
         assert kinds.count("full-trace") == 12

@@ -241,7 +241,7 @@ class TestAnalyze:
         from rsdkit.pipeline import write_traces_jsonl
         from rsdkit.metrics import dataset_report
         from rsdkit.models import TableModel
-        from rsdkit.pipeline import full_trace_record
+        from rsdkit.pipeline import AttemptOutcome, RejectionResult, problem_record
 
         teacher = TableModel({}, [0.0, 1.0, 0.0, 0.0], eos_token=3)
         student = TableModel({}, [0.2, 0.5, 0.2, 0.1], eos_token=3)
@@ -249,7 +249,8 @@ class TestAnalyze:
             decode(teacher, student, [0], GenerationConfig(p_th=0.3, max_tokens=4)),
             decode(None, student, [0], GenerationConfig(p_th=0.3, max_tokens=4, regime="solo-student")),
         ]
-        records = [full_trace_record(f"p{i}", t, f"p{i}#attempt-0") for i, t in enumerate(traces)]
+        solved = [AttemptOutcome(f"p{i}", 0, t, "correct") for i, t in enumerate(traces)]
+        records = [problem_record(RejectionResult(a.problem_id, a, [a])) for a in solved]
         assert dataset_report(records)["fallback_rate_pct"] is None
 
         path = tmp_path / "traces.jsonl"

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from rsdkit.cli import main
 from rsdkit.config import (
     ConfigError,
     DataError,
@@ -67,6 +68,29 @@ class TestParseRunConfig:
     def test_non_numeric_count_or_threshold_is_config_error(self, key, value):
         with pytest.raises(ConfigError, match=key):
             parse_run_config(dict(MINIMAL, **{key: value}))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("temperature", float("nan")),
+            ("temperature", float("inf")),
+            ("temperature", True),
+            ("p_th", True),
+            ("max_tokens", 4.5),
+            ("context_limit", 8.5),
+            ("seed", 1.5),
+            ("seed", False),
+            ("threshold_uses_raw", "no"),
+            ("threshold_uses_raw", 1),
+        ],
+    )
+    def test_bad_generation_value_is_config_error(self, tmp_path, key, value):
+        path = tmp_path / "run.json"
+        # json writes NaN and Infinity as the bare literals that Python's parser reads back
+        path.write_text(json.dumps(dict(MINIMAL, generation={**MINIMAL["generation"], key: value})))
+        with pytest.raises(ConfigError, match=key):
+            load_run_config(path)
+        assert main(["generate", str(path)]) == 2
 
     def test_unknown_backend_rejected(self):
         payload = dict(MINIMAL, student={"backend": "gguf", "default": []})

@@ -13,7 +13,7 @@ import pytest
 
 from rsdkit import decoding, models, vocab
 from rsdkit.decoding import GenerationConfig, Trace, decode
-from rsdkit.metrics import fallback_rate
+from rsdkit.metrics import aggregate_records
 from rsdkit.models import ContextOverflowError, Distribution, LanguageModel, TableModel
 from rsdkit.vocab import build_vocab_map, replay_student_context
 
@@ -37,14 +37,15 @@ class TestRsdAcceptance:
         trace = decode(teacher, student, [0], cfg(p_th=0.01))
         assert len(trace) == 12
         assert all(r.accepted and not r.fallback for r in trace.records)
-        assert fallback_rate([trace]) == 0.0
+        assert aggregate_records([(trace.config.regime, trace.records)]).fallbacks == 0
 
     def test_unconfident_student_rejects_everything(self):
         teacher = TableModel({}, one_hot(4, 1), eos_token=3)
         student = TableModel({}, [0.745, 0.005, 0.2, 0.05], eos_token=3)
         trace = decode(teacher, student, [0], cfg(p_th=0.01))
         assert all(r.fallback and not r.accepted for r in trace.records)
-        assert fallback_rate([trace]) == 1.0
+        agg = aggregate_records([(trace.config.regime, trace.records)])
+        assert agg.fallbacks == agg.tokens
         assert all(r.proposer == "student" for r in trace.records)
 
     def test_accepted_records_meet_threshold_exactly_as_recorded(self):
@@ -124,7 +125,8 @@ class TestSkdMirror:
         teacher = TableModel({}, [0.6, 0.005, 0.295, 0.1], eos_token=3)
         trace = decode(teacher, student, [0], cfg(regime="skd"))
         assert all(r.fallback and r.proposer == "teacher" for r in trace.records)
-        assert fallback_rate([trace]) == 1.0
+        agg = aggregate_records([(trace.config.regime, trace.records)])
+        assert agg.fallbacks == agg.tokens
 
     def test_accepted_records_meet_threshold_on_teacher_side(self):
         rng = np.random.default_rng(77)
@@ -215,7 +217,7 @@ class TestBookkeeping:
             trace = decode(teacher, student, [0], cfg(p_th=0.05, seed=trial))
             fallbacks = sum(1 for r in trace.records if r.fallback)
             assert fallbacks == sum(1 for r in trace.records if not r.accepted)
-            assert fallback_rate([trace]) == fallbacks / len(trace)
+            assert aggregate_records([(trace.config.regime, trace.records)]).fallbacks == fallbacks
 
     def test_monotone_fallback_in_threshold_on_common_proposal_stream(self):
         # context-free models: the proposal at step i is identical across

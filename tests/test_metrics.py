@@ -15,12 +15,11 @@ import pytest
 from rsdkit import metrics
 from rsdkit.decoding import GenerationConfig, TokenRecord, Trace, _surprisal, decode
 from rsdkit.metrics import (
+    aggregate_records,
     dataset_report,
-    fallback_rate,
     low_prob_token_tally,
     records_perplexity,
     step_entropy,
-    sub_threshold_ratio,
     summary_stats,
     write_surprisal_csv,
     write_token_tally_csv,
@@ -120,38 +119,37 @@ class TestPerplexity:
 
 class TestSubThreshold:
     def test_one_of_three_below(self):
-        trace = make_trace([0.5, 0.005, 0.2])
-        assert sub_threshold_ratio([trace], 0.01) == pytest.approx(1 / 3)
+        agg = aggregate_records([("rsd", make_trace([0.5, 0.005, 0.2]).records)], 0.01)
+        assert agg.below / agg.tokens == pytest.approx(1 / 3)
 
     def test_none_below(self):
-        assert sub_threshold_ratio([make_trace([0.5, 0.2])], 0.01) == 0.0
+        assert aggregate_records([("rsd", make_trace([0.5, 0.2]).records)], 0.01).below == 0
 
     def test_strict_inequality_at_boundary(self):
-        assert sub_threshold_ratio([make_trace([0.01])], 0.01) == 0.0
+        assert aggregate_records([("rsd", make_trace([0.01]).records)], 0.01).below == 0
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(12)
         traces = [make_trace(list(rng.uniform(0, 0.3, size=20))) for _ in range(5)]
         thresholds = sorted(rng.uniform(0, 0.4, size=20))
-        ratios = [sub_threshold_ratio(traces, t) for t in thresholds]
-        assert ratios == sorted(ratios)
-
-    def test_empty_collection_rejected(self):
-        with pytest.raises(ValueError, match="no tokens"):
-            sub_threshold_ratio([], 0.01)
+        items = [(t.config.regime, t.records) for t in traces]
+        counts = [aggregate_records(items, th).below for th in thresholds]
+        assert counts == sorted(counts)
 
 
 class TestFallbackRate:
     def test_all_accepted_is_zero(self):
-        assert fallback_rate([make_trace([0.5] * 4)]) == 0.0
+        assert aggregate_records([("rsd", make_trace([0.5] * 4).records)]).fallbacks == 0
 
     def test_all_fallback_is_one(self):
-        assert fallback_rate([make_trace([0.5] * 4, fallbacks=[True] * 4)]) == 1.0
+        agg = aggregate_records([("rsd", make_trace([0.5] * 4, fallbacks=[True] * 4).records)])
+        assert agg.fallbacks / agg.tokens == 1.0
 
     def test_solo_traces_rejected(self):
         trace = make_trace([0.5], regime="solo-student")
-        with pytest.raises(ValueError, match="undefined for regime"):
-            fallback_rate([trace])
+        agg = aggregate_records([(trace.config.regime, trace.records)])
+        assert not agg.coordinated
+        assert agg.report_fields()["fallback_rate_pct"] is None
 
     def test_mixed_collection_matches_recount(self):
         rng = np.random.default_rng(4)
@@ -162,7 +160,9 @@ class TestFallbackRate:
             for _ in range(8)
         ]
         expected = sum(r.fallback for t in traces for r in t.records) / sum(len(t) for t in traces)
-        assert fallback_rate(traces) == expected
+        agg = aggregate_records((t.config.regime, t.records) for t in traces)
+        assert agg.coordinated
+        assert agg.fallbacks / agg.tokens == expected
 
 
 class TestRecountOracle:
@@ -189,14 +189,16 @@ class TestRecountOracle:
         raw = self.rescan(path)
         total = sum(len(r) for r in raw)
         fallbacks = sum(1 for recs in raw for r in recs if r["fallback"])
-        assert fallback_rate(traces) == fallbacks / total
+        agg = aggregate_records((t.config.regime, t.records) for t in traces)
+        assert agg.fallbacks / agg.tokens == fallbacks / total
 
     def test_sub_threshold_recount(self, tmp_path):
         traces, path = self.build_dataset(tmp_path)
         raw = self.rescan(path)
         total = sum(len(r) for r in raw)
         below = sum(1 for recs in raw for r in recs if r["p_student"] < 0.02)
-        assert sub_threshold_ratio(traces, 0.02) == below / total
+        agg = aggregate_records(((t.config.regime, t.records) for t in traces), 0.02)
+        assert agg.below / agg.tokens == below / total
 
     def test_tally_recount(self, tmp_path):
         traces, path = self.build_dataset(tmp_path)

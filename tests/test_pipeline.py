@@ -5,26 +5,29 @@ from __future__ import annotations
 import json
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rsdkit.decoding import GenerationConfig, decode
+from rsdkit.decoding import GenerationConfig, TokenRecord, Trace, decode
 from rsdkit.metrics import aggregate_records
 from rsdkit.models import TableModel
 from rsdkit.pipeline import (
+    AttemptOutcome,
     DataError,
     Problem,
+    RejectionResult,
     Verifier,
     assemble_dataset,
     export_dataset,
     extract_boxed,
     import_dataset,
+    problem_record,
     read_jsonl,
     rejection_sample,
     run_generation,
     score_external_traces,
-    upft_prefix,
 )
 from rsdkit.remote import BackendUnavailableError
 from rsdkit.seeding import derive_seed
@@ -210,7 +213,7 @@ class TestRejectionSample:
         problem = Problem(id="long", prompt_tokens=(0,) * 40, answer="zzz")
         result = rejection_sample(problem, student_generator(), Verifier(), 2, 0, detok)
         with pytest.raises(ValueError, match="ContextOverflowError: context budget 32 exhausted"):
-            assemble_dataset([result])
+            problem_record(result)
 
     def test_attempt_budget_validated(self):
         with pytest.raises(ValueError, match="attempts"):
@@ -229,30 +232,35 @@ def long_trace(n: int):
     )
 
 
+def unsolved(trace, problem_id="p") -> RejectionResult:
+    return RejectionResult(problem_id, None, [AttemptOutcome(problem_id, 0, trace, "incorrect")])
+
+
 class TestUpftPrefix:
     def test_long_trace_clips_to_128(self):
-        record = upft_prefix(long_trace(300), problem_id="p", source_trace_ref="p#attempt-0")
+        record = problem_record(unsolved(long_trace(300)))
         assert record.kind == "upft-prefix"
+        assert record.source_trace_ref == "p#attempt-0"
         assert len(record.tokens) == 128
         assert len(record.records) == 128
 
     def test_short_trace_keeps_everything(self):
-        record = upft_prefix(long_trace(50), problem_id="p", source_trace_ref="p#attempt-0")
+        record = problem_record(unsolved(long_trace(50)))
         assert len(record.tokens) == 50
 
     def test_zero_prefix_length_rejected(self):
         with pytest.raises(ValueError, match="prefix_length"):
-            upft_prefix(long_trace(10), 0, problem_id="p", source_trace_ref="r")
+            problem_record(unsolved(long_trace(10)), 0)
 
     def test_empty_trace_rejected(self):
         trace = long_trace(10)
         trace.records = []
-        with pytest.raises(ValueError, match="empty"):
-            upft_prefix(trace, problem_id="p", source_trace_ref="r")
+        with pytest.raises(ValueError, match="no attempt produced a trace to salvage"):
+            problem_record(unsolved(trace))
 
     def test_prompt_tokens_excluded(self):
         trace = long_trace(10)
-        record = upft_prefix(trace, 4, problem_id="p", source_trace_ref="r")
+        record = problem_record(unsolved(trace), 4)
         assert list(record.tokens) == trace.tokens()[:4]
 
 
@@ -455,28 +463,88 @@ class TestRunGeneration:
         v = Verifier(mode="exact-match", normalization=())
         runs = {}
         for workers in (1, 4):
-            results = run_generation(
-                self.problems(), student_generator(), v, 4, 24, detok, workers=workers
+            records = list(
+                run_generation(
+                    self.problems(), student_generator(), v, 4, 24, detok, prefix_length=2, workers=workers
+                )
             )
-            records = assemble_dataset(results, prefix_length=2)
             path = tmp_path / f"w{workers}.jsonl"
             export_dataset(records, path)
             runs[workers] = path.read_bytes()
         assert runs[1] == runs[4]
 
-    def test_progress_callback_sees_every_problem_in_order(self):
-        seen = []
-        run_generation(
-            self.problems(4),
-            student_generator(),
-            Verifier(mode="exact-match", normalization=()),
-            2,
-            0,
-            detok,
-            workers=2,
-            progress=lambda r: seen.append(r.problem_id),
+    def test_records_arrive_in_problem_order_when_lengths_are_uneven(self):
+        # the early problems decode the longest traces, so a pool finishes them last
+        lengths = [40, 30, 20, 10, 1, 1, 1, 1]
+        problems = [Problem(id=f"q{i}", prompt_tokens=(0,), answer="never") for i in range(8)]
+        by_prompt_and_seed = {
+            (0, derive_seed(0, p.id, k)): n for p, n in zip(problems, lengths) for k in range(2)
+        }
+
+        endless = TableModel({}, [0.5, 0.5, 0.0], eos_token=2)
+
+        def generator(prompt, seed):
+            n = by_prompt_and_seed[(prompt[0], seed)]
+            return decode(None, endless, prompt, solo_cfg(seed=seed, max_tokens=n, context_limit=64))
+
+        records = list(
+            run_generation(problems, generator, Verifier(), 2, 0, detok, prefix_length=64, workers=4)
         )
-        assert seen == ["q0", "q1", "q2", "q3"]
+        assert [r.problem_id for r in records] == [p.id for p in problems]
+
+    def test_serial_run_stops_at_the_first_unsalvageable_problem(self):
+        # q1's prompt overflows the context, so every attempt fails before any token
+        problems = [
+            Problem(id="q0", prompt_tokens=(0,), answer="never"),
+            Problem(id="q1", prompt_tokens=(0,) * 40, answer="never"),
+            Problem(id="q2", prompt_tokens=(0,), answer="never"),
+        ]
+        decoded = []
+        generate = student_generator()
+
+        def generator(prompt, seed):
+            decoded.append(len(prompt))
+            return generate(prompt, seed)
+
+        records = run_generation(problems, generator, Verifier(), 2, 0, detok, workers=1)
+        assert next(records).problem_id == "q0"
+        with pytest.raises(ValueError, match="'q1': no attempt produced a trace to salvage"):
+            next(records)
+        assert decoded == [1, 1, 40, 40]  # q2 never started
+
+
+def synthetic_generator(n_tokens: int):
+    """Never-correct traces of ``n_tokens`` records, built without a model."""
+    cfg = solo_cfg(max_tokens=n_tokens, context_limit=n_tokens + 8)
+
+    def generate(prompt, seed):
+        records = [TokenRecord(0, "student", False, False, None, 0.5, 0.69) for _ in range(n_tokens)]
+        return Trace(tuple(prompt), records, cfg, "length-budget")
+
+    return generate
+
+
+def generation_peak_bytes(n_problems: int) -> int:
+    problems = [Problem(id=f"q{i}", prompt_tokens=(0,), answer="never") for i in range(n_problems)]
+    tracemalloc.start()
+    try:
+        records = run_generation(
+            problems, synthetic_generator(300), Verifier(), 16, 0, detok, prefix_length=8
+        )
+        count = sum(1 for _ in records)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == n_problems
+    return peak
+
+
+class TestGenerationMemory:
+    def test_peak_does_not_grow_with_unsolved_problems(self):
+        # each unsolved problem holds 16 x 300 token records until it is reduced
+        generation_peak_bytes(2)  # warm caches and imports outside the measurement
+        small, large = generation_peak_bytes(10), generation_peak_bytes(20)
+        assert large < 1.25 * small, (small, large)
 
 
 class TestPrefixSourcePolicies:

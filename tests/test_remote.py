@@ -687,7 +687,6 @@ class TestConcurrentRemoteGeneration:
         from rsdkit.pipeline import (
             Problem,
             Verifier,
-            assemble_dataset,
             export_dataset,
             run_generation,
         )
@@ -708,16 +707,17 @@ class TestConcurrentRemoteGeneration:
         verifier = Verifier(mode="exact-match", normalization=())
         outputs = {}
         for workers in (1, 4):
-            results = run_generation(
+            records = run_generation(
                 problems,
                 generator,
                 verifier,
                 attempts=2,
                 base_seed=5,
                 detokenize=lambda ts: " ".join(str(t) for t in ts),
+                prefix_length=3,
                 workers=workers,
             )
             path = tmp_path / f"w{workers}.jsonl"
-            export_dataset(assemble_dataset(results, prefix_length=3), path)
+            export_dataset(list(records), path)
             outputs[workers] = path.read_bytes()
         assert outputs[1] == outputs[4]

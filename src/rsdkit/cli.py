@@ -308,7 +308,11 @@ def _json_writer(obj):
 
 
 def cmd_sweep(args) -> int:
-    thresholds = [in_unit_interval("--thresholds", x) for x in args.thresholds.split(",") if x.strip()]
+    try:  # the flag is one string; the config-file checks take numbers
+        numbers = [float(x) for x in args.thresholds.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--thresholds must be comma-separated numbers: {exc}") from exc
+    thresholds = [in_unit_interval("--thresholds", x) for x in numbers]
     if not thresholds:
         raise ConfigError("sweep needs at least one threshold")
     cfg = _apply_overrides(load_run_config(args.config), args)

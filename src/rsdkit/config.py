@@ -107,25 +107,23 @@ def _object(value, keys, what: str) -> Mapping:
 
 
 def at_least_one(name: str, value) -> int:
-    """``value`` as an int, or ConfigError if it is none or below 1 (counts and pool sizes)."""
-    try:
-        value = int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be an integer: {exc}") from exc
+    """``value`` if it is an integer of at least 1, else ConfigError (counts and pool sizes).
+    A float, a bool or a string is refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ConfigError(f"{name} must be >= 1, got {value}")
     return value
 
 
 def in_unit_interval(name: str, value) -> float:
-    """``value`` as a float, or ConfigError if it is none or outside [0, 1] (thresholds)."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number: {exc}") from exc
+    """``value`` as a float if it is a number in [0, 1], else ConfigError (thresholds).
+    A bool or a string is refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     if not 0.0 <= value <= 1.0:
         raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-    return value
+    return float(value)
 
 
 def parse_run_config(payload: Mapping, base_dir: str | Path = ".") -> RunConfig:

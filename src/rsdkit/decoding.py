@@ -28,6 +28,24 @@ randomness of later steps. At ``p_th = 0`` nothing is rejected, so by
 construction the coordinated regimes emit bit-exactly the tokens of the
 corresponding solo decodes (for ``rsd``, when suppression removes no mass).
 
+Block verification: an approver whose ``lookahead`` is above 1 (a remote
+model whose server serves ``/v1/distributions``) judges up to that many
+steps in one :meth:`~rsdkit.models.LanguageModel.next_distributions` call.
+The proposer first runs ahead on a trial copy of the contexts, drawing step
+``i``'s proposal from ``StepStream(seed, i)`` exactly as the one-step loop
+does; the loop then emits the block's steps in order, each from the stream,
+proposal and approver row the one-step loop would have used, and the first
+fallback discards the rest of the block. A fallback changes the emitted
+token, so every later proposal was drawn on a context that never comes to
+be: those steps are wasted work, never emitted, and their step indices are
+drawn again, from the same streams, on the real context. Speculation stops
+at EOS, at ``max_tokens``, and before a step whose context would overflow
+(the loop's own append then raises, at that step). A proposer error at a
+later step of the block only ends it, and is raised when the loop reaches
+that step; an approver error on a block is answered by judging its first
+step alone. So the trace, and any error, is the one-step loop's, bit for
+bit.
+
 Thresholding uses the *raw* (temperature-1) probability by default so the
 acceptance rule measures the same quantity as the sub-threshold diagnostics;
 ``threshold_uses_raw=False`` switches the check to the tempered value, read
@@ -43,7 +61,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 # apply_temperature and suppress stay attributes here, beside sample, for profilers to patch
-from .models import Distribution, LanguageModel, apply_temperature, sample  # noqa: F401
+from .models import ContextOverflowError, Distribution, LanguageModel, apply_temperature, sample  # noqa: F401
+from .remote import BackendError
 from .seeding import StepStream
 from .vocab import DualContext, VocabularyAlignmentError, VocabularyMap, suppress  # noqa: F401
 
@@ -259,20 +278,77 @@ def decode(
             raise VocabularyAlignmentError(f"suppression failed to filter token {token}, unscoreable by the student")
         return token
 
+    ahead = other.lookahead if approving else 1
+
+    def speculate(step: int) -> list:
+        """Up to ``ahead`` steps from ``step`` on, proposed on a trial copy of the contexts and
+        judged by one approver call: ``(stream, proposer row, proposal, approver row)`` each, last
+        first, below a later step's error, which ends the block and is raised at its own step."""
+        nonlocal checked
+        trial = DualContext(ctx.max_length, list(ctx.student), list(ctx.teacher))
+        t_own, t_other = (trial.teacher, trial.student) if teacher_proposes else (trial.student, trial.teacher)
+        base = len(t_other)
+        steps, deferred = [], None
+        for s in range(step, min(step + ahead, cfg.max_tokens)):
+            stream = StepStream(cfg.seed, s)
+            try:
+                own = proposer.next_distribution(t_own)
+                token = draw(teacher_proposes, own, stream)
+            except (ValueError, BackendError) as exc:
+                if not steps:
+                    raise
+                deferred = exc
+                break
+            steps.append((stream, own, token, len(t_other) - base))  # last: its row in the approver's reply
+            if token == eos:
+                break
+            try:
+                trial.append(token, vmap)
+            except (ContextOverflowError, VocabularyAlignmentError):
+                break  # the loop's own append raises it, at this step
+            if len(t_other) - base >= ahead:  # a reply holds at most ``ahead`` rows
+                break
+        for t in other_ctx[checked:]:  # as the loop checks before it judges
+            if not 0 <= t < other.vocab_size:
+                raise ValueError(f"context token {t} outside vocabulary of size {other.vocab_size}")
+        checked = len(other_ctx)
+        rows = None
+        if len(steps) > 1:
+            try:
+                rows = other.next_distributions(other_ctx, t_other[base : base + steps[-1][3]])
+            except BackendError:  # judged alone below, so an error surfaces where the loop meets it
+                del steps[1:]
+                deferred = None
+        if rows is None:
+            rows = [other.next_distribution(other_ctx)]
+        block = [] if deferred is None else [deferred]
+        block.extend((stream, own, token, rows[at]) for stream, own, token, at in reversed(steps))
+        return block
+
     records: list[TokenRecord] = []
     terminated = "length-budget"
     checked = 0  # other_ctx[:checked] lies in other's vocabulary; own_ctx always does
+    block: list = []  # speculated steps not yet emitted, next last; empty unless ahead > 1
     for step in range(cfg.max_tokens):
-        stream = StepStream(cfg.seed, step)
-        own = proposer.next_distribution(own_ctx)
-        token = draw(teacher_proposes, own, stream)
-        judge = None
+        if ahead > 1:
+            if not block:
+                block = speculate(step)
+            speculated = block.pop()
+            if isinstance(speculated, Exception):
+                raise speculated
+            stream, own, token, judge = speculated
+        else:
+            stream = StepStream(cfg.seed, step)
+            own = proposer.next_distribution(own_ctx)
+            token = draw(teacher_proposes, own, stream)
+            judge = None
         if other is not None:  # only a solo teacher's ids can lie outside the student's vocabulary
             for t in other_ctx[checked:]:
                 if not 0 <= t < other.vocab_size:
                     raise ValueError(f"context token {t} outside vocabulary of size {other.vocab_size}")
             checked = len(other_ctx)
-            judge = other.next_distribution(other_ctx)
+            if judge is None:
+                judge = other.next_distribution(other_ctx)
         fallback = False
         if approving:
             if vmap.is_student_only(token):  # unscoreable by a teacher approver
@@ -282,6 +358,7 @@ def decode(
             fallback = decision_p < cfg.p_th
             if fallback:
                 token = draw(not teacher_proposes, judge, stream)
+                block.clear()  # speculated past a rejection: never emitted
 
         p_t, p_s = (own, judge) if teacher_proposes else (judge, own)
         p_student = None if p_s is None else _prob(p_s, token, 0.0)

@@ -146,11 +146,25 @@ class LanguageModel(ABC):
 
     vocab_size: int
     eos_token: int
+    #: Steps an approver judges per call: ``decode`` hands it blocks of up to
+    #: this many proposals, through :meth:`next_distributions`, when it is > 1.
+    lookahead = 1
 
     @abstractmethod
     def next_distribution(self, context: Sequence[int]) -> Distribution:
         """Raw (temperature-1) distribution after the given context, whose
         tokens the caller has checked against ``vocab_size``."""
+
+    def next_distributions(self, context: Sequence[int], continuation: Sequence[int]) -> list[Distribution]:
+        """The ``len(continuation) + 1`` distributions after ``context`` extended by each prefix
+        of ``continuation``, shortest first; one :meth:`next_distribution` call each."""
+        rows = [self.next_distribution(context)]
+        if continuation:
+            prefix = list(context)
+            for token in continuation:
+                prefix.append(token)
+                rows.append(self.next_distribution(prefix))
+        return rows
 
 
 class TableModel(LanguageModel):

@@ -410,7 +410,10 @@ def score_external_traces(
     entry index. Each entry carries ``prompt_tokens`` and ``tokens`` (both
     in the student vocabulary; out-of-vocabulary ids raise). Each entry
     yields one list of token records with the student probabilities filled,
-    ready for the records-level metrics.
+    ready for the records-level metrics. The rows come from
+    :meth:`~rsdkit.models.LanguageModel.next_distributions` in blocks of the
+    student's ``lookahead`` tokens, so a remote student answers a block in
+    one request.
     """
     if isinstance(source, (str, Path)):
         located = ((f"{source}: line {i}", row) for i, row in read_jsonl(source))
@@ -430,20 +433,22 @@ def score_external_traces(
             raise DataError(f"{where}: empty token sequence")
         ctx = list(prompt)
         records = []
-        for token in tokens:
-            p = student.next_distribution(ctx)[token]
-            records.append(
-                TokenRecord(
-                    token=token,
-                    proposer="teacher",
-                    accepted=False,
-                    fallback=False,
-                    p_teacher=None,
-                    p_student=p,
-                    surprisal_student=_surprisal(p),
+        for start in range(0, len(tokens), student.lookahead):
+            chunk = tokens[start : start + student.lookahead]
+            for token, row in zip(chunk, student.next_distributions(ctx, chunk[:-1])):
+                p = row[token]
+                records.append(
+                    TokenRecord(
+                        token=token,
+                        proposer="teacher",
+                        accepted=False,
+                        fallback=False,
+                        p_teacher=None,
+                        p_student=p,
+                        surprisal_student=_surprisal(p),
+                    )
                 )
-            )
-            ctx.append(token)
+            ctx.extend(chunk)
         out.append(records)
     return out
 

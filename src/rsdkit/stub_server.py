@@ -8,7 +8,13 @@ exactly ``8·V`` bytes, the exact probabilities as little-endian float64.
 Any other ``encoding`` (``"f64-b64"`` and a missing one included), any
 other ``want``, a ``model`` that is not a string, a ``context`` that is
 not a list of ints and a context token outside the model's vocabulary is
-HTTP 400. Errors and capabilities are JSON.
+HTTP 400. ``POST /v1/distributions`` also takes a ``continuation`` of at
+most :data:`MAX_CONTINUATION` ids, advertised as ``"max_continuation"`` in
+the capabilities, and answers the ``k+1`` rows after each of its prefixes
+in one body of ``(k+1)·8·V`` bytes. It refuses with HTTP 400 a
+continuation that is not a list of ints, holds an id outside the
+vocabulary, is longer than that, or takes the context past
+``max_context``. Errors and capabilities are JSON.
 
 Usable as a context manager in tests (background thread) or run in the
 foreground via the ``stub-serve`` CLI subcommand.
@@ -27,6 +33,8 @@ import numpy as np
 from .models import Distribution, LanguageModel
 from .remote import F64_LE, OCTET_STREAM
 
+#: The longest continuation one /v1/distributions request may carry.
+MAX_CONTINUATION = 64
 
 class StubServer:
     def __init__(
@@ -114,12 +122,14 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
                     "vocab_size": model.vocab_size,
                     "eos_token": model.eos_token,
                     "max_context": max_context,
+                    "max_continuation": MAX_CONTINUATION,
                 },
             )
 
         def do_POST(self) -> None:  # noqa: N802
             url = urlparse(self.path)
-            if url.path != "/v1/distribution":
+            block = url.path == "/v1/distributions"
+            if not block and url.path != "/v1/distribution":
                 self._fail(404, f"unknown path {url.path}")
                 return
             try:
@@ -128,10 +138,12 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
                     raise ValueError(f"negative Content-Length {length}")
                 body = json.loads(self.rfile.read(length))
                 name, context = body["model"], body["context"]
+                continuation = body["continuation"] if block else []
                 if not isinstance(name, str):
                     raise TypeError(f"model must be a string, got {type(name).__name__}")
-                if not isinstance(context, list) or any(type(t) is not int for t in context):
-                    raise TypeError("context must be a list of ints")  # bools are not ints here
+                for field, ids in (("context", context), ("continuation", continuation)):
+                    if not isinstance(ids, list) or any(type(t) is not int for t in ids):
+                        raise TypeError(f"{field} must be a list of ints")  # bools are not ints here
                 want = body.get("want", "full")
                 encoding = body.get("encoding")
             except (KeyError, TypeError, ValueError) as exc:
@@ -148,14 +160,21 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
             if model is None:
                 self._fail(404, f"unknown model {name!r}")
                 return
-            if len(context) > max_context:
-                self._fail(400, f"context length {len(context)} exceeds max {max_context}")
+            if len(continuation) > MAX_CONTINUATION:
+                self._fail(400, f"continuation length {len(continuation)} exceeds max {MAX_CONTINUATION}")
                 return
-            for t in context:
+            if len(context) + len(continuation) > max_context:
+                self._fail(400, f"context length {len(context) + len(continuation)} exceeds max {max_context}")
+                return
+            for t in context + continuation:
                 if not 0 <= t < model.vocab_size:
                     self._fail(400, f"context token {t} outside vocabulary of size {model.vocab_size}")
                     return
-            self._send(200, _full_payload(model.next_distribution(context)))
+            if block:
+                rows = model.next_distributions(context, continuation)
+                self._send(200, b"".join(_full_payload(row) for row in rows))
+            else:
+                self._send(200, _full_payload(model.next_distribution(context)))
 
     return Handler
 

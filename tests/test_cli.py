@@ -343,9 +343,10 @@ class TestRemoteBackend:
         assert [line.split()[1] for line in lines] == ["teacher"]
         stats = json.loads(lines[0].split(maxsplit=2)[2])
         assert set(stats) == {
-            "requests", "retries", "cache_hits", "request_bytes", "response_bytes", "round_trip_s"
+            "requests", "rows", "retries", "cache_hits", "request_bytes", "response_bytes", "round_trip_s"
         }
         assert stats["requests"] > 0
+        assert stats["rows"] == stats["requests"]  # a teacher proposes one row per request
         assert stats["retries"] == 0
         assert stats["cache_hits"] > 0  # the same prompt in every attempt
 
@@ -510,6 +511,7 @@ class TestExitCodes:
             ["generate", "CONFIG", "--workers", "0"],
             ["generate", "CONFIG", "--workers", "-1"],
             ["sweep", "CONFIG", "--thresholds", "0.1,1.5"],
+            ["sweep", "CONFIG", "--thresholds", "0.1,abc"],
             ["sweep", "CONFIG", "--workers", "0"],
             ["analyze", "DATASET", "--threshold", "5"],
             ["analyze", "DATASET", "--threshold", "-1"],

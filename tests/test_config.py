@@ -72,6 +72,35 @@ class TestParseRunConfig:
     @pytest.mark.parametrize(
         "key, value",
         [
+            ("attempts", 4.5),
+            ("attempts", True),
+            ("attempts", "12"),
+            ("attempts", 3.0),
+            ("prefix_length", "12"),
+            ("prefix_length", 0),
+            ("workers", 2.9),
+            ("workers", False),
+            ("diagnostic_threshold", True),
+            ("diagnostic_threshold", "0.01"),
+            ("diagnostic_threshold", 1.5),
+        ],
+    )
+    def test_count_or_threshold_is_refused_not_coerced(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_run_config(dict(MINIMAL, **{key: value}))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(dict(MINIMAL, **{key: value})))
+        assert main(["generate", str(path)]) == 2
+
+    @pytest.mark.parametrize("key, value", [("attempts", 3), ("workers", 2), ("diagnostic_threshold", 0),
+                                            ("diagnostic_threshold", 0.5)])
+    def test_count_or_threshold_keeps_its_value(self, key, value):
+        parsed = getattr(parse_run_config(dict(MINIMAL, **{key: value})), key)
+        assert parsed == value and type(parsed) is type(value if key != "diagnostic_threshold" else 0.5)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
             ("temperature", float("nan")),
             ("temperature", float("inf")),
             ("temperature", True),

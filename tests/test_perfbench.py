@@ -49,3 +49,20 @@ def test_traced_child_runs_generate(tmp_path):
     assert result["work"]["attempts"] >= 3
     assert (tmp_path / "spans.json").is_file()
     assert (tmp_path / "dataset.jsonl").is_file()
+
+
+def test_remote_workload_passes_its_own_checks():
+    """One untraced ``remote-stub-v4k`` run: its checks cover the golden sha256 of the
+    dataset and that decoding over HTTP, block verification included, writes the bytes
+    the same models write in-process."""
+    pytest.importorskip("requests")  # skipped where the traced test above is
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "remote-stub-v4k",
+         "--seed", "0", "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    lines = proc.stdout.strip().splitlines()
+    assert lines, proc.stderr
+    result = json.loads(lines[-1])
+    assert result["correct"] is True, proc.stderr[-2000:]
+    assert proc.returncode == 0

@@ -29,8 +29,9 @@ from rsdkit.pipeline import (
     run_generation,
     score_external_traces,
 )
-from rsdkit.remote import BackendUnavailableError
+from rsdkit.remote import BackendEndpoint, BackendUnavailableError, RemoteModel
 from rsdkit.seeding import derive_seed
+from rsdkit.stub_server import StubServer
 
 TOKEN_TEXT = ["a", "b", ""]
 
@@ -442,6 +443,35 @@ class TestScoreExternal:
         student = TableModel({}, [0.5, 0.5], eos_token=1)
         with pytest.raises(ValueError, match="out of vocabulary"):
             score_external_traces([{"prompt_tokens": [0], "tokens": [0, 7]}], student)
+
+    def test_blocks_hold_at_most_the_students_lookahead(self):
+        rows_per_call = []
+
+        class Blocks(TableModel):
+            lookahead = 3
+
+            def next_distributions(self, context, continuation):
+                rows_per_call.append(len(continuation) + 1)
+                return super().next_distributions(context, continuation)
+
+        table = ({(0,): [0.7, 0.2, 0.1], (1,): [0.1, 0.2, 0.7]}, [0.5, 0.3, 0.2])
+        entries = [{"prompt_tokens": [0], "tokens": [0, 1, 1, 2, 0, 1, 0]}]
+        scored = score_external_traces(entries, Blocks(*table, eos_token=2))
+        assert rows_per_call == [3, 3, 1]
+        assert scored == score_external_traces(entries, TableModel(*table, eos_token=2))
+
+    def test_a_remote_student_scores_a_block_per_request(self):
+        student = TableModel({(0,): [0.7, 0.2, 0.1], (1,): [0.1, 0.2, 0.7]}, [0.5, 0.3, 0.2], eos_token=2)
+        tokens = [0, 1, 1, 2, 0, 0, 1, 2, 1, 0, 0, 1, 2, 2, 0, 1, 0, 0, 1, 2]
+        entries = [{"prompt_tokens": [0], "tokens": tokens}]
+        with StubServer({"s": student}) as server:
+            remote = RemoteModel(BackendEndpoint(base_url=server.base_url, model_name="s"))
+            try:
+                over_wire = score_external_traces(entries, remote)
+            finally:
+                remote.close()
+        assert over_wire == score_external_traces(entries, student)
+        assert (remote.stats["requests"], remote.stats["rows"]) == (3, 20)  # blocks of 8, 8 and 4
 
     def test_traces_are_solo_shaped_for_metrics(self):
         # scored, never proposed or approved: no regime, so no fallback rate

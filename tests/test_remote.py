@@ -31,12 +31,14 @@ from rsdkit.remote import (
     BackendError,
     BackendUnavailableError,
     CapabilityMismatchError,
+    LOOKAHEAD,
     RemoteModel,
     _request,
     distribution_from_payload,
+    distributions_from_payload,
     handshake,
 )
-from rsdkit.stub_server import StubServer, _full_payload, _make_handler
+from rsdkit.stub_server import MAX_CONTINUATION, StubServer, _full_payload, _make_handler
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "remote"
 
@@ -112,6 +114,38 @@ def record_requests(monkeypatch, method: str) -> list:
     return sent
 
 
+def record_targets(monkeypatch) -> list:
+    """The ``(method, target)`` of every request sent through ``http.client`` from now on."""
+    sent = []
+    original = http.client.HTTPConnection.request
+
+    def request(self, verb, url, *args, **kwargs):
+        sent.append((verb, url))
+        return original(self, verb, url, *args, **kwargs)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "request", request)
+    return sent
+
+
+def v3_handler(models, max_context: int = 8192):
+    """The stub's handler as a server without the block endpoint answers: its capabilities
+    advertise no ``max_continuation``, and ``/v1/distributions`` is an unknown path."""
+
+    class V3(_make_handler(models, max_context, True)):
+        def _send(self, status, payload):
+            if isinstance(payload, dict):
+                payload = {k: v for k, v in payload.items() if k != "max_continuation"}
+            super()._send(status, payload)
+
+        def do_POST(self):  # noqa: N802
+            if self.path == "/v1/distributions":
+                self._fail(404, f"unknown path {self.path}")
+            else:
+                super().do_POST()
+
+    return V3
+
+
 def record_connects(monkeypatch) -> list:
     """``(thread id, connection)`` of every socket ``http.client`` opens from now on."""
     opened = []
@@ -125,8 +159,9 @@ def record_connects(monkeypatch) -> list:
     return opened
 
 
-def backend(content_type: str, body: bytes):
-    """A handler for a V=4 model that answers every ``POST`` with ``body``, whatever was asked."""
+def backend(content_type: str, body: bytes, max_continuation: int | None = None):
+    """A handler for a V=4 model that answers every ``POST`` with ``body``, whatever was asked,
+    and advertises the block endpoint when ``max_continuation`` is given."""
 
     class Backend(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
@@ -143,6 +178,8 @@ def backend(content_type: str, body: bytes):
 
         def do_GET(self):  # noqa: N802
             caps = {"model": "m", "vocab_size": 4, "eos_token": 3, "max_context": 64}
+            if max_continuation is not None:
+                caps["max_continuation"] = max_continuation
             self._answer("application/json", json.dumps(caps).encode())
 
         def do_POST(self):  # noqa: N802
@@ -407,6 +444,123 @@ class TestRemoteModel:
         assert elapsed < 0.5
 
 
+class TestBlockRequests:
+    def test_stub_advertises_the_block_endpoint(self, stub, remote_model):
+        server, _ = stub
+        remote = remote_model(endpoint(server))
+        assert remote.capabilities.max_continuation == MAX_CONTINUATION
+        assert remote.lookahead == LOOKAHEAD == 8
+
+    def test_lookahead_never_exceeds_what_the_server_takes(self, remote_model):
+        for advertised, lookahead in ((0, 1), (3, 4), (100, LOOKAHEAD)):
+            with serving(backend("application/octet-stream", b"", max_continuation=advertised)) as base_url:
+                assert remote_model(BackendEndpoint(base_url=base_url, model_name="m")).lookahead == lookahead
+
+    def test_rows_match_the_wrapped_table_and_come_in_one_request(self, stub, monkeypatch, remote_model):
+        server, model = stub
+        remote = remote_model(endpoint(server))
+        sent = record_targets(monkeypatch)
+        rows = remote.next_distributions([3, 0], [1, 2, 1, 0])
+        expected = model.next_distributions([3, 0], [1, 2, 1, 0])
+        assert [r.probs.tobytes() for r in rows] == [r.probs.tobytes() for r in expected]
+        assert sent == [("POST", "/v1/distributions")]
+        assert (remote.stats["requests"], remote.stats["rows"]) == (1, 5)
+        assert remote.stats["response_bytes"] == 5 * 8 * model.vocab_size
+
+    def test_rows_are_views_of_one_reply(self, stub, remote_model):
+        server, _ = stub
+        rows = remote_model(endpoint(server)).next_distributions([0], [1, 2])
+        block = rows[0].probs.base
+        assert block is not None and block.size == 3 * 4
+        assert all(row.probs.base is block for row in rows)
+
+    def test_each_row_is_cached_under_its_prefix(self, stub, monkeypatch, remote_model):
+        server, _ = stub
+        remote = remote_model(endpoint(server))
+        remote.next_distributions([0], [1, 2])
+        posts = record_requests(monkeypatch, "POST")
+        for ctx in ([0], [0, 1], [0, 1, 2]):
+            remote.next_distribution(ctx)
+        remote.next_distributions([0, 1], [2])
+        assert posts == []
+        assert remote.stats["cache_hits"] == 5
+
+    def test_only_the_rows_from_the_first_uncached_one_are_asked_for(self, stub, monkeypatch, remote_model):
+        server, model = stub
+        remote = remote_model(endpoint(server))
+        remote.next_distribution([0])
+        remote.next_distribution([0, 1])
+        posts = record_requests(monkeypatch, "POST")
+        rows = remote.next_distributions([0], [1, 2, 3])
+        assert [json.loads(body) for body in posts] == [
+            {"model": "fixture-table", "context": [0, 1, 2], "continuation": [3], "want": "full", "encoding": "f64-le"}
+        ]
+        expected = model.next_distributions([0], [1, 2, 3])
+        assert [r.probs.tobytes() for r in rows] == [r.probs.tobytes() for r in expected]
+
+    def test_block_beyond_server_max_context_rejected_before_sending(self, stub, monkeypatch, remote_model):
+        server, _ = stub
+        remote = remote_model(endpoint(server))
+        remote.capabilities = remote.capabilities.__class__(
+            model_name="fixture-table", vocab_size=4, eos_token=3, max_context=3, max_continuation=8
+        )
+        posts = record_requests(monkeypatch, "POST")
+        with pytest.raises(BackendError, match="context length 4 exceeds server max 3"):
+            remote.next_distributions([0, 1], [2, 0])
+        assert posts == []
+
+    def test_continuation_longer_than_the_server_takes_goes_row_by_row(self, stub, monkeypatch, remote_model):
+        server, model = stub
+        remote = remote_model(endpoint(server))
+        sent = record_targets(monkeypatch)
+        continuation = [1, 2] * MAX_CONTINUATION
+        rows = remote.next_distributions([0], continuation)
+        assert len(rows) == len(continuation) + 1
+        assert {target for _, target in sent} == {"/v1/distribution"}
+        assert rows[-1].probs.tobytes() == model.next_distribution([0, *continuation]).probs.tobytes()
+
+    @pytest.mark.parametrize("rows", [2, 4], ids=["short", "long"])
+    def test_raw_body_of_the_wrong_length_is_a_backend_error(self, rows, remote_model):
+        body = f64le([0.25] * 4 * rows)
+        with serving(backend("application/octet-stream", body, max_continuation=8)) as base_url:
+            remote = remote_model(BackendEndpoint(base_url=base_url, model_name="m"))
+            with pytest.raises(BackendError, match=f"raw body holds {32 * rows} bytes, expected 3 rows x 8 x vocab size 4"):
+                remote.next_distributions([0], [1, 2])
+
+    def test_json_reply_to_a_block_is_a_backend_error(self, remote_model):
+        reply = json.dumps({"probs": [0.25] * 4}).encode()
+        with serving(backend("application/json", reply, max_continuation=8)) as base_url:
+            remote = remote_model(BackendEndpoint(base_url=base_url, model_name="m"))
+            with pytest.raises(BackendError, match="block reply is not a raw body but dict"):
+                remote.next_distributions([0], [1])
+
+    def test_each_row_is_checked(self):
+        body = f64le([0.25] * 4 + [0.5, 0.5, 0.5, 0.0])
+        with pytest.raises(BackendError, match="non-normalizable"):
+            distributions_from_payload(body, 2, 4)
+
+    @pytest.mark.parametrize("advertised", [-1, "many", [8]])
+    def test_malformed_max_continuation_is_a_backend_error(self, advertised):
+        with serving(backend("application/octet-stream", b"", max_continuation=advertised)) as base_url:
+            with pytest.raises(BackendError, match="malformed capabilities payload"):
+                handshake(BackendEndpoint(base_url=base_url, model_name="m"))
+
+    def test_server_without_the_block_endpoint_is_judged_row_by_row(self, monkeypatch, remote_model):
+        table_student = TableModel({(1,): [0.1, 0.2, 0.3, 0.4]}, [0.4, 0.1, 0.3, 0.2], eos_token=3)
+        teacher = fixture_model()
+        with serving(v3_handler({"student": table_student})) as base_url:
+            student = remote_model(BackendEndpoint(base_url=base_url, model_name="student"))
+            assert student.capabilities.max_continuation is None
+            assert student.lookahead == 1
+            sent = record_targets(monkeypatch)
+            for seed in range(6):
+                cfg = GenerationConfig(p_th=0.05, max_tokens=8, temperature=0.7, seed=seed)
+                over_wire = decode(teacher, student, [0], cfg)
+                assert over_wire.to_json_line() == decode(teacher, table_student, [0], cfg).to_json_line()
+            student.next_distributions([0], [1, 2])
+        assert sent and {target for _, target in sent} == {"/v1/distribution"}
+
+
 class TestConnections:
     def test_each_worker_thread_keeps_one_connection(self, stub, monkeypatch, remote_model):
         server, model = stub
@@ -530,6 +684,28 @@ class TestRecordReplay:
         assert content_type == "application/octet-stream"  # what a .bin record holds
         assert body == (FIXTURES / "distribution_response_f64le.bin").read_bytes()
 
+    def test_replayed_block_fixture_gives_identical_distributions(self):
+        request = json.loads((FIXTURES / "distributions_request_f64le.json").read_text())
+        stored = (FIXTURES / "distributions_response_f64le.bin").read_bytes()
+        replayed = distributions_from_payload(stored, len(request["continuation"]) + 1, 4)
+        expected = fixture_model().next_distributions(request["context"], request["continuation"])
+        assert [r.probs.tobytes() for r in replayed] == [r.probs.tobytes() for r in expected]
+
+    def test_client_sends_the_recorded_block_request(self, stub, monkeypatch, remote_model):
+        server, _ = stub
+        request = json.loads((FIXTURES / "distributions_request_f64le.json").read_text())
+        posts = record_requests(monkeypatch, "POST")
+        remote_model(endpoint(server)).next_distributions(request["context"], request["continuation"])
+        assert [json.loads(body) for body in posts] == [request]
+
+    def test_live_stub_still_matches_recorded_block_response(self, stub):
+        server, _ = stub
+        request = json.loads((FIXTURES / "distributions_request_f64le.json").read_text())
+        status, content_type, body = exchange(f"{server.base_url}/v1/distributions", request)
+        assert status == 200
+        assert content_type == "application/octet-stream"
+        assert body == (FIXTURES / "distributions_response_f64le.bin").read_bytes()
+
     def test_capabilities_fixture_matches_live(self, stub):
         server, _ = stub
         stored = json.loads((FIXTURES / "capabilities_response.json").read_text())
@@ -644,6 +820,66 @@ class TestStubValidation:
         )
         assert status == 400
         assert json.loads(text)["error"] == "context token 99 outside vocabulary of size 4"
+
+    @pytest.mark.parametrize(
+        "continuation",
+        ["01", [1.7], [True, 0], [1.0], {"0": 1}, None],
+        ids=["string", "float", "bool", "integral-float", "object", "null"],
+    )
+    def test_continuation_that_is_not_a_list_of_ints_400(self, stub, continuation):
+        server, _ = stub
+        status, text = fetch(
+            f"{server.base_url}/v1/distributions",
+            {"model": "fixture-table", "context": [0], "continuation": continuation, "want": "full",
+             "encoding": "f64-le"},
+        )
+        assert status == 400
+        assert json.loads(text)["error"] == "malformed request: continuation must be a list of ints"
+
+    def test_missing_continuation_400(self, stub):
+        server, _ = stub
+        status, text = fetch(
+            f"{server.base_url}/v1/distributions",
+            {"model": "fixture-table", "context": [0], "want": "full", "encoding": "f64-le"},
+        )
+        assert status == 400
+        assert json.loads(text)["error"] == "malformed request: 'continuation'"
+
+    def test_out_of_vocab_continuation_400(self, stub):
+        server, _ = stub
+        status, text = fetch(
+            f"{server.base_url}/v1/distributions",
+            {"model": "fixture-table", "context": [0], "continuation": [1, 4], "want": "full",
+             "encoding": "f64-le"},
+        )
+        assert status == 400
+        assert json.loads(text)["error"] == "context token 4 outside vocabulary of size 4"
+
+    def test_continuation_past_max_context_400(self):
+        with StubServer({"fixture-table": fixture_model()}, max_context=4) as server:
+            ok, _, body = exchange(
+                f"{server.base_url}/v1/distributions",
+                {"model": "fixture-table", "context": [0, 1], "continuation": [2, 0], "want": "full",
+                 "encoding": "f64-le"},
+            )
+            status, text = fetch(
+                f"{server.base_url}/v1/distributions",
+                {"model": "fixture-table", "context": [0, 1], "continuation": [2, 0, 1], "want": "full",
+                 "encoding": "f64-le"},
+            )
+        assert (ok, len(body)) == (200, 3 * 8 * 4)
+        assert status == 400
+        assert json.loads(text)["error"] == "context length 5 exceeds max 4"
+
+    def test_continuation_longer_than_advertised_400(self, stub):
+        server, _ = stub
+        status, text = fetch(
+            f"{server.base_url}/v1/distributions",
+            {"model": "fixture-table", "context": [0], "continuation": [1] * (MAX_CONTINUATION + 1),
+             "want": "full", "encoding": "f64-le"},
+        )
+        assert status == 400
+        assert json.loads(text)["error"] == f"continuation length {MAX_CONTINUATION + 1} exceeds max {MAX_CONTINUATION}"
 
     def test_unknown_path_404(self, stub):
         server, _ = stub

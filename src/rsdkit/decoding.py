@@ -280,51 +280,6 @@ def decode(
 
     ahead = other.lookahead if approving else 1
 
-    def speculate(step: int) -> list:
-        """Up to ``ahead`` steps from ``step`` on, proposed on a trial copy of the contexts and
-        judged by one approver call: ``(stream, proposer row, proposal, approver row)`` each, last
-        first, below a later step's error, which ends the block and is raised at its own step."""
-        nonlocal checked
-        trial = DualContext(ctx.max_length, list(ctx.student), list(ctx.teacher))
-        t_own, t_other = (trial.teacher, trial.student) if teacher_proposes else (trial.student, trial.teacher)
-        base = len(t_other)
-        steps, deferred = [], None
-        for s in range(step, min(step + ahead, cfg.max_tokens)):
-            stream = StepStream(cfg.seed, s)
-            try:
-                own = proposer.next_distribution(t_own)
-                token = draw(teacher_proposes, own, stream)
-            except (ValueError, BackendError) as exc:
-                if not steps:
-                    raise
-                deferred = exc
-                break
-            steps.append((stream, own, token, len(t_other) - base))  # last: its row in the approver's reply
-            if token == eos:
-                break
-            try:
-                trial.append(token, vmap)
-            except (ContextOverflowError, VocabularyAlignmentError):
-                break  # the loop's own append raises it, at this step
-            if len(t_other) - base >= ahead:  # a reply holds at most ``ahead`` rows
-                break
-        for t in other_ctx[checked:]:  # as the loop checks before it judges
-            if not 0 <= t < other.vocab_size:
-                raise ValueError(f"context token {t} outside vocabulary of size {other.vocab_size}")
-        checked = len(other_ctx)
-        rows = None
-        if len(steps) > 1:
-            try:
-                rows = other.next_distributions(other_ctx, t_other[base : base + steps[-1][3]])
-            except BackendError:  # judged alone below, so an error surfaces where the loop meets it
-                del steps[1:]
-                deferred = None
-        if rows is None:
-            rows = [other.next_distribution(other_ctx)]
-        block = [] if deferred is None else [deferred]
-        block.extend((stream, own, token, rows[at]) for stream, own, token, at in reversed(steps))
-        return block
-
     records: list[TokenRecord] = []
     terminated = "length-budget"
     checked = 0  # other_ctx[:checked] lies in other's vocabulary; own_ctx always does
@@ -332,7 +287,8 @@ def decode(
     for step in range(cfg.max_tokens):
         if ahead > 1:
             if not block:
-                block = speculate(step)
+                block, checked = _speculate(step, ahead, cfg, vmap, ctx, teacher_proposes, proposer, other, draw, eos,
+                                            checked)
             speculated = block.pop()
             if isinstance(speculated, Exception):
                 raise speculated
@@ -380,6 +336,54 @@ def decode(
             break
 
     return Trace(prompt=tuple(prompt), records=records, config=cfg, terminated_by=terminated)
+
+
+def _speculate(step: int, ahead: int, cfg: GenerationConfig, vmap: VocabularyMap, ctx: DualContext,
+               teacher_proposes: bool, proposer: LanguageModel, approver: LanguageModel, draw, eos: int,
+               checked: int) -> tuple[list, int]:
+    """Up to ``ahead`` steps of :func:`decode` from ``step`` on, proposed on a trial copy of ``ctx`` and
+    judged by one approver call, and how far the approver's context is now checked. The steps are
+    ``(stream, proposer row, proposal, approver row)``, last first, below a later step's error,
+    which ends the block and is raised at its own step."""
+    other_ctx = ctx.student if teacher_proposes else ctx.teacher
+    trial = DualContext(ctx.max_length, list(ctx.student), list(ctx.teacher))
+    t_own, t_other = (trial.teacher, trial.student) if teacher_proposes else (trial.student, trial.teacher)
+    base = len(t_other)
+    steps, deferred = [], None
+    for s in range(step, min(step + ahead, cfg.max_tokens)):
+        stream = StepStream(cfg.seed, s)
+        try:
+            own = proposer.next_distribution(t_own)
+            token = draw(teacher_proposes, own, stream)
+        except (ValueError, BackendError) as exc:
+            if not steps:
+                raise
+            deferred = exc
+            break
+        steps.append((stream, own, token, len(t_other) - base))  # last: its row in the approver's reply
+        if token == eos:
+            break
+        try:
+            trial.append(token, vmap)
+        except (ContextOverflowError, VocabularyAlignmentError):
+            break  # decode's own append raises it, at this step
+        if len(t_other) - base >= ahead:  # a reply holds at most ``ahead`` rows
+            break
+    for t in other_ctx[checked:]:  # as decode checks before it judges
+        if not 0 <= t < approver.vocab_size:
+            raise ValueError(f"context token {t} outside vocabulary of size {approver.vocab_size}")
+    rows = None
+    if len(steps) > 1:
+        try:
+            rows = approver.next_distributions(other_ctx, t_other[base : base + steps[-1][3]])
+        except BackendError:  # judged alone below, so an error surfaces where decode meets it
+            del steps[1:]
+            deferred = None
+    if rows is None:
+        rows = [approver.next_distribution(other_ctx)]
+    block = [] if deferred is None else [deferred]
+    block.extend((stream, own, token, rows[at]) for stream, own, token, at in reversed(steps))
+    return block, len(other_ctx)
 
 
 def _prob(dist: Distribution, token: int, outside: float | None, temperature: float = 1.0) -> float | None:

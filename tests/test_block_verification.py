@@ -17,8 +17,9 @@ from rsdkit.vocab import build_vocab_map
 
 class Ahead(LanguageModel):
     """An in-process model that judges ``lookahead`` steps per call, as a remote
-    one does over the block endpoint, and refuses the contexts ``refuses``
-    picks with a :class:`BackendError`, as a remote one may."""
+    one does over the block endpoint, and refuses with a :class:`BackendError`,
+    as a remote one may, a context holding an id outside its vocabulary and
+    the contexts ``refuses`` picks."""
 
     def __init__(self, inner: LanguageModel, lookahead: int, refuses=lambda context: False) -> None:
         self.inner = inner
@@ -26,20 +27,19 @@ class Ahead(LanguageModel):
         self.refuses = refuses
         self.vocab_size = inner.vocab_size
         self.eos_token = inner.eos_token
-        self.rows = []  # how many rows each call returned, in order
+        self.rows = []  # how many rows each answered call returned, in order
 
     def next_distribution(self, context):
-        if self.refuses(context):
-            raise BackendError(f"refused a context of {len(context)} tokens")
-        self.rows.append(1)
-        return self.inner.next_distribution(context)
+        return self.next_distributions(context, [])[0]
 
     def next_distributions(self, context, continuation):
         assert len(continuation) < self.lookahead, "a block longer than the lookahead"
-        rows = super().next_distributions(context, continuation)
-        del self.rows[-len(rows):]
-        self.rows.append(len(rows))
-        return rows
+        prefixes = [[*context, *continuation[:i]] for i in range(len(continuation) + 1)]
+        for prefix in prefixes:
+            if self.refuses(prefix) or not all(0 <= t < self.vocab_size for t in prefix):
+                raise BackendError(f"refused a context of {len(prefix)} tokens")
+        self.rows.append(len(prefixes))
+        return [self.inner.next_distribution(prefix) for prefix in prefixes]
 
 
 def outcome(run) -> str:
@@ -75,7 +75,7 @@ def block_cases(draw):
     context budgets a decode overflows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vs = draw(st.integers(3, 6))
-    vt = vs + draw(st.integers(-1, 2))
+    vt = max(2, vs + draw(st.integers(-2, 2)))  # a smaller teacher cannot read every student id
     eos = vs - 1
 
     def table(vocab: int, eos_token: int, dead_share: float) -> TableModel:
@@ -176,6 +176,27 @@ class TestBlockDecoding:
         assert trace.tokens()[:2] == [1, 2]
         assert trace.to_json_line() == decode(teacher.inner, student_table, [0], cfg).to_json_line()
 
+    def test_an_approver_error_past_a_rejection_is_never_raised(self):
+        # the student refuses the context after the teacher's first two 1s, but rejects the first 1
+        teacher = TableModel({}, one_hot(4, 1), eos_token=3)
+        student_table = TableModel({(0,): [0.0, 0.0, 1.0, 0.0]}, [0.25] * 4, eos_token=3)
+        student = Ahead(student_table, 8, lambda context: context == [0, 1, 1])
+        cfg = GenerationConfig(p_th=0.01, max_tokens=4, seed=5)
+        trace = decode(teacher, student, [0], cfg)
+        assert trace.tokens()[0] == 2
+        assert student.rows == [1, 3]  # the refused block judged again, its first step alone
+        assert trace.to_json_line() == decode(teacher, student_table, [0], cfg).to_json_line()
+
+    def test_an_id_the_approver_lacks_fails_as_in_the_one_step_loop(self):
+        # skd at p_th 0 without a map: the student's 3 enters the context of a teacher with 3 ids
+        teacher = Ahead(TableModel({}, [0.5, 0.5, 0.0], eos_token=2), 8)
+        student = TableModel({}, one_hot(5, 3), eos_token=4)
+        cfg = GenerationConfig(p_th=0.0, max_tokens=8, seed=2, regime="skd")
+        for approver in (teacher.inner, teacher):
+            with pytest.raises(ValueError, match="context token 3 outside vocabulary of size 3"):
+                decode(approver, student, [0], cfg)
+        assert teacher.rows == [1]  # the block reading the 3 was refused, then its first step judged alone
+
 
 @pytest.fixture()
 def served_pair():
@@ -221,10 +242,11 @@ class TestOverTheWire:
         cfg = GenerationConfig(p_th=0.05, max_tokens=24, seed=2)
         errors = []
         for lookahead in (1, 8):
-            with StubServer({"student": student}, max_context=9) as server:
+            with StubServer({"student": student}, max_context=7) as server:
                 remote = connect(server, "student")
                 remote.lookahead = lookahead
                 with pytest.raises(BackendError) as caught:
                     decode(teacher, remote, [0, 1], cfg)
                 errors.append(str(caught.value))
-        assert errors == ["context length 10 exceeds server max 9"] * 2
+        # a block from the prompt reaches 9 tokens; the one-step loop stops at the first past 7
+        assert errors == ["context length 8 exceeds server max 7"] * 2

@@ -44,7 +44,6 @@ from .pipeline import (
     rejection_sample,
     run_generation,
     score_external_traces,
-    write_traces_jsonl,
 )
 from .remote import (
     BackendEndpoint,

@@ -4,6 +4,14 @@ Subcommands: ``generate``, ``analyze``, ``sweep``, ``stub-serve``. Every
 command is deterministic given its config file and seeds; progress goes to
 stderr, machine output only to files. Exit codes: 0 success, 2 config
 error, 3 backend error, 4 data error (1 for unexpected internal failures).
+
+Every command is one streaming pass that folds each item into a
+:class:`~rsdkit.metrics.RecordsAggregate` as it arrives and keeps only the
+item's scalars. ``generate`` and ``sweep`` write each record into
+``<dataset>.partial`` as the run yields it and build the report from the
+fold; ``analyze`` reads one item at a time into ``<out>.partial/``. A
+partial file or directory is renamed into place only when the command
+succeeds, and removed when it fails.
 """
 
 from __future__ import annotations
@@ -13,9 +21,12 @@ import json
 import logging
 import os
 import re
+import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 from .config import (
     ConfigError,
@@ -29,23 +40,26 @@ from .config import (
     load_run_config,
 )
 from .decoding import ROLES, decode, prompt_context
+# assemble_dataset, dataset_report, import_dataset, low_prob_token_tally and
+# records_perplexity stay attributes here, unused, for perfbench/child.py to patch
 from .metrics import (
     DEFAULT_SUB_THRESHOLD,
-    aggregate_records,
-    dataset_report,
-    low_prob_token_tally,
-    records_perplexity,
+    RecordsAggregate,
+    dataset_report,  # noqa: F401
+    low_prob_token_tally,  # noqa: F401
+    records_perplexity,  # noqa: F401
     write_perplexity_csv,
     write_surprisal_csv,
     write_token_tally_csv,
 )
 from .models import ContextOverflowError
-# assemble_dataset stays an attribute here, unused, for perfbench/child.py to patch
 from .pipeline import (
     DataError,
+    DatasetRecord,
     assemble_dataset,  # noqa: F401
     export_dataset,
-    import_dataset,
+    import_dataset,  # noqa: F401
+    read_dataset,
     read_jsonl,
     read_traces_jsonl,
     run_generation,
@@ -160,14 +174,15 @@ def _prepare(cfg: RunConfig):
     return (teacher, student, vmap), problems
 
 
-def _run_dataset(cfg: RunConfig, pair, problems):
+def _run_dataset(cfg: RunConfig, pair, problems) -> Iterator[DatasetRecord]:
+    """Each problem's record as the run yields it, logged; the remote models
+    are closed when the run ends."""
     teacher, student, vmap = pair
     gen_cfg = cfg.generation
 
     def generator(prompt, seed):
         return decode(teacher, student, prompt, gen_cfg.with_seed(seed), vmap)
 
-    records = []
     try:
         for record in run_generation(
             problems,
@@ -181,28 +196,64 @@ def _run_dataset(cfg: RunConfig, pair, problems):
             workers=cfg.workers or os.cpu_count() or 1,
         ):
             log.info("problem=%s kind=%s source=%s", record.problem_id, record.kind, record.source_trace_ref)
-            records.append(record)
+            yield record
     finally:
         for role, model in (("teacher", teacher), ("student", student)):
             if isinstance(model, RemoteModel):  # running totals since the model was built
                 model.close()
                 log.info("remote %s %s", role, json.dumps(model.stats))
-    return records
 
 
 def _write_outputs(cfg: RunConfig, records, dataset_path: Path, report_path: Path) -> dict:
-    _write_atomically(dataset_path, lambda partial: export_dataset(records, partial))
-    report = dataset_report(records, cfg.diagnostic_threshold)
+    """Export ``records`` as they arrive, folding each into the report, then
+    write the report."""
+    agg = RecordsAggregate(cfg.diagnostic_threshold)
+
+    def folded():
+        for record in records:
+            agg.add(record.regime, record.records, record.kind == "full-trace")
+            yield record
+
+    _write_atomically(dataset_path, lambda partial: export_dataset(folded(), partial))
+    report = agg.dataset_report()
     _write_atomically(report_path, _json_writer(report))
     return report
 
 
 def _write_atomically(path: Path, write) -> None:
-    """Write via ``<path>.partial`` and a rename, so a failed write keeps the old ``path``."""
+    """Write via ``<path>.partial`` and a rename, so a failed write keeps the
+    old ``path`` and leaves no partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(path.name + ".partial")
-    write(partial)
-    os.replace(partial, path)
+    try:
+        write(partial)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
+def _directory_atomically(out_dir: Path) -> Iterator[Path]:
+    """A fresh ``<out_dir>.partial`` directory to write into, a stale one
+    removed first. On success it is renamed to ``out_dir``, or, when
+    ``out_dir`` exists, each of its files replaces its namesake there and the
+    other files stay. On any error it is removed and ``out_dir`` is left as
+    it was."""
+    partial = Path(os.path.abspath(out_dir) + ".partial")
+    shutil.rmtree(partial, ignore_errors=True)
+    partial.mkdir(parents=True)
+    try:
+        yield partial
+        if out_dir.is_dir():
+            for path in partial.iterdir():
+                os.replace(path, out_dir / path.name)
+            partial.rmdir()
+        else:
+            os.replace(partial, out_dir)
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
 
 
 def cmd_generate(args) -> int:
@@ -260,46 +311,56 @@ def cmd_analyze(args) -> int:
     threshold = in_unit_interval("--threshold", args.threshold)
     out_dir = Path(args.out) if args.out else dataset_path.with_name(dataset_path.stem + "_analysis")
     kind = _sniff_kind(dataset_path)
-
-    # read the whole input before creating anything, so bad input leaves no directory;
-    # each item is (name, regime, token records), and external scores have no regime
-    if kind == "dataset":
-        dataset = import_dataset(dataset_path)
-        if not dataset:
-            raise DataError(f"{dataset_path}: dataset is empty")
-        report = dataset_report(dataset, threshold)
-        items = [(r.problem_id, r.regime, r.records) for r in dataset]
-    else:
-        if kind == "external":
-            if not args.config:
-                raise ConfigError("external traces need --config with a student model spec")
-            cfg = load_run_config(args.config)
-            if cfg.student_spec is None:
-                raise ConfigError("--config carries no student model spec")
-            student = build_model(cfg.student_spec, "student")
-            try:
-                scored = score_external_traces(dataset_path, student)
-            finally:
-                if isinstance(student, RemoteModel):
-                    student.close()
-            items = [(str(i), None, records) for i, records in enumerate(scored)]
-        else:
-            traces = read_traces_jsonl(dataset_path)  # not empty: the first row is a trace
-            items = [(str(i), t.config.regime, t.records) for i, t in enumerate(traces)]
-        agg = aggregate_records(((regime, records) for _, regime, records in items), threshold)
-        report = {"traces": len(items), "sub_threshold": threshold, **agg.report_fields()}
-
-    _write_atomically(out_dir / "report.json", _json_writer(report))
-    for name, _, records in items:
-        write_surprisal_csv(records, out_dir / f"surprisal_{_slug(name)}.csv")
-    write_perplexity_csv(
-        ((name, records_perplexity(records), len(records)) for name, _, records in items),
-        out_dir / "perplexity.csv",
-    )
-    tally = low_prob_token_tally((records for _, _, records in items), threshold)
-    write_token_tally_csv(tally, out_dir / "token_tally.csv")
-    log.info("analysis=%s items=%d threshold=%g", out_dir, len(items), threshold)
+    student = _external_student(args) if kind == "external" else None
+    try:
+        with _directory_atomically(out_dir) as partial:
+            items = _analyze(dataset_path, kind, student, partial, threshold)
+    finally:
+        if isinstance(student, RemoteModel):
+            student.close()
+    log.info("analysis=%s items=%d threshold=%g", out_dir, items, threshold)
     return 0
+
+
+def _external_student(args):
+    if not args.config:
+        raise ConfigError("external traces need --config with a student model spec")
+    cfg = load_run_config(args.config)
+    if cfg.student_spec is None:
+        raise ConfigError("--config carries no student model spec")
+    return build_model(cfg.student_spec, "student")
+
+
+def _analysis_items(path: Path, kind: str, student) -> Iterator[tuple]:
+    """``(name, regime, token records, full trace)`` for each item of
+    ``path``, read when asked for; scored external traces have no regime."""
+    if kind == "dataset":
+        return ((r.problem_id, r.regime, r.records, r.kind == "full-trace") for r in read_dataset(path))
+    if kind == "traces":
+        return ((str(i), t.config.regime, t.records, False) for i, t in enumerate(read_traces_jsonl(path)))
+    scored = score_external_traces(path, student)
+    return ((str(i), None, records, False) for i, records in enumerate(scored))
+
+
+def _analyze(path: Path, kind: str, student, out_dir: Path, threshold: float) -> int:
+    """Write each item's surprisal CSV and fold it in, keeping only its
+    perplexity row; then the report, ``perplexity.csv`` and
+    ``token_tally.csv``. Returns the number of items."""
+    agg = RecordsAggregate(threshold)
+    rows = []
+    for name, regime, records, full_trace in _analysis_items(path, kind, student):
+        write_surprisal_csv(records, out_dir / f"surprisal_{_slug(name)}.csv")
+        rows.append((name, agg.add(regime, records, full_trace), len(records)))
+    if kind == "dataset":
+        if not agg.items:
+            raise DataError(f"{path}: dataset is empty")
+        report = agg.dataset_report()
+    else:
+        report = {"traces": agg.items, "sub_threshold": threshold, **agg.report_fields()}
+    _json_writer(report)(out_dir / "report.json")
+    write_perplexity_csv(rows, out_dir / "perplexity.csv")
+    write_token_tally_csv(agg.token_tally(), out_dir / "token_tally.csv")
+    return agg.items
 
 
 def _json_writer(obj):

@@ -16,15 +16,19 @@ Definitions:
 * fallback rate: fraction of tokens emitted by the fallback path, defined
   only when every trace or record comes from a coordinated (rsd/skd) regime
 
-Every records-level aggregate goes through :func:`aggregate_records`, and
-every perplexity through :func:`records_perplexity`.
+Every records-level aggregate (reports, ratios, the low-probability token
+tally) is one fold, :meth:`RecordsAggregate.add`, over ``(regime, records)``
+items: :func:`aggregate_records` runs it over an iterable, and the CLI feeds
+it each item as the item is read or generated, so no command holds more than
+one item's token records. Every perplexity goes through
+:func:`records_perplexity`.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -62,18 +66,49 @@ def records_perplexity(records: Sequence[TokenRecord]) -> float:
     return float(math.exp(sum(surprisals) / len(surprisals)))
 
 
-@dataclass(frozen=True)
+@dataclass
 class RecordsAggregate:
-    """Totals over ``(regime, records)`` items. ``perplexities[i]`` is None
-    when item i has an unscored record; ``coordinated`` means every item
-    comes from a coordinated regime, the only case with a fallback rate."""
+    """Running totals over ``(regime, records)`` items, folded in one at a
+    time by :meth:`add`. ``perplexities[i]`` is None when item i has an
+    unscored record; ``coordinated`` means every item comes from a
+    coordinated regime, the only case with a fallback rate; ``below_tokens``
+    counts each token id among the ``below`` records, and ``full_traces``
+    the items that are a dataset's full (solved) traces."""
 
-    items: int
-    tokens: int
-    below: int
-    fallbacks: int
-    coordinated: bool
-    perplexities: list[float | None]
+    threshold: float = DEFAULT_SUB_THRESHOLD
+    items: int = 0
+    tokens: int = 0
+    below: int = 0
+    fallbacks: int = 0
+    coordinated: bool = True
+    full_traces: int = 0
+    perplexities: list[float | None] = field(default_factory=list)
+    below_tokens: dict[int, int] = field(default_factory=dict)
+
+    def add(
+        self, regime: str | None, records: Sequence[TokenRecord], full_trace: bool = False
+    ) -> float | None:
+        """Fold in one item; returns its perplexity (None when unscored)."""
+        threshold, below_tokens = self.threshold, self.below_tokens
+        below = fallbacks = 0
+        scored = True
+        for r in records:
+            if r.p_student is not None and r.p_student < threshold:
+                below += 1
+                below_tokens[r.token] = below_tokens.get(r.token, 0) + 1
+            if r.fallback:
+                fallbacks += 1
+            if r.surprisal_student is None:
+                scored = False
+        self.items += 1
+        self.tokens += len(records)
+        self.below += below
+        self.fallbacks += fallbacks
+        self.full_traces += full_trace
+        self.coordinated = self.coordinated and regime in COORDINATED_REGIMES
+        perplexity = records_perplexity(records) if scored else None
+        self.perplexities.append(perplexity)
+        return perplexity
 
     def report_fields(self) -> dict:
         """The fields that dataset and trace reports share."""
@@ -87,44 +122,44 @@ class RecordsAggregate:
             "perplexity_summary": summary_stats(self.perplexities),
         }
 
+    def dataset_report(self) -> dict:
+        """``report.json`` of a dataset whose items are its records:
+        ``problems_attempted``, ``correctly_solved``, ``sub_threshold`` and
+        the :meth:`report_fields`."""
+        if not self.items:
+            raise ValueError("cannot report on an empty dataset")
+        return {
+            "problems_attempted": self.items,
+            "correctly_solved": self.full_traces,
+            "sub_threshold": self.threshold,
+            **self.report_fields(),
+        }
+
+    def token_tally(self) -> dict[int, int]:
+        """``below_tokens``, highest count first; ties break on ascending
+        token id so the emission order is deterministic."""
+        return dict(sorted(self.below_tokens.items(), key=lambda kv: (-kv[1], kv[0])))
+
 
 def aggregate_records(
-    items: Iterable[tuple[str, Sequence[TokenRecord]]], threshold: float = DEFAULT_SUB_THRESHOLD
+    items: Iterable[tuple[str | None, Sequence[TokenRecord]]], threshold: float = DEFAULT_SUB_THRESHOLD
 ) -> RecordsAggregate:
     """One pass over ``(regime, records)`` items; every records-level
-    statistic (reports, ratios, dataset stats) is read off its result."""
-    n = tokens = below = fallbacks = 0
-    coordinated = True
-    perplexities: list[float | None] = []
+    statistic (reports, ratios, tallies, dataset stats) is read off its
+    result. Items are taken one at a time, so a generator that reads each
+    item when asked keeps one item in memory."""
+    agg = RecordsAggregate(threshold)
     for regime, records in items:
-        n += 1
-        tokens += len(records)
-        coordinated = coordinated and regime in COORDINATED_REGIMES
-        scored = True
-        for r in records:
-            if r.p_student is not None and r.p_student < threshold:
-                below += 1
-            if r.fallback:
-                fallbacks += 1
-            if r.surprisal_student is None:
-                scored = False
-        perplexities.append(records_perplexity(records) if scored else None)
-    return RecordsAggregate(n, tokens, below, fallbacks, coordinated, perplexities)
+        agg.add(regime, records)
+    return agg
 
 
 def low_prob_token_tally(
     record_lists: Iterable[Sequence[TokenRecord]], threshold: float
 ) -> dict[int, int]:
-    """Counts of tokens strictly below ``threshold``, highest count first.
-
-    Ties break on ascending token id so the emission order is deterministic.
-    """
-    counts: dict[int, int] = {}
-    for records in record_lists:
-        for rec in records:
-            if rec.p_student is not None and rec.p_student < threshold:
-                counts[rec.token] = counts.get(rec.token, 0) + 1
-    return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+    """Counts of tokens strictly below ``threshold``, highest count first
+    (:meth:`RecordsAggregate.token_tally`)."""
+    return aggregate_records(((None, records) for records in record_lists), threshold).token_tally()
 
 
 def _quantile(values: np.ndarray, q: float) -> float:
@@ -155,22 +190,16 @@ def summary_stats(values: Sequence[float]) -> dict[str, float]:
     }
 
 
-def dataset_report(records: Sequence["DatasetRecord"], threshold: float = DEFAULT_SUB_THRESHOLD) -> dict:
-    """One dataset's summary row: ``problems_attempted``, ``correctly_solved``,
-    ``sub_threshold`` and the fields of :meth:`RecordsAggregate.report_fields`.
+def dataset_report(records: Iterable["DatasetRecord"], threshold: float = DEFAULT_SUB_THRESHOLD) -> dict:
+    """One dataset's summary row, :meth:`RecordsAggregate.dataset_report`.
 
     Fallback rate is None (rendered "not applicable") unless every record
     was generated by a coordinated regime.
     """
-    if not records:
-        raise ValueError("cannot report on an empty dataset")
-    agg = aggregate_records(((r.regime, r.records) for r in records), threshold)
-    return {
-        "problems_attempted": len(records),
-        "correctly_solved": sum(1 for r in records if r.kind == "full-trace"),
-        "sub_threshold": threshold,
-        **agg.report_fields(),
-    }
+    agg = RecordsAggregate(threshold)
+    for r in records:
+        agg.add(r.regime, r.records, r.kind == "full-trace")
+    return agg.dataset_report()
 
 
 def write_surprisal_csv(records: Sequence[TokenRecord], path: str | Path) -> None:

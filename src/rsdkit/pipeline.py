@@ -349,21 +349,24 @@ def assemble_dataset(
     return [problem_record(r, prefix_length, prefix_source) for r in results]
 
 
-def export_dataset(records: Sequence[DatasetRecord], path: str | Path) -> None:
-    """Newline-delimited JSON, one record per line, closed by a manifest
-    line carrying the record count (the partial-write detector)."""
+def export_dataset(records: Iterable[DatasetRecord], path: str | Path) -> None:
+    """Newline-delimited JSON, one record per line as ``records`` yields it,
+    closed by a manifest line carrying the record count (the partial-write
+    detector). Only the record being written is held."""
+    count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n")
-        manifest = {"kind": "manifest", "schema": DATASET_SCHEMA, "record_count": len(records)}
+            count += 1
+        manifest = {"kind": "manifest", "schema": DATASET_SCHEMA, "record_count": count}
         fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def import_dataset(path: str | Path) -> list[DatasetRecord]:
-    """Inverse of :func:`export_dataset`; re-exporting the result reproduces
-    the file byte for byte. Malformed lines are reported by number; a
-    missing or inconsistent manifest means a partial write."""
-    records: list[DatasetRecord] = []
+def read_dataset(path: str | Path) -> Iterator[DatasetRecord]:
+    """The records of an :func:`export_dataset` file, one at a time. Malformed
+    lines are reported by number when they are reached; a missing or
+    inconsistent manifest, meaning a partial write, after the last record."""
+    count = 0
     manifest: dict | None = None
     for i, payload in read_jsonl(path):
         if manifest is not None:
@@ -372,45 +375,47 @@ def import_dataset(path: str | Path) -> list[DatasetRecord]:
             manifest = payload
             continue
         try:
-            records.append(DatasetRecord.from_json_dict(payload))
+            record = DatasetRecord.from_json_dict(payload)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: line {i}: bad record: {exc}") from exc
+        count += 1
+        yield record
     if manifest is None:
         raise DataError(f"{path}: no manifest line; file is truncated or partial")
-    if manifest.get("record_count") != len(records):
+    if manifest.get("record_count") != count:
         raise DataError(
-            f"{path}: manifest declares {manifest.get('record_count')} records, found {len(records)}"
+            f"{path}: manifest declares {manifest.get('record_count')} records, found {count}"
         )
-    return records
 
 
-def write_traces_jsonl(traces: Iterable[Trace], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for trace in traces:
-            fh.write(trace.to_json_line() + "\n")
+def import_dataset(path: str | Path) -> list[DatasetRecord]:
+    """Inverse of :func:`export_dataset`, all of :func:`read_dataset` at once;
+    re-exporting the result reproduces the file byte for byte."""
+    return list(read_dataset(path))
 
 
-def read_traces_jsonl(path: str | Path) -> list[Trace]:
-    out = []
+def read_traces_jsonl(path: str | Path) -> Iterator[Trace]:
+    """The traces of a file of ``Trace.to_json_line()`` lines, one at a time."""
     for i, row in read_jsonl(path):
         try:
-            out.append(Trace.from_json_dict(row))
+            trace = Trace.from_json_dict(row)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed trace on line {i}: {exc}") from exc
-    return out
+        yield trace
 
 
 def score_external_traces(
     source: str | Path | Iterable[Mapping], student: LanguageModel
-) -> list[list[TokenRecord]]:
+) -> Iterator[list[TokenRecord]]:
     """Force-score externally generated token sequences under the student.
 
     ``source`` is an external-traces JSONL file, whose faults name the path
     and the line, or the entries themselves, whose faults name the 0-based
     entry index. Each entry carries ``prompt_tokens`` and ``tokens`` (both
-    in the student vocabulary; out-of-vocabulary ids raise). Each entry
-    yields one list of token records with the student probabilities filled,
-    ready for the records-level metrics. The rows come from
+    in the student vocabulary; out-of-vocabulary ids raise). Entries are
+    read and scored one at a time: each yields one list of token records
+    with the student probabilities filled, ready for the records-level
+    metrics, and a fault raises when its entry is reached. The rows come from
     :meth:`~rsdkit.models.LanguageModel.next_distributions` in blocks of the
     student's ``lookahead`` tokens, so a remote student answers a block in
     one request.
@@ -419,7 +424,6 @@ def score_external_traces(
         located = ((f"{source}: line {i}", row) for i, row in read_jsonl(source))
     else:
         located = ((f"external trace {n}", entry) for n, entry in enumerate(source))
-    out: list[list[TokenRecord]] = []
     for where, entry in located:
         try:
             prompt = [int(t) for t in entry["prompt_tokens"]]
@@ -449,8 +453,7 @@ def score_external_traces(
                     )
                 )
             ctx.extend(chunk)
-        out.append(records)
-    return out
+        yield records
 
 
 def run_generation(

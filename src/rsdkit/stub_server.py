@@ -35,6 +35,9 @@ from .remote import F64_LE, OCTET_STREAM
 
 #: The longest continuation one /v1/distributions request may carry.
 MAX_CONTINUATION = 64
+#: How often a background server checks for :meth:`StubServer.stop`, in seconds;
+#: ``serve_forever``'s default of 0.5 s made every stop wait about that long.
+POLL_INTERVAL_S = 0.05
 
 class StubServer:
     def __init__(
@@ -57,7 +60,9 @@ class StubServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "StubServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": POLL_INTERVAL_S}, daemon=True
+        )
         self._thread.start()
         return self
 

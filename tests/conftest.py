@@ -8,6 +8,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from rsdkit.stub_server import POLL_INTERVAL_S
+
 
 @pytest.fixture()
 def html_server():
@@ -45,7 +47,9 @@ def html_server():
                 self._answer("text/html", b"<html><body>maintenance</body></html>")
 
         httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        threading.Thread(
+            target=httpd.serve_forever, kwargs={"poll_interval": POLL_INTERVAL_S}, daemon=True
+        ).start()
         servers.append(httpd)
         return f"http://127.0.0.1:{httpd.server_address[1]}"
 

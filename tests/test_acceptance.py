@@ -29,7 +29,6 @@ from rsdkit.pipeline import (
     Problem,
     Verifier,
     run_generation,
-    write_traces_jsonl,
 )
 from rsdkit.metrics import dataset_report
 from rsdkit.remote import BackendEndpoint, RemoteModel
@@ -296,7 +295,7 @@ class TestCriterion5RecountOracles:
             )
             traces.append(decode(teacher, student, [0], cfg))
         path = tmp_path / "traces.jsonl"
-        write_traces_jsonl(traces, path)
+        path.write_text("".join(t.to_json_line() + "\n" for t in traces))
 
         # independent rescan: raw JSON, no engine types
         raw = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]

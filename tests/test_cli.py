@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,11 +18,42 @@ from rsdkit import cli
 from rsdkit.cli import DEFAULT_SWEEP_THRESHOLDS, build_parser, build_stub_server, main
 from rsdkit.config import load_run_config, build_model
 from rsdkit.metrics import aggregate_records
-from rsdkit.pipeline import import_dataset, score_external_traces
+from rsdkit.decoding import TokenRecord, _surprisal
+from rsdkit.pipeline import DatasetRecord, export_dataset, import_dataset, score_external_traces
 from rsdkit.remote import BackendEndpoint, BackendUnavailableError, handshake
 
 TOKEN_TEXT = ["a", "b", "c", ""]
 TOY_DATASET = Path(__file__).resolve().parent.parent / "fixtures" / "toy_dataset.jsonl"
+TOY_LINES = TOY_DATASET.read_text().splitlines()
+GOOD_TRACE = (
+    '{"config":{"context_limit":8192,"max_tokens":1,"p_th":0.01,"regime":"rsd","seed":0,"temperature":0.7,'
+    '"threshold_uses_raw":true},"prompt":[0],"records":[{"accepted":true,"fallback":false,"p_student":0.5,'
+    '"p_teacher":1.0,"proposer":"teacher","surprisal_student":0.6931471805599453,"token":1}],'
+    '"terminated_by":"length-budget"}'
+)
+BAD_TRACE = '{"records": [], "config": {"bad": true}, "prompt": []}'
+# (kind, lines, what the error names) of inputs whose fault is on their first or last line
+BAD_INPUTS = [
+    ("dataset", ['{"kind": "full-trace"'], "line 1: invalid JSON"),
+    ("dataset", [TOY_LINES[0], '{"kind": "full-trace"'], "line 2: invalid JSON"),
+    ("dataset", TOY_LINES[:-1] + ['{"kind": "manifest", "record_count": 4, "schema": "rsdkit-dataset-v1"}'],
+     "manifest declares 4 records, found 3"),
+    ("dataset", TOY_LINES[:-1], "no manifest line"),
+    ("traces", [BAD_TRACE], "malformed trace on line 1"),
+    ("traces", [GOOD_TRACE, BAD_TRACE], "malformed trace on line 2"),
+    ("external", [json.dumps({"prompt_tokens": [0], "tokens": [99]})], "line 1: token 99"),
+    ("external", [json.dumps({"prompt_tokens": [0], "tokens": [1, 2]}), json.dumps({"prompt_tokens": [0], "tokens": [99]})],
+     "line 2: token 99"),
+]
+
+
+def analyze_argv(tmp_path: Path, kind: str, lines: list[str]) -> list[str]:
+    """``analyze`` of ``lines`` written as a ``kind`` input, with the config external traces need."""
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    if kind != "external":
+        return ["analyze", str(path)]
+    return ["analyze", str(path), "--config", str(write_config(tmp_path, answers=["b"]))]
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -102,6 +134,52 @@ class TestGenerate:
         assert main(["generate", str(cfg_path), "--workers", "4"]) == 0
         parallel = (tmp_path / "dataset.jsonl").read_bytes()
         assert serial == parallel
+
+    @pytest.mark.parametrize("workers", ["1", "4"])
+    def test_unsalvageable_problem_keeps_the_old_dataset(self, tmp_path, monkeypatch, capsys, workers):
+        cfg_path = write_config(tmp_path, answers=["bbbbbb", "zzz", "bb", "ab"])
+        problems = [json.loads(line) for line in (tmp_path / "problems.jsonl").read_text().splitlines()]
+        problems[2]["prompt_tokens"] = [0, 0]  # the one problem the broken decoder below fails
+        (tmp_path / "problems.jsonl").write_text("".join(json.dumps(p) + "\n" for p in problems))
+        assert main(["generate", str(cfg_path), "--workers", workers]) == 0
+        old = {name: (tmp_path / name).read_bytes() for name in ("dataset.jsonl", "report.json")}
+        decode = cli.decode
+
+        def failing_decode(teacher, student, prompt, cfg, vmap=None):
+            if len(prompt) == 2:
+                raise ValueError("no token for this prompt")
+            return decode(teacher, student, prompt, cfg, vmap)
+
+        monkeypatch.setattr(cli, "decode", failing_decode)
+        assert main(["generate", str(cfg_path), "--workers", workers, "--threshold", "0.3"]) == 1
+        assert "no attempt produced a trace to salvage" in capsys.readouterr().err
+        assert {name: (tmp_path / name).read_bytes() for name in old} == old
+        assert not list(tmp_path.glob("*.partial"))
+
+    def test_records_are_exported_as_they_arrive(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, answers=["bbbbbb", "zzz", "bb"])
+        events = []
+        decode, export = cli.decode, cli.export_dataset
+
+        def watching_decode(*args, **kwargs):
+            events.append("decode")
+            return decode(*args, **kwargs)
+
+        def watching_export(records, path):
+            def watched():
+                for record in records:
+                    events.append(f"export {record.problem_id}")
+                    yield record
+
+            export(watched(), path)
+
+        monkeypatch.setattr(cli, "decode", watching_decode)
+        monkeypatch.setattr(cli, "export_dataset", watching_export)
+        assert main(["generate", str(cfg_path), "--workers", "1"]) == 0
+        # serially, each record is written before the next problem is decoded
+        # (q0 is solved at its first attempt, q1 and q2 use both)
+        assert events == ["decode", "export q0", "decode", "decode", "export q1", "decode", "decode", "export q2"]
+        assert len(import_dataset(tmp_path / "dataset.jsonl")) == 3
 
     def test_map_path_resolves_against_the_config_directory(self, tmp_path, monkeypatch):
         vm = tmp_path / "vm"
@@ -218,7 +296,6 @@ class TestAnalyze:
 
     def test_trace_jsonl_analysis(self, tmp_path):
         from rsdkit.decoding import GenerationConfig, decode
-        from rsdkit.pipeline import write_traces_jsonl
         from rsdkit.models import TableModel
 
         teacher = TableModel({}, [0.0, 1.0, 0.0, 0.0], eos_token=3)
@@ -228,7 +305,7 @@ class TestAnalyze:
             for s in range(3)
         ]
         path = tmp_path / "traces.jsonl"
-        write_traces_jsonl(traces, path)
+        path.write_text("".join(t.to_json_line() + "\n" for t in traces))
         out = tmp_path / "trace_analysis"
         assert main(["analyze", str(path), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
@@ -238,7 +315,6 @@ class TestAnalyze:
     def test_mixed_regimes_have_no_fallback_rate(self, tmp_path):
         # one rule for both report paths: a fallback rate only when every item is rsd/skd
         from rsdkit.decoding import GenerationConfig, decode
-        from rsdkit.pipeline import write_traces_jsonl
         from rsdkit.metrics import dataset_report
         from rsdkit.models import TableModel
         from rsdkit.pipeline import AttemptOutcome, RejectionResult, problem_record
@@ -254,10 +330,109 @@ class TestAnalyze:
         assert dataset_report(records)["fallback_rate_pct"] is None
 
         path = tmp_path / "traces.jsonl"
-        write_traces_jsonl(traces, path)
+        path.write_text("".join(t.to_json_line() + "\n" for t in traces))
         out = tmp_path / "mixed_analysis"
         assert main(["analyze", str(path), "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["fallback_rate_pct"] is None
+
+
+def write_synthetic_dataset(path: Path, n_records: int, tokens: int = 300) -> None:
+    """``n_records`` full traces of ``tokens`` token records each, with
+    student probabilities on both sides of 1%."""
+    probs = (0.5, 0.004, 0.2, 0.03, 0.009)
+
+    def record(i: int) -> DatasetRecord:
+        steps = [
+            TokenRecord((i + k) % 7, "teacher", True, False, 0.5, p, _surprisal(p))
+            for k in range(tokens)
+            for p in [probs[(i * 3 + k) % len(probs)]]
+        ]
+        return DatasetRecord(f"p{i}", "full-trace", "correct", tuple(r.token for r in steps),
+                             f"p{i}#attempt-0", "rsd", steps)
+
+    export_dataset([record(i) for i in range(n_records)], path)
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def analysis_peak_bytes(tmp_path: Path, n_records: int) -> int:
+    dataset = tmp_path / f"data{n_records}.jsonl"
+    write_synthetic_dataset(dataset, n_records)
+    tracemalloc.start()
+    try:
+        assert main(["analyze", str(dataset), "--out", str(tmp_path / f"out{n_records}")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestStreamingAnalysis:
+    """``analyze`` reads one item at a time into ``<out>.partial/`` and
+    publishes it only when the whole input has been read."""
+
+    def test_peak_does_not_grow_with_records(self, tmp_path):
+        # each record holds 300 token records; a command that kept them all
+        # would double its peak from 20 records to 40
+        analysis_peak_bytes(tmp_path, 2)  # warm caches and imports outside the measurement
+        small, large = analysis_peak_bytes(tmp_path, 20), analysis_peak_bytes(tmp_path, 40)
+        assert large < 1.25 * small, (small, large)
+
+    def test_streamed_outputs_match_the_record_lists(self, tmp_path):
+        from rsdkit.metrics import dataset_report, low_prob_token_tally, records_perplexity
+
+        dataset = tmp_path / "data.jsonl"
+        write_synthetic_dataset(dataset, 5, tokens=40)
+        out = tmp_path / "out"
+        assert main(["analyze", str(dataset), "--out", str(out)]) == 0
+        records = import_dataset(dataset)
+        assert json.loads((out / "report.json").read_text()) == json.loads(
+            json.dumps(dataset_report(records, 0.01))
+        )
+        rows = (out / "perplexity.csv").read_text().splitlines()[1:]
+        assert rows == [f"{r.problem_id},{records_perplexity(r.records)!r},{len(r.records)}" for r in records]
+        tally = low_prob_token_tally((r.records for r in records), 0.01)
+        assert (out / "token_tally.csv").read_text().splitlines()[1:] == [f"{t},{c}" for t, c in tally.items()]
+
+    @pytest.mark.parametrize("kind, lines, message", BAD_INPUTS)
+    def test_failed_rerun_keeps_every_old_file(self, tmp_path, kind, lines, message):
+        out = tmp_path / "out"
+        assert main(["analyze", str(TOY_DATASET), "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("kept\n")
+        before = tree_bytes(out)
+        assert main(analyze_argv(tmp_path, kind, lines) + ["--out", str(out)]) == 4
+        assert tree_bytes(out) == before
+        assert not (tmp_path / "out.partial").exists()
+
+    def test_successful_rerun_replaces_its_files_and_keeps_others(self, tmp_path):
+        dataset = tmp_path / "data.jsonl"
+        write_synthetic_dataset(dataset, 3, tokens=5)
+        out = tmp_path / "out"
+        assert main(["analyze", str(dataset), "--out", str(out), "--threshold", "0.005"]) == 0
+        (out / "notes.txt").write_text("kept\n")
+        old_report = (out / "report.json").read_bytes()
+        assert main(["analyze", str(dataset), "--out", str(out)]) == 0
+        assert (out / "notes.txt").read_text() == "kept\n"
+        assert (out / "report.json").read_bytes() != old_report
+        fresh = tmp_path / "fresh"
+        assert main(["analyze", str(dataset), "--out", str(fresh)]) == 0
+        assert {k: v for k, v in tree_bytes(out).items() if k != "notes.txt"} == tree_bytes(fresh)
+        assert not (tmp_path / "out.partial").exists()
+
+    def test_stale_partial_directory_does_not_leak(self, tmp_path):
+        dataset = tmp_path / "data.jsonl"
+        write_synthetic_dataset(dataset, 2, tokens=5)
+        out = tmp_path / "out"
+        stale = tmp_path / "out.partial"
+        stale.mkdir()
+        (stale / "surprisal_killed.csv").write_text("step,surprisal,accepted,fallback\n")
+        assert main(["analyze", str(dataset), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "perplexity.csv", "report.json", "surprisal_p0.csv", "surprisal_p1.csv", "token_tally.csv",
+        ]
+        assert not stale.exists()
 
 
 class TestSweep:
@@ -434,22 +609,12 @@ class TestExitCodes:
         assert error["kind"] == "data"
         assert f"{external}: line 3: token 99 out of vocabulary" in error["message"]
 
-    @pytest.mark.parametrize(
-        "kind, lines",
-        [
-            ("dataset", ['{"kind": "full-trace"']),
-            ("dataset", [TOY_DATASET.read_text().splitlines()[0], '{"kind": "full-trace"']),
-            ("traces", ['{"records": [], "config": {"bad": true}, "prompt": []}']),
-            ("external", [json.dumps({"prompt_tokens": [0], "tokens": [99]})]),
-        ],
-    )
-    def test_bad_input_leaves_no_analysis_directory(self, tmp_path, kind, lines):
-        cfg_path = write_config(tmp_path, answers=["b"])
-        path = tmp_path / f"{kind}.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        argv = ["analyze", str(path)] + (["--config", str(cfg_path)] if kind == "external" else [])
-        assert main(argv) == 4
+    @pytest.mark.parametrize("kind, lines, message", BAD_INPUTS)
+    def test_bad_input_leaves_no_analysis_directory(self, tmp_path, capsys, kind, lines, message):
+        assert main(analyze_argv(tmp_path, kind, lines)) == 4
+        assert message in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]["message"]
         assert not (tmp_path / f"{kind}_analysis").exists()
+        assert not (tmp_path / f"{kind}_analysis.partial").exists()
 
     def test_malformed_trace_file_is_data_error(self, tmp_path):
         path = tmp_path / "traces.jsonl"

@@ -25,7 +25,7 @@ from rsdkit.metrics import (
     write_token_tally_csv,
 )
 from rsdkit.models import Distribution, TableModel
-from rsdkit.pipeline import DatasetRecord, write_traces_jsonl
+from rsdkit.pipeline import DatasetRecord
 
 
 def make_trace(p_students, regime="rsd", fallbacks=None, tokens=None) -> Trace:
@@ -177,7 +177,7 @@ class TestRecountOracle:
             cfg = GenerationConfig(p_th=0.05, max_tokens=10, seed=i)
             traces.append(decode(teacher, student, [0], cfg))
         path = tmp_path / "traces.jsonl"
-        write_traces_jsonl(traces, path)
+        path.write_text("".join(t.to_json_line() + "\n" for t in traces))
         return traces, path
 
     def rescan(self, path):

@@ -18,7 +18,6 @@ import pytest
 from rsdkit.cli import main
 from rsdkit.decoding import GenerationConfig, decode
 from rsdkit.models import TableModel
-from rsdkit.pipeline import write_traces_jsonl
 
 TOKEN_TEXT = ["a", "b", "c", "d", ""]
 TEACHER = {
@@ -107,7 +106,7 @@ def _traces_file(root: Path) -> Path:
                                seed=seed, regime=regime)
         traces.append(decode(teacher, student, [0, 1], cfg))
     path = root / "traces.jsonl"
-    write_traces_jsonl(traces, path)
+    path.write_text("".join(t.to_json_line() + "\n" for t in traces))
     return path
 
 

@@ -442,7 +442,7 @@ class TestScoreExternal:
     def test_out_of_vocabulary_token_rejected(self):
         student = TableModel({}, [0.5, 0.5], eos_token=1)
         with pytest.raises(ValueError, match="out of vocabulary"):
-            score_external_traces([{"prompt_tokens": [0], "tokens": [0, 7]}], student)
+            list(score_external_traces([{"prompt_tokens": [0], "tokens": [0, 7]}], student))
 
     def test_blocks_hold_at_most_the_students_lookahead(self):
         rows_per_call = []
@@ -456,9 +456,9 @@ class TestScoreExternal:
 
         table = ({(0,): [0.7, 0.2, 0.1], (1,): [0.1, 0.2, 0.7]}, [0.5, 0.3, 0.2])
         entries = [{"prompt_tokens": [0], "tokens": [0, 1, 1, 2, 0, 1, 0]}]
-        scored = score_external_traces(entries, Blocks(*table, eos_token=2))
+        scored = list(score_external_traces(entries, Blocks(*table, eos_token=2)))
         assert rows_per_call == [3, 3, 1]
-        assert scored == score_external_traces(entries, TableModel(*table, eos_token=2))
+        assert scored == list(score_external_traces(entries, TableModel(*table, eos_token=2)))
 
     def test_a_remote_student_scores_a_block_per_request(self):
         student = TableModel({(0,): [0.7, 0.2, 0.1], (1,): [0.1, 0.2, 0.7]}, [0.5, 0.3, 0.2], eos_token=2)
@@ -467,10 +467,10 @@ class TestScoreExternal:
         with StubServer({"s": student}) as server:
             remote = RemoteModel(BackendEndpoint(base_url=server.base_url, model_name="s"))
             try:
-                over_wire = score_external_traces(entries, remote)
+                over_wire = list(score_external_traces(entries, remote))
             finally:
                 remote.close()
-        assert over_wire == score_external_traces(entries, student)
+        assert over_wire == list(score_external_traces(entries, student))
         assert (remote.stats["requests"], remote.stats["rows"]) == (3, 20)  # blocks of 8, 8 and 4
 
     def test_traces_are_solo_shaped_for_metrics(self):

@@ -38,7 +38,7 @@ from rsdkit.remote import (
     distributions_from_payload,
     handshake,
 )
-from rsdkit.stub_server import MAX_CONTINUATION, StubServer, _full_payload, _make_handler
+from rsdkit.stub_server import MAX_CONTINUATION, POLL_INTERVAL_S, StubServer, _full_payload, _make_handler
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "remote"
 
@@ -193,7 +193,9 @@ def backend(content_type: str, body: bytes, max_continuation: int | None = None)
 def serving(handler):
     """Serve ``handler`` on a free local port; yields the base URL."""
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=httpd.serve_forever, kwargs={"poll_interval": POLL_INTERVAL_S}, daemon=True
+    )
     thread.start()
     try:
         yield f"http://127.0.0.1:{httpd.server_address[1]}"

@@ -346,7 +346,7 @@ def _analyze(path: Path, kind: str, student, out_dir: Path, threshold: float) ->
     """Write each item's surprisal CSV and fold it in, keeping only its
     perplexity row; then the report, ``perplexity.csv`` and
     ``token_tally.csv``. Returns the number of items."""
-    agg = RecordsAggregate(threshold)
+    agg = RecordsAggregate(threshold, below_tokens={})
     rows = []
     for name, regime, records, full_trace in _analysis_items(path, kind, student):
         write_surprisal_csv(records, out_dir / f"surprisal_{_slug(name)}.csv")

@@ -71,9 +71,11 @@ class RecordsAggregate:
     """Running totals over ``(regime, records)`` items, folded in one at a
     time by :meth:`add`. ``perplexities[i]`` is None when item i has an
     unscored record; ``coordinated`` means every item comes from a
-    coordinated regime, the only case with a fallback rate; ``below_tokens``
-    counts each token id among the ``below`` records, and ``full_traces``
-    the items that are a dataset's full (solved) traces."""
+    coordinated regime, the only case with a fallback rate; ``full_traces``
+    counts the items that are a dataset's full (solved) traces. Given a
+    dict, ``below_tokens`` counts each token id among the ``below`` records;
+    it is None unless asked for, since reports do not read it and over a
+    large vocabulary it grows to one entry per distinct token."""
 
     threshold: float = DEFAULT_SUB_THRESHOLD
     items: int = 0
@@ -83,7 +85,7 @@ class RecordsAggregate:
     coordinated: bool = True
     full_traces: int = 0
     perplexities: list[float | None] = field(default_factory=list)
-    below_tokens: dict[int, int] = field(default_factory=dict)
+    below_tokens: dict[int, int] | None = None
 
     def add(
         self, regime: str | None, records: Sequence[TokenRecord], full_trace: bool = False
@@ -95,7 +97,8 @@ class RecordsAggregate:
         for r in records:
             if r.p_student is not None and r.p_student < threshold:
                 below += 1
-                below_tokens[r.token] = below_tokens.get(r.token, 0) + 1
+                if below_tokens is not None:
+                    below_tokens[r.token] = below_tokens.get(r.token, 0) + 1
             if r.fallback:
                 fallbacks += 1
             if r.surprisal_student is None:
@@ -145,9 +148,9 @@ def aggregate_records(
     items: Iterable[tuple[str | None, Sequence[TokenRecord]]], threshold: float = DEFAULT_SUB_THRESHOLD
 ) -> RecordsAggregate:
     """One pass over ``(regime, records)`` items; every records-level
-    statistic (reports, ratios, tallies, dataset stats) is read off its
-    result. Items are taken one at a time, so a generator that reads each
-    item when asked keeps one item in memory."""
+    statistic (reports, ratios, dataset stats) is read off its result.
+    Items are taken one at a time, so a generator that reads each item
+    when asked keeps one item in memory."""
     agg = RecordsAggregate(threshold)
     for regime, records in items:
         agg.add(regime, records)
@@ -159,7 +162,10 @@ def low_prob_token_tally(
 ) -> dict[int, int]:
     """Counts of tokens strictly below ``threshold``, highest count first
     (:meth:`RecordsAggregate.token_tally`)."""
-    return aggregate_records(((None, records) for records in record_lists), threshold).token_tally()
+    agg = RecordsAggregate(threshold, below_tokens={})
+    for records in record_lists:
+        agg.add(None, records)
+    return agg.token_tally()
 
 
 def _quantile(values: np.ndarray, q: float) -> float:

@@ -34,16 +34,17 @@ GOOD_TRACE = (
 BAD_TRACE = '{"records": [], "config": {"bad": true}, "prompt": []}'
 # (kind, lines, what the error names) of inputs whose fault is on their first or last line
 BAD_INPUTS = [
-    ("dataset", ['{"kind": "full-trace"'], "line 1: invalid JSON"),
-    ("dataset", [TOY_LINES[0], '{"kind": "full-trace"'], "line 2: invalid JSON"),
-    ("dataset", TOY_LINES[:-1] + ['{"kind": "manifest", "record_count": 4, "schema": "rsdkit-dataset-v1"}'],
-     "manifest declares 4 records, found 3"),
-    ("dataset", TOY_LINES[:-1], "no manifest line"),
-    ("traces", [BAD_TRACE], "malformed trace on line 1"),
-    ("traces", [GOOD_TRACE, BAD_TRACE], "malformed trace on line 2"),
-    ("external", [json.dumps({"prompt_tokens": [0], "tokens": [99]})], "line 1: token 99"),
-    ("external", [json.dumps({"prompt_tokens": [0], "tokens": [1, 2]}), json.dumps({"prompt_tokens": [0], "tokens": [99]})],
-     "line 2: token 99"),
+    pytest.param("dataset", ['{"kind": "full-trace"'], "line 1: invalid JSON", id="dataset-lines0"),
+    pytest.param("dataset", [TOY_LINES[0], '{"kind": "full-trace"'], "line 2: invalid JSON", id="dataset-lines1"),
+    pytest.param("traces", [BAD_TRACE], "malformed trace on line 1", id="traces-lines2"),
+    pytest.param("external", [json.dumps({"prompt_tokens": [0], "tokens": [99]})], "line 1: token 99",
+                 id="external-lines3"),
+    pytest.param("dataset", TOY_LINES[:-1] + ['{"kind": "manifest", "record_count": 4, "schema": "rsdkit-dataset-v1"}'],
+                 "manifest declares 4 records, found 3", id="dataset-count-mismatch"),
+    pytest.param("dataset", TOY_LINES[:-1], "no manifest line", id="dataset-no-manifest"),
+    pytest.param("traces", [GOOD_TRACE, BAD_TRACE], "malformed trace on line 2", id="traces-bad-last-line"),
+    pytest.param("external", [json.dumps({"prompt_tokens": [0], "tokens": t}) for t in ([1, 2], [99])],
+                 "line 2: token 99", id="external-bad-last-line"),
 ]
 
 
@@ -342,11 +343,10 @@ def write_synthetic_dataset(path: Path, n_records: int, tokens: int = 300) -> No
     probs = (0.5, 0.004, 0.2, 0.03, 0.009)
 
     def record(i: int) -> DatasetRecord:
-        steps = [
-            TokenRecord((i + k) % 7, "teacher", True, False, 0.5, p, _surprisal(p))
-            for k in range(tokens)
-            for p in [probs[(i * 3 + k) % len(probs)]]
-        ]
+        steps = []
+        for k in range(tokens):
+            p = probs[(i * 3 + k) % len(probs)]
+            steps.append(TokenRecord((i + k) % 7, "teacher", True, False, 0.5, p, _surprisal(p)))
         return DatasetRecord(f"p{i}", "full-trace", "correct", tuple(r.token for r in steps),
                              f"p{i}#attempt-0", "rsd", steps)
 

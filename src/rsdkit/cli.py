@@ -238,9 +238,10 @@ def _directory_atomically(out_dir: Path) -> Iterator[Path]:
     """A fresh ``<out_dir>.partial`` directory to write into, a stale one
     removed first. On success it is renamed to ``out_dir``, or, when
     ``out_dir`` exists, each of its files replaces its namesake there and the
-    other files stay. On any error it is removed and ``out_dir`` is left as
-    it was."""
+    other files stay. On any error it is removed, with the parent
+    directories made for it, and ``out_dir`` is left as it was."""
     partial = Path(os.path.abspath(out_dir) + ".partial")
+    made = [parent for parent in partial.parents if not parent.exists()]  # innermost first
     shutil.rmtree(partial, ignore_errors=True)
     partial.mkdir(parents=True)
     try:
@@ -253,6 +254,8 @@ def _directory_atomically(out_dir: Path) -> Iterator[Path]:
             os.replace(partial, out_dir)
     except BaseException:
         shutil.rmtree(partial, ignore_errors=True)
+        for parent in made:
+            parent.rmdir()
         raise
 
 

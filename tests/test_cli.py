@@ -380,22 +380,6 @@ class TestStreamingAnalysis:
         small, large = analysis_peak_bytes(tmp_path, 20), analysis_peak_bytes(tmp_path, 40)
         assert large < 1.25 * small, (small, large)
 
-    def test_streamed_outputs_match_the_record_lists(self, tmp_path):
-        from rsdkit.metrics import dataset_report, low_prob_token_tally, records_perplexity
-
-        dataset = tmp_path / "data.jsonl"
-        write_synthetic_dataset(dataset, 5, tokens=40)
-        out = tmp_path / "out"
-        assert main(["analyze", str(dataset), "--out", str(out)]) == 0
-        records = import_dataset(dataset)
-        assert json.loads((out / "report.json").read_text()) == json.loads(
-            json.dumps(dataset_report(records, 0.01))
-        )
-        rows = (out / "perplexity.csv").read_text().splitlines()[1:]
-        assert rows == [f"{r.problem_id},{records_perplexity(r.records)!r},{len(r.records)}" for r in records]
-        tally = low_prob_token_tally((r.records for r in records), 0.01)
-        assert (out / "token_tally.csv").read_text().splitlines()[1:] == [f"{t},{c}" for t, c in tally.items()]
-
     @pytest.mark.parametrize("kind, lines, message", BAD_INPUTS)
     def test_failed_rerun_keeps_every_old_file(self, tmp_path, kind, lines, message):
         out = tmp_path / "out"
@@ -615,6 +599,9 @@ class TestExitCodes:
         assert message in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]["message"]
         assert not (tmp_path / f"{kind}_analysis").exists()
         assert not (tmp_path / f"{kind}_analysis.partial").exists()
+        # nor the parent directories an --out below new directories needs
+        assert main(analyze_argv(tmp_path, kind, lines) + ["--out", str(tmp_path / "new" / "dir" / "out")]) == 4
+        assert not (tmp_path / "new").exists()
 
     def test_malformed_trace_file_is_data_error(self, tmp_path):
         path = tmp_path / "traces.jsonl"

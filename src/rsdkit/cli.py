@@ -220,16 +220,26 @@ def _write_outputs(cfg: RunConfig, records, dataset_path: Path, report_path: Pat
     return report
 
 
+def _make_parents(path: Path) -> list[Path]:
+    """Create the missing parent directories of ``path``; returns them,
+    innermost first, for removal should the write fail."""
+    made = [parent for parent in path.parents if not parent.exists()]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return made
+
+
 def _write_atomically(path: Path, write) -> None:
     """Write via ``<path>.partial`` and a rename, so a failed write keeps the
-    old ``path`` and leaves no partial file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    old ``path`` and leaves no partial file, nor the directories made for it."""
     partial = path.with_name(path.name + ".partial")
+    made = _make_parents(partial)
     try:
         write(partial)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
+        for parent in made:
+            parent.rmdir()
         raise
 
 
@@ -241,9 +251,9 @@ def _directory_atomically(out_dir: Path) -> Iterator[Path]:
     other files stay. On any error it is removed, with the parent
     directories made for it, and ``out_dir`` is left as it was."""
     partial = Path(os.path.abspath(out_dir) + ".partial")
-    made = [parent for parent in partial.parents if not parent.exists()]  # innermost first
     shutil.rmtree(partial, ignore_errors=True)
-    partial.mkdir(parents=True)
+    made = _make_parents(partial)
+    partial.mkdir()
     try:
         yield partial
         if out_dir.is_dir():
@@ -349,7 +359,7 @@ def _analyze(path: Path, kind: str, student, out_dir: Path, threshold: float) ->
     """Write each item's surprisal CSV and fold it in, keeping only its
     perplexity row; then the report, ``perplexity.csv`` and
     ``token_tally.csv``. Returns the number of items."""
-    agg = RecordsAggregate(threshold, below_tokens={})
+    agg = RecordsAggregate(threshold)
     rows = []
     for name, regime, records, full_trace in _analysis_items(path, kind, student):
         write_surprisal_csv(records, out_dir / f"surprisal_{_slug(name)}.csv")

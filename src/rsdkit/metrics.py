@@ -72,10 +72,8 @@ class RecordsAggregate:
     time by :meth:`add`. ``perplexities[i]`` is None when item i has an
     unscored record; ``coordinated`` means every item comes from a
     coordinated regime, the only case with a fallback rate; ``full_traces``
-    counts the items that are a dataset's full (solved) traces. Given a
-    dict, ``below_tokens`` counts each token id among the ``below`` records;
-    it is None unless asked for, since reports do not read it and over a
-    large vocabulary it grows to one entry per distinct token."""
+    counts the items that are a dataset's full (solved) traces;
+    ``below_tokens`` counts each token id among the ``below`` records."""
 
     threshold: float = DEFAULT_SUB_THRESHOLD
     items: int = 0
@@ -85,7 +83,7 @@ class RecordsAggregate:
     coordinated: bool = True
     full_traces: int = 0
     perplexities: list[float | None] = field(default_factory=list)
-    below_tokens: dict[int, int] | None = None
+    below_tokens: dict[int, int] = field(default_factory=dict)
 
     def add(
         self, regime: str | None, records: Sequence[TokenRecord], full_trace: bool = False
@@ -97,8 +95,7 @@ class RecordsAggregate:
         for r in records:
             if r.p_student is not None and r.p_student < threshold:
                 below += 1
-                if below_tokens is not None:
-                    below_tokens[r.token] = below_tokens.get(r.token, 0) + 1
+                below_tokens[r.token] = below_tokens.get(r.token, 0) + 1
             if r.fallback:
                 fallbacks += 1
             if r.surprisal_student is None:
@@ -162,7 +159,7 @@ def low_prob_token_tally(
 ) -> dict[int, int]:
     """Counts of tokens strictly below ``threshold``, highest count first
     (:meth:`RecordsAggregate.token_tally`)."""
-    agg = RecordsAggregate(threshold, below_tokens={})
+    agg = RecordsAggregate(threshold)
     for records in record_lists:
         agg.add(None, records)
     return agg.token_tally()

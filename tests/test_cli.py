@@ -157,6 +157,23 @@ class TestGenerate:
         assert {name: (tmp_path / name).read_bytes() for name in old} == old
         assert not list(tmp_path.glob("*.partial"))
 
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_unsalvageable_problem_leaves_no_new_directory(self, tmp_path, monkeypatch, capsys, command):
+        output = {"dataset": "new/deeper/dataset.jsonl", "report": "new/report.json"}
+        cfg_path = write_config(tmp_path, answers=["bbbbbb", "bb"], output=output)
+
+        def failing_decode(*args, **kwargs):
+            raise ValueError("no token for this prompt")
+
+        monkeypatch.setattr(cli, "decode", failing_decode)
+        argv = {
+            "generate": ["generate", str(cfg_path)],
+            "sweep": ["sweep", str(cfg_path), "--thresholds", "0.01", "--out-dir", str(tmp_path / "new" / "sweep")],
+        }[command]
+        assert main(argv) == 1
+        assert "no attempt produced a trace to salvage" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
     def test_records_are_exported_as_they_arrive(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, answers=["bbbbbb", "zzz", "bb"])
         events = []

@@ -361,8 +361,13 @@ def _analyze(path: Path, kind: str, student, out_dir: Path, threshold: float) ->
     ``token_tally.csv``. Returns the number of items."""
     agg = RecordsAggregate(threshold)
     rows = []
+    owners: dict[str, str] = {}  # surprisal file -> the item that wrote it
     for name, regime, records, full_trace in _analysis_items(path, kind, student):
-        write_surprisal_csv(records, out_dir / f"surprisal_{_slug(name)}.csv")
+        csv_name = f"surprisal_{_slug(name)}.csv"
+        if csv_name in owners:
+            raise DataError(f"{path}: items {owners[csv_name]!r} and {name!r} would both write {csv_name}")
+        owners[csv_name] = name
+        write_surprisal_csv(records, out_dir / csv_name)
         rows.append((name, agg.add(regime, records, full_trace), len(records)))
     if kind == "dataset":
         if not agg.items:

@@ -136,6 +136,13 @@ def sample(dist: Distribution, rng, temperature: float = 1.0, suppressed: Vocabu
     return int(np.searchsorted(cdf, rng.random() * total, side="right"))
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int if it is an ``int`` or ``np.integer``; a bool, float or string is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class LanguageModel(ABC):
     """Context -> next-token distribution at temperature 1.
 
@@ -149,6 +156,11 @@ class LanguageModel(ABC):
     #: Steps an approver judges per call: ``decode`` hands it blocks of up to
     #: this many proposals, through :meth:`next_distributions`, when it is > 1.
     lookahead = 1
+
+    def _set_eos(self, eos_token) -> None:
+        self.eos_token = self.vocab_size - 1 if eos_token is None else _integer("eos_token", eos_token)
+        if not 0 <= self.eos_token < self.vocab_size:
+            raise ValueError(f"eos token {self.eos_token} outside vocabulary")
 
     @abstractmethod
     def next_distribution(self, context: Sequence[int]) -> Distribution:
@@ -185,18 +197,14 @@ class TableModel(LanguageModel):
         self.vocab_size = self._default.vocab_size
         self._rows: dict[tuple[int, ...], Distribution] = {}
         for key, row in rows.items():
-            key = tuple(int(t) for t in key)
+            key = tuple(_integer("table suffix token", t) for t in key)
             d = row if isinstance(row, Distribution) else Distribution(row)
             if d.vocab_size != self.vocab_size:
-                raise ValueError(
-                    f"row {key} has vocab size {d.vocab_size}, expected {self.vocab_size}"
-                )
+                raise ValueError(f"row {key} has vocab size {d.vocab_size}, expected {self.vocab_size}")
             self._rows[key] = d
         # longest-first so the most specific suffix wins
         self._key_lengths = sorted({len(k) for k in self._rows}, reverse=True)
-        self.eos_token = self.vocab_size - 1 if eos_token is None else int(eos_token)
-        if not 0 <= self.eos_token < self.vocab_size:
-            raise ValueError(f"eos token {self.eos_token} outside vocabulary")
+        self._set_eos(eos_token)
 
     def next_distribution(self, context: Sequence[int]) -> Distribution:
         n = len(context)
@@ -226,44 +234,51 @@ class NgramModel(LanguageModel):
         vocab_size: int | None = None,
         eos_token: int | None = None,
     ) -> None:
-        corpus = [int(t) for t in corpus]
-        if not corpus:
-            raise ValueError("corpus must be non-empty")
-        if not isinstance(order, int) or order < 1:
-            raise ValueError(f"order must be an integer >= 1, got {order!r}")
-        if order > len(corpus):
-            raise ValueError(f"order {order} exceeds corpus length {len(corpus)}")
-        if smoothing < 0.0:
-            raise ValueError(f"smoothing must be >= 0, got {smoothing}")
-        inferred = max(corpus) + 1
-        self.vocab_size = max(2, inferred) if vocab_size is None else int(vocab_size)
-        if self.vocab_size < max(2, inferred):
-            raise ValueError(f"vocab_size {vocab_size} too small for corpus with max id {inferred - 1}")
-        self.order = order
+        ids = np.asarray(corpus)  # a list's bools among ints become 1 and 0 here, so its types are read too
+        if ids.ndim != 1 or not ids.size:
+            raise ValueError("corpus must be a non-empty list of token ids")
+        if ids.dtype.kind not in "iu" or (ids is not corpus and not {bool, np.bool_}.isdisjoint(map(type, corpus))):
+            raise TypeError(f"corpus ids must be integers, got {ids.dtype} entries")
+        ids = ids.astype(np.int64, copy=False)
+        if ids.min() < 0:
+            raise ValueError(f"corpus holds negative id {ids.min()}")
+        self.order = _integer("order", order)
+        if not 1 <= order <= ids.size:
+            raise ValueError(f"order must lie in [1, corpus length {ids.size}], got {order}")
+        if isinstance(smoothing, bool) or not isinstance(smoothing, (int, float, np.number)) or not 0 <= smoothing < np.inf:
+            raise ValueError(f"smoothing must be a finite number >= 0, got {smoothing!r}")
         self.smoothing = float(smoothing)
-        # counts[k][ctx][next] for context lengths k = 0 .. order-1
-        self._counts: list[dict[tuple[int, ...], dict[int, int]]] = [{} for _ in range(order)]
+        width = int(ids.max()) + 1
+        self.vocab_size = max(2, width) if vocab_size is None else _integer("vocab_size", vocab_size)
+        if self.vocab_size < max(2, width):
+            raise ValueError(f"vocab_size {vocab_size} too small for corpus with max id {width - 1}")
+        # per context length k, by np.unique: sorted keys (first token, then the suffix's row, so < max id x corpus
+        # length at any order); row r's next ids and counts lie at offsets[r]:offsets[r + 1], summing to totals[r]
+        self._keys, self._rows = [np.zeros(1, dtype=np.int64)], []
+        rows = np.zeros(ids.size, dtype=np.int64)  # each position's context row
         for k in range(order):
-            table = self._counts[k]
-            for i in range(k, len(corpus)):
-                ctx = tuple(corpus[i - k : i])
-                nxt = corpus[i]
-                table.setdefault(ctx, {})
-                table[ctx][nxt] = table[ctx].get(nxt, 0) + 1
-        self.eos_token = self.vocab_size - 1 if eos_token is None else int(eos_token)
-        if not 0 <= self.eos_token < self.vocab_size:
-            raise ValueError(f"eos token {self.eos_token} outside vocabulary")
+            if k:
+                keys, rows = np.unique(ids[: ids.size - k] * self._keys[-1].size + rows[1:], return_inverse=True)
+                self._keys.append(keys)
+            pairs, counts = np.unique(rows * width + ids[k:], return_counts=True)
+            offsets = np.searchsorted(pairs // width, np.arange(self._keys[k].size + 1))
+            self._rows.append((offsets, pairs % width, counts, np.bincount(rows)))
+        self._set_eos(eos_token)
 
     def next_distribution(self, context: Sequence[int]) -> Distribution:
-        k = min(self.order - 1, len(context))
-        while True:
-            ctx = tuple(context[len(context) - k :]) if k else ()
-            hits = self._counts[k].get(ctx, {})
-            total = sum(hits.values())
-            if total > 0 or self.smoothing > 0.0:
-                probs = np.full(self.vocab_size, self.smoothing, dtype=np.float64)
-                for token, count in hits.items():
-                    probs[token] += count
-                denom = total + self.smoothing * self.vocab_size
-                return Distribution(probs / denom, validate=False)
-            k -= 1  # zero-mass context under zero smoothing: back off
+        n, s, size = len(context), self.smoothing, self.vocab_size
+        k, row = 0, 0
+        while k < min(self.order - 1, n):
+            keys = self._keys[k + 1]
+            key = context[n - k - 1] * self._keys[k].size + row
+            i = keys.searchsorted(key)
+            if i == keys.size or keys[i] != key:  # unseen, and so is every longer context
+                if s > 0.0:
+                    return Distribution(np.full(size, s / (s * size)), validate=False)
+                break  # zero smoothing: back off to the longest seen suffix
+            k, row = k + 1, i
+        offsets, next_ids, counts, totals = self._rows[k]
+        hit, denom = slice(offsets[row], offsets[row + 1]), totals[row] + s * size
+        probs = np.full(size, s / denom)
+        probs[next_ids[hit]] = (counts[hit] + s) / denom
+        return Distribution(probs, validate=False)

@@ -422,6 +422,22 @@ class TestStreamingAnalysis:
         assert {k: v for k, v in tree_bytes(out).items() if k != "notes.txt"} == tree_bytes(fresh)
         assert not (tmp_path / "out.partial").exists()
 
+    def test_items_whose_names_slug_alike_are_data_error(self, tmp_path, capsys):
+        # "p 1" and "p_1" both name surprisal_p_1.csv; the later one used to replace the earlier
+        dataset = tmp_path / "data.jsonl"
+        text = TOY_DATASET.read_text().replace('"problem_id":"fix-a"', '"problem_id":"p 1"')
+        dataset.write_text(text.replace('"problem_id":"fix-b"', '"problem_id":"p_1"'))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "surprisal_p_1.csv").write_text("old\n")
+        before = tree_bytes(out)
+        assert main(["analyze", str(dataset), "--out", str(out)]) == 4
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert error["kind"] == "data"
+        assert "items 'p 1' and 'p_1' would both write surprisal_p_1.csv" in error["message"]
+        assert tree_bytes(out) == before
+        assert not (tmp_path / "out.partial").exists()
+
     def test_stale_partial_directory_does_not_leak(self, tmp_path):
         dataset = tmp_path / "data.jsonl"
         write_synthetic_dataset(dataset, 2, tokens=5)
@@ -813,6 +829,28 @@ class TestExitCodes:
         assert error["kind"] == "config"
         assert "order" in error["message"]
         assert not (tmp_path / "dataset.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("vocab_size", 4.9), ("vocab_size", "4"), ("eos_token", True), ("order", True),
+            ("corpus", [0, 1, -1, 2]), ("corpus", [0, 1, 3.7]), ("corpus", [0, "2", 1]), ("corpus", [0, True, 2]),
+            ("smoothing", float("nan")), ("smoothing", float("inf")), ("smoothing", True),
+        ],
+    )
+    def test_ngram_spec_value_that_would_be_rounded_is_config_error(self, tmp_path, capsys, key, value):
+        student = {"backend": "ngram", "eos_token": 3, "corpus": [0, 1, 2, 3], "order": 1, key: value}
+        cfg_path = write_config(tmp_path, answers=["b"], student=student)
+        assert main(["generate", str(cfg_path)]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert "student: bad model spec" in error["message"]
+        assert not (tmp_path / "dataset.jsonl").exists()
+
+    def test_table_eos_token_that_would_be_rounded_is_config_error(self, tmp_path, capsys):
+        student = {"backend": "table", "eos_token": 1.7, "rows": [], "default": [0.2, 0.5, 0.2, 0.1]}
+        assert main(["generate", str(write_config(tmp_path, answers=["b"], student=student))]) == 2
+        assert "eos_token must be an integer" in capsys.readouterr().err
 
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, answers=["b"])

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsdkit.models import (
     Distribution,
@@ -29,6 +33,52 @@ def bigram_counts_oracle(corpus: list[int], context: int, smoothing: float, voca
             total += 1
     denom = total + smoothing * vocab
     return [(c + smoothing) / denom for c in pair_counts]
+
+
+class DictCountNgram:
+    """The n-gram as first written: one dict of next-token counts per context,
+    counted a token at a time. The reference for :class:`NgramModel`'s rows."""
+
+    def __init__(self, corpus: list[int], order: int, smoothing: float, vocab_size: int) -> None:
+        self.order, self.smoothing, self.vocab_size = order, smoothing, vocab_size
+        # counts[k][ctx][next] for context lengths k = 0 .. order-1
+        self.counts: list[dict[tuple[int, ...], dict[int, int]]] = [{} for _ in range(order)]
+        for k in range(order):
+            table = self.counts[k]
+            for i in range(k, len(corpus)):
+                ctx = tuple(corpus[i - k : i])
+                nxt = corpus[i]
+                table.setdefault(ctx, {})
+                table[ctx][nxt] = table[ctx].get(nxt, 0) + 1
+
+    def probs(self, context: list[int]) -> np.ndarray:
+        k = min(self.order - 1, len(context))
+        while True:
+            ctx = tuple(context[len(context) - k :]) if k else ()
+            hits = self.counts[k].get(ctx, {})
+            total = sum(hits.values())
+            if total > 0 or self.smoothing > 0.0:
+                probs = np.full(self.vocab_size, self.smoothing, dtype=np.float64)
+                for token, count in hits.items():
+                    probs[token] += count
+                return probs / (total + self.smoothing * self.vocab_size)
+            k -= 1  # zero-mass context under zero smoothing: back off
+
+
+@st.composite
+def ngram_cases(draw):
+    """A random corpus, order, smoothing and vocabulary, and contexts of every kind:
+    empty, seen in the corpus, random (mostly unseen), longer than ``order - 1``,
+    and holding ids the corpus never uses."""
+    alphabet = draw(st.integers(1, 6))
+    corpus = draw(st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=80))
+    order = draw(st.integers(1, min(4, len(corpus))))
+    smoothing = draw(st.one_of(st.just(0.0), st.floats(1e-6, 10.0)))
+    vocab_size = max(2, max(corpus) + 1) + draw(st.integers(0, 4))
+    seen = [corpus[max(0, i - n) : i] for i, n in draw(st.lists(
+        st.tuples(st.integers(0, len(corpus)), st.integers(0, order + 2)), max_size=6))]
+    drawn = draw(st.lists(st.lists(st.integers(0, vocab_size - 1), max_size=order + 2), max_size=6))
+    return corpus, order, smoothing, vocab_size, [[], *seen, *drawn]
 
 
 class TestDistribution:
@@ -254,6 +304,12 @@ class TestTableModel:
         with pytest.raises(ValueError, match="vocab size"):
             TableModel({(0,): [0.5, 0.5]}, [0.25] * 4)
 
+    @pytest.mark.parametrize("kwargs", [{"eos_token": 1.7}, {"eos_token": True}, {"rows": {(1.5,): [0.25] * 4}}],
+                             ids=["eos_token=1.7", "eos_token=True", "suffix=(1.5,)"])
+    def test_spec_ids_are_refused_not_rounded(self, kwargs):
+        with pytest.raises(TypeError):
+            TableModel(**{"rows": {}, "default": [0.25] * 4, **kwargs})
+
     def test_eos_defaults_to_last_token(self):
         assert TableModel({}, [0.25] * 4).eos_token == 3
         assert TableModel({}, [0.25] * 4, eos_token=1).eos_token == 1
@@ -308,6 +364,70 @@ class TestNgramModel:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             NgramModel([], 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ngram_cases())
+    def test_rows_are_bit_identical_to_dict_counts(self, case):
+        corpus, order, smoothing, vocab_size, contexts = case
+        model = NgramModel(corpus, order, smoothing, vocab_size=vocab_size)
+        oracle = DictCountNgram(corpus, order, smoothing, vocab_size)
+        for context in contexts:
+            assert np.array_equal(model.next_distribution(context).probs, oracle.probs(context)), context
+
+    def test_tables_retain_no_per_context_objects(self):
+        # a bigram over a 200k-token walk of 30k states with 10 successors each, as
+        # long-v32k-aligned's corpora are: one dict per context retains about 12 MB
+        rng = np.random.default_rng(0)
+        successors, steps = rng.integers(0, 30_000, size=(30_000, 10)).tolist(), rng.integers(0, 10, size=200_000)
+        corpus, state = [], 0
+        for step in steps.tolist():
+            state = successors[state][step]
+            corpus.append(state)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            model = NgramModel(corpus, 2, 1e-5, vocab_size=32_000)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.next_distribution([corpus[-2]])[corpus[-1]] > 1e-5
+        assert retained < 6e6, retained
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({"corpus": [0, 1, 2], "vocab_size": 4.9}, TypeError),
+            ({"corpus": [0, 1, 2], "vocab_size": "4"}, TypeError),
+            ({"corpus": [0, 1, 2], "vocab_size": True}, TypeError),
+            ({"corpus": [0, 1, 2], "eos_token": True}, TypeError),
+            ({"corpus": [0, 1, 2], "eos_token": 1.7}, TypeError),
+            ({"corpus": [0, 1, 2], "order": True}, TypeError),
+            ({"corpus": [0, 1, 2], "order": 1.0}, TypeError),
+            ({"corpus": [0, -1, 2]}, ValueError),
+            ({"corpus": [0, 3.7, 2]}, TypeError),
+            ({"corpus": [0, "2", 1]}, TypeError),
+            ({"corpus": [0, True, 2]}, TypeError),
+            ({"corpus": [True, False]}, TypeError),
+            ({"corpus": [[0, 1], [1, 0]]}, ValueError),
+            ({"corpus": [0, 1, 2], "smoothing": math.nan}, ValueError),
+            ({"corpus": [0, 1, 2], "smoothing": math.inf}, ValueError),
+            ({"corpus": [0, 1, 2], "smoothing": -math.inf}, ValueError),
+            ({"corpus": [0, 1, 2], "smoothing": True}, ValueError),
+            ({"corpus": [0, 1, 2], "smoothing": "0.1"}, ValueError),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else ",".join(
+            f"{k}={v[k]!r}" for k in v if k != "corpus" or len(v) == 1),
+    )
+    def test_spec_values_are_refused_not_rounded(self, kwargs, error):
+        with pytest.raises(error):
+            NgramModel(**{"order": 1, **kwargs})
+
+    def test_numpy_integers_are_accepted(self):
+        ids = np.array([0, 1, 2, 1], dtype=np.uint8)
+        for corpus in (ids, list(ids), list(ids.astype(np.int64))):
+            m = NgramModel(corpus, np.int64(2), np.float32(0.5), vocab_size=np.int32(4), eos_token=np.int64(3))
+            assert (m.order, m.vocab_size, m.eos_token) == (2, 4, 3)
+            np.testing.assert_array_equal(m.next_distribution([1]).probs, DictCountNgram([0, 1, 2, 1], 2, 0.5, 4).probs([1]))
 
     def test_purity(self):
         a = NgramModel([0, 1, 1, 0, 1], 2, 0.5, vocab_size=2)

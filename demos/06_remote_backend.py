@@ -2,13 +2,14 @@
 
 A stub server wraps any in-process model behind the HTTP surface a real
 inference server would expose (`GET /v1/capabilities`,
-`POST /v1/distribution`). The client handshakes, validates capabilities, and
-then behaves as an ordinary model handle. It asks for the raw encoding
-``"f64-le"``: the reply is an ``application/octet-stream`` body of exactly
-8·V bytes, the exact probabilities as little-endian float64, so traces
-decoded over the wire are byte-identical to in-process ones. The stub
-answers nothing else: a request without ``encoding``, or with the retired
-``"f64-b64"``, gets HTTP 400.
+`POST /v1/distributions`). The client handshakes, validates capabilities, and
+then behaves as an ordinary model handle. One row is a request with an empty
+``continuation``, in the raw encoding ``"f64-le"``: the reply is an
+``application/octet-stream`` body of exactly 8·V bytes, the exact
+probabilities as little-endian float64, so traces decoded over the wire are
+byte-identical to in-process ones. The stub answers nothing else: a request
+without ``encoding``, with the retired ``"f64-b64"`` or with a key it does
+not know gets HTTP 400.
 """
 
 import json
@@ -44,8 +45,8 @@ with StubServer({"teacher": teacher}) as server:
     caps = handshake(endpoint)
     print("capabilities:", caps)
 
-    request = {"model": "teacher", "context": [0, 1], "want": "full", "encoding": "f64-le"}
-    content_type, body = post(f"{server.base_url}/v1/distribution", request)
+    request = {"model": "teacher", "context": [0, 1], "continuation": [], "encoding": "f64-le"}
+    content_type, body = post(f"{server.base_url}/v1/distributions", request)
     print("\nraw reply for context [0, 1] (what RemoteModel asks for):")
     print(f"  Content-Type: {content_type}, {len(body)} bytes = 8 x vocab size {caps.vocab_size}")
     print("decodes to:", distribution_from_payload(body, caps.vocab_size).probs.tolist())

@@ -321,7 +321,7 @@ def load_problems(path: str | Path, token_text: Sequence[str] | None) -> list[Pr
         seen.add(pid)
         text = row.get("prompt_text")
         if "prompt_tokens" in row:
-            tokens = row["prompt_tokens"]  # Problem converts the ids
+            tokens = row["prompt_tokens"]  # Problem checks the ids
         elif text is not None:
             if token_text is None:
                 raise DataError(

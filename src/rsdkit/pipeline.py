@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .decoding import REGIMES, TokenRecord, Trace, _surprisal
 from .metrics import aggregate_records
-from .models import LanguageModel
+from .models import LanguageModel, _integer
 from .remote import BackendError
 from .seeding import derive_seed
 
@@ -86,7 +86,7 @@ class Problem:
     def __post_init__(self) -> None:
         if not self.prompt_tokens:
             raise ValueError(f"problem {self.id!r} has an empty prompt")
-        object.__setattr__(self, "prompt_tokens", tuple(int(t) for t in self.prompt_tokens))
+        object.__setattr__(self, "prompt_tokens", tuple(_integer("prompt token", t) for t in self.prompt_tokens))
 
 
 @dataclass
@@ -426,8 +426,8 @@ def score_external_traces(
         located = ((f"external trace {n}", entry) for n, entry in enumerate(source))
     for where, entry in located:
         try:
-            prompt = [int(t) for t in entry["prompt_tokens"]]
-            tokens = [int(t) for t in entry["tokens"]]
+            prompt = [_integer("prompt token", t) for t in entry["prompt_tokens"]]
+            tokens = [_integer("token", t) for t in entry["tokens"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{where}: {exc}") from exc
         for t in prompt + tokens:

@@ -1,37 +1,24 @@
 """HTTP client exposing a log-probability server as a LanguageModel.
 
-Protocol (HTTP/1.1, JSON requests):
+Wire protocol v4 (HTTP/1.1, JSON requests):
 
-* ``GET /v1/capabilities?model=NAME`` returns
-  ``{"model": NAME, "vocab_size": V, "eos_token": E, "max_context": C}``,
-  plus ``"max_continuation": K`` from a server that serves the block
-  endpoint below.
-* ``POST /v1/distribution`` with body
-  ``{"model": NAME, "context": [int, ...], "want": "full", "encoding": "f64-le"}``
-  returns the full distribution; the client dispatches on ``Content-Type``:
-
-  - ``application/octet-stream``: exactly ``8·V`` bytes, the ``V`` exact
-    probabilities as little-endian float64, with no JSON and no base64.
-    The client asks for this: it is bit-exact and nearly free to encode and
-    decode. The bundled stub answers it, and answers any other ``encoding``
-    (the retired ``"f64-b64"`` and a missing one included) with HTTP 400.
-  - anything else is JSON, so a server that ignores ``encoding`` still
-    works: ``{"logprobs": [float; V]}`` holds possibly unnormalized logits,
-    which the client softmaxes. Servers that hold exact probabilities may
-    add ``"probs": [float; V]``, taken verbatim, which keeps the
-    bit-exactness a log/exp round trip cannot.
-
-  A body that is malformed, of the wrong length, or not a finite
-  distribution raises :class:`BackendError`.
-* ``POST /v1/distributions`` (block verification) with the same body plus
-  ``"continuation": [int, ...]`` of at most ``K`` ids returns the
-  distributions after ``context`` extended by each prefix of
-  ``continuation``, shortest first: exactly ``(k+1)·8·V`` raw bytes for a
-  continuation of ``k`` ids, ``k+1`` rows of the ``f64-le`` body above.
-  Against a server that advertises it, :attr:`RemoteModel.lookahead` is
-  :data:`LOOKAHEAD`, so ``decode`` judges a block of proposals in one
-  request; against one that does not, it is 1 and every row is one
-  ``/v1/distribution`` request.
+* ``GET /v1/capabilities?model=NAME`` returns ``{"model": NAME,
+  "vocab_size": V, "eos_token": E, "max_context": C, "max_continuation":
+  K}``, each number a JSON integer. A server that advertises no
+  ``max_continuation`` fails the handshake with
+  :class:`CapabilityMismatchError`; any other malformed payload is a
+  :class:`BackendError`.
+* ``POST /v1/distributions`` with body ``{"model": NAME, "context": [int,
+  ...], "continuation": [int, ...], "encoding": "f64-le"}`` and a
+  continuation of ``k <= K`` ids returns the ``k+1`` distributions after
+  ``context`` extended by each prefix of ``continuation``, shortest first,
+  as one ``application/octet-stream`` body of exactly ``(k+1)·8·V`` bytes:
+  each row the ``V`` exact probabilities as little-endian float64, with no
+  JSON and no base64. A single row is the request with ``"continuation":
+  []``. :attr:`RemoteModel.lookahead` is ``min(LOOKAHEAD, K + 1)``, so
+  ``decode`` judges a block of proposals in one request. A body that is
+  not raw, of the wrong length, or not finite distributions raises
+  :class:`BackendError`.
 
 Each thread keeps its own ``http.client`` connection alive; a non-2xx status,
 a redirect too, raises :class:`BackendError`. Requests are idempotent and never
@@ -51,7 +38,7 @@ from urllib.parse import SplitResult, urlencode, urlsplit
 
 import numpy as np
 
-from .models import Distribution, LanguageModel
+from .models import Distribution, LanguageModel, _integer
 
 
 #: The encoding the client requests: a raw body of little-endian float64 probs.
@@ -83,7 +70,7 @@ class ServerCapabilities:
     vocab_size: int
     eos_token: int
     max_context: int
-    max_continuation: int | None = None  # None: no /v1/distributions endpoint
+    max_continuation: int
 
 
 @dataclass(frozen=True)
@@ -100,10 +87,16 @@ class BackendEndpoint:
     _url: SplitResult = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # convert here, so a bad value fails at build time, not at the first retry
-        object.__setattr__(self, "timeout_s", float(self.timeout_s))
-        object.__setattr__(self, "max_retries", int(self.max_retries))
-        object.__setattr__(self, "backoff_s", float(self.backoff_s))
+        # check here, so a bad value fails at build time, not at the first retry
+        for name in ("timeout_s", "backoff_s"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        object.__setattr__(self, "max_retries", _integer("max_retries", self.max_retries))
+        for name in ("vocab_size", "eos_token"):  # None: whatever the server reports
+            if getattr(self, name) is not None:
+                _integer(name, getattr(self, name))
         if not self.timeout_s > 0:  # NaN fails each of these three checks
             raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
         if self.max_retries < 0:
@@ -178,17 +171,17 @@ def handshake(endpoint: BackendEndpoint) -> ServerCapabilities:
         payload = _request(endpoint, local, "GET", "/v1/capabilities", params={"model": endpoint.model_name})
     finally:
         local.conn.close()
-    try:
-        caps = ServerCapabilities(
-            model_name=str(payload["model"]),
-            vocab_size=int(payload["vocab_size"]),
-            eos_token=int(payload["eos_token"]),
-            max_context=int(payload["max_context"]),
-            max_continuation=None if payload.get("max_continuation") is None else int(payload["max_continuation"]),
+    if isinstance(payload, dict) and "max_continuation" not in payload:
+        raise CapabilityMismatchError(
+            f"server advertises no max_continuation, so it does not speak wire protocol v4: {payload!r}"
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    try:  # JSON integers only: a float, a bool or a numeric string is refused, not rounded
+        caps = ServerCapabilities(str(payload["model"]), *(
+            _integer(key, payload[key]) for key in ("vocab_size", "eos_token", "max_context", "max_continuation")
+        ))
+    except (KeyError, TypeError) as exc:
         raise BackendError(f"malformed capabilities payload: {payload!r}") from exc
-    if caps.max_continuation is not None and caps.max_continuation < 0:
+    if caps.max_continuation < 0:
         raise BackendError(f"malformed capabilities payload: {payload!r}")
     if endpoint.vocab_size is not None and caps.vocab_size != endpoint.vocab_size:
         raise CapabilityMismatchError(
@@ -201,68 +194,28 @@ def handshake(endpoint: BackendEndpoint) -> ServerCapabilities:
     return caps
 
 
-def distribution_from_payload(payload: dict | bytes, vocab_size: int) -> Distribution:
-    """Dense payload -> normalized distribution.
-
-    Takes a raw body (``bytes``, exactly ``8·V`` of little-endian float64
-    probabilities) verbatim, as it takes exact ``probs`` from a JSON
-    object; otherwise softmaxes ``logprobs`` (which are then allowed to be
-    arbitrary logits, already-normalized log-probabilities included, with
-    ``-inf`` for zero mass). 32-bit servers are fine: values widen to
-    float64 on ingestion.
-    """
-    if isinstance(payload, bytes):
-        if len(payload) != 8 * vocab_size:
-            raise BackendError(f"raw body holds {len(payload)} bytes, expected 8 x vocab size {vocab_size}")
-        return _exact_distribution(np.frombuffer(payload, dtype="<f8"))
-    if not isinstance(payload, dict):
-        raise BackendError(f"payload is not a JSON object: {type(payload).__name__}")
-    if payload.get("probs") is not None:
-        return _exact_distribution(_float_vector(payload, "probs", vocab_size))
-    if "logprobs" not in payload:
-        raise BackendError(f"payload carries neither probs nor logprobs: {list(payload)}")
-    lp = _float_vector(payload, "logprobs", vocab_size)
-    if np.isnan(lp).any() or np.isposinf(lp).any():
-        raise BackendError("logprobs vector carries NaN or +inf")
-    finite = np.isfinite(lp)
-    if not finite.any():
-        raise BackendError("logprobs vector has no finite entries")
-    w = np.zeros(vocab_size, dtype=np.float64)
-    shifted = lp[finite] - lp[finite].max()
-    w[finite] = np.exp(shifted)
-    total = w.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        raise BackendError("logprobs vector is not normalizable")
-    return Distribution(w / total)
+def distribution_from_payload(payload: bytes | memoryview, vocab_size: int) -> Distribution:
+    """One raw row -> its distribution: exactly ``8·V`` bytes of little-endian float64
+    probabilities, taken verbatim as a view, not a copy."""
+    if len(payload) != 8 * vocab_size:
+        raise BackendError(f"raw body holds {len(payload)} bytes, expected 8 x vocab size {vocab_size}")
+    try:
+        return Distribution(np.frombuffer(payload, dtype="<f8"))
+    except ValueError as exc:
+        raise BackendError(f"non-normalizable probs payload: {exc}") from exc
 
 
 def distributions_from_payload(payload: dict | bytes, rows: int, vocab_size: int) -> list[Distribution]:
-    """A block reply -> its ``rows`` distributions. Only a raw body of exactly ``rows·8·V`` bytes
-    is one; each row is checked like a single reply's and is a view of the body, not a copy."""
+    """A reply -> its ``rows`` distributions. Only a raw body of exactly ``rows·8·V`` bytes is
+    one; each row, a view of the body, goes through :func:`distribution_from_payload`."""
     if not isinstance(payload, bytes):
-        raise BackendError(f"block reply is not a raw body but {type(payload).__name__}")
+        raise BackendError(f"reply is not a raw body but {type(payload).__name__}")
     if len(payload) != 8 * rows * vocab_size:
         raise BackendError(
             f"raw body holds {len(payload)} bytes, expected {rows} rows x 8 x vocab size {vocab_size}"
         )
-    return [_exact_distribution(row) for row in np.frombuffer(payload, dtype="<f8").reshape(rows, vocab_size)]
-
-
-def _float_vector(payload: dict, key: str, vocab_size: int) -> np.ndarray:
-    try:
-        vec = np.asarray(payload[key], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise BackendError(f"{key} is not a list of numbers: {exc}") from exc
-    if vec.shape != (vocab_size,):
-        raise BackendError(f"{key} length {vec.shape} != vocab size {vocab_size}")
-    return vec
-
-
-def _exact_distribution(probs: np.ndarray) -> Distribution:
-    try:
-        return Distribution(probs)
-    except ValueError as exc:
-        raise BackendError(f"non-normalizable probs payload: {exc}") from exc
+    width, body = 8 * vocab_size, memoryview(payload)
+    return [distribution_from_payload(body[i * width : (i + 1) * width], vocab_size) for i in range(rows)]
 
 
 class RemoteModel(LanguageModel):
@@ -282,8 +235,7 @@ class RemoteModel(LanguageModel):
         self.capabilities = caps
         self.vocab_size = caps.vocab_size
         self.eos_token = caps.eos_token
-        if caps.max_continuation is not None:
-            self.lookahead = min(LOOKAHEAD, caps.max_continuation + 1)
+        self.lookahead = min(LOOKAHEAD, caps.max_continuation + 1)
         self._cache: OrderedDict[tuple[int, ...], Distribution] = OrderedDict()
         self._cache_size = cache_size
         self._lock = threading.Lock()
@@ -293,32 +245,13 @@ class RemoteModel(LanguageModel):
                              round_trip_s=0.0)
 
     def next_distribution(self, context: Sequence[int]) -> Distribution:
-        key = tuple(context)
-        with self._lock:
-            hit = self._cache.get(key)
-            if hit is not None:
-                self._cache.move_to_end(key)
-                self.stats["cache_hits"] += 1
-                return hit
-        if len(key) > self.capabilities.max_context:
-            raise BackendError(
-                f"context length {len(key)} exceeds server max {self.capabilities.max_context}"
-            )
-        body = {
-            "model": self.endpoint.model_name,
-            "context": list(key),
-            "want": "full",
-            "encoding": F64_LE,
-        }
-        dist = distribution_from_payload(self._post("/v1/distribution", body), self.vocab_size)
-        self._keep([key], [dist])
-        return dist
+        return self.next_distributions(context, ())[0]
 
     def next_distributions(self, context: Sequence[int], continuation: Sequence[int]) -> list[Distribution]:
         """One ``/v1/distributions`` request for the rows from the first one not cached on, or
-        none when all are cached; the per-row path when the server serves no such block."""
+        none when all are cached; row by row when the continuation is longer than the server takes."""
         key, more = tuple(context), tuple(continuation)
-        if self.capabilities.max_continuation is None or len(more) > self.capabilities.max_continuation:
+        if len(more) > self.capabilities.max_continuation:
             return super().next_distributions(key, more)
         keys = [key + more[:i] for i in range(len(more) + 1)]
         with self._lock:
@@ -337,21 +270,18 @@ class RemoteModel(LanguageModel):
             "model": self.endpoint.model_name,
             "context": list(keys[first]),
             "continuation": list(more[first:]),
-            "want": "full",
             "encoding": F64_LE,
         }
-        fetched = distributions_from_payload(
-            self._post("/v1/distributions", body), len(keys) - first, self.vocab_size
-        )
+        fetched = distributions_from_payload(self._post(body), len(keys) - first, self.vocab_size)
         self._keep(keys[first:], fetched)
         return rows[:first] + fetched
 
-    def _post(self, path: str, body: dict) -> dict | bytes:
+    def _post(self, body: dict) -> dict | bytes:
         if getattr(self._local, "conn", None) is None:  # this thread's first request
             self._local.conn = _connect(self.endpoint)
             with self._lock:
                 self._opened.append(self._local.conn)
-        return _request(self.endpoint, self._local, "POST", path, body=body, tally=self._tally)
+        return _request(self.endpoint, self._local, "POST", "/v1/distributions", body=body, tally=self._tally)
 
     def _keep(self, keys: list[tuple[int, ...]], rows: list[Distribution]) -> None:
         """Cache each of a reply's rows under its context, evicting the least recently used."""

@@ -1,20 +1,19 @@
-"""In-process stub server speaking the distribution protocol.
+"""In-process stub server speaking wire protocol v4 (see :mod:`rsdkit.remote`).
 
 Wraps any in-process LanguageModel (tables, n-grams) behind the same wire
 surface a real inference server would expose, so decoders can be exercised
-end to end over HTTP without GPUs. A request must carry
-``"encoding": "f64-le"`` and gets an ``application/octet-stream`` body of
-exactly ``8·V`` bytes, the exact probabilities as little-endian float64.
-Any other ``encoding`` (``"f64-b64"`` and a missing one included), any
-other ``want``, a ``model`` that is not a string, a ``context`` that is
-not a list of ints and a context token outside the model's vocabulary is
-HTTP 400. ``POST /v1/distributions`` also takes a ``continuation`` of at
-most :data:`MAX_CONTINUATION` ids, advertised as ``"max_continuation"`` in
-the capabilities, and answers the ``k+1`` rows after each of its prefixes
-in one body of ``(k+1)·8·V`` bytes. It refuses with HTTP 400 a
-continuation that is not a list of ints, holds an id outside the
-vocabulary, is longer than that, or takes the context past
-``max_context``. Errors and capabilities are JSON.
+end to end over HTTP without GPUs. ``POST /v1/distributions`` is the one row
+endpoint: its body holds ``model``, ``context``, ``continuation`` (at most
+:data:`MAX_CONTINUATION` ids, advertised as ``"max_continuation"`` in the
+capabilities; ``[]`` for one row) and ``"encoding": "f64-le"``, and the
+reply is one ``application/octet-stream`` body of ``(k+1)·8·V`` bytes, the
+exact probabilities after each prefix of the continuation as little-endian
+float64. It refuses with HTTP 400 a body key outside those four, any other
+``encoding`` (``"f64-b64"`` and a missing one included), a ``model`` that is
+not a string, a ``context`` or ``continuation`` that is not a list of ints,
+a token outside the model's vocabulary, a continuation longer than
+advertised and one that takes the context past ``max_context``. Errors and
+capabilities are JSON.
 
 Usable as a context manager in tests (background thread) or run in the
 foreground via the ``stub-serve`` CLI subcommand.
@@ -35,6 +34,8 @@ from .remote import F64_LE, OCTET_STREAM
 
 #: The longest continuation one /v1/distributions request may carry.
 MAX_CONTINUATION = 64
+#: The keys a /v1/distributions body may hold; any other is refused.
+REQUEST_KEYS = frozenset({"model", "context", "continuation", "encoding"})
 #: How often a background server checks for :meth:`StubServer.stop`, in seconds;
 #: ``serve_forever``'s default of 0.5 s made every stop wait about that long.
 POLL_INTERVAL_S = 0.05
@@ -133,8 +134,8 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
 
         def do_POST(self) -> None:  # noqa: N802
             url = urlparse(self.path)
-            block = url.path == "/v1/distributions"
-            if not block and url.path != "/v1/distribution":
+            if url.path != "/v1/distributions":
+                self.close_connection = True  # the body is unread
                 self._fail(404, f"unknown path {url.path}")
                 return
             try:
@@ -142,21 +143,20 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
                 if length < 0:  # rfile.read(-1) would block until the client hangs up
                     raise ValueError(f"negative Content-Length {length}")
                 body = json.loads(self.rfile.read(length))
-                name, context = body["model"], body["context"]
-                continuation = body["continuation"] if block else []
+                if not isinstance(body, dict):
+                    raise TypeError(f"body must be a JSON object, got {type(body).__name__}")
+                if body.keys() - REQUEST_KEYS:
+                    raise ValueError(f"unknown keys {sorted(body.keys() - REQUEST_KEYS)}")
+                name, context, continuation = body["model"], body["context"], body["continuation"]
                 if not isinstance(name, str):
                     raise TypeError(f"model must be a string, got {type(name).__name__}")
                 for field, ids in (("context", context), ("continuation", continuation)):
                     if not isinstance(ids, list) or any(type(t) is not int for t in ids):
                         raise TypeError(f"{field} must be a list of ints")  # bools are not ints here
-                want = body.get("want", "full")
                 encoding = body.get("encoding")
             except (KeyError, TypeError, ValueError) as exc:
                 self.close_connection = True  # the body may be unread
                 self._fail(400, f"malformed request: {exc}")
-                return
-            if want != "full":
-                self._fail(400, f"unsupported want {want!r}")
                 return
             if encoding != F64_LE:
                 self._fail(400, f"unsupported encoding {encoding!r}")
@@ -175,11 +175,8 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
                 if not 0 <= t < model.vocab_size:
                     self._fail(400, f"context token {t} outside vocabulary of size {model.vocab_size}")
                     return
-            if block:
-                rows = model.next_distributions(context, continuation)
-                self._send(200, b"".join(_full_payload(row) for row in rows))
-            else:
-                self._send(200, _full_payload(model.next_distribution(context)))
+            rows = model.next_distributions(context, continuation)
+            self._send(200, b"".join([_full_payload(row) for row in rows]))  # one row: no copy
 
     return Handler
 

@@ -16,12 +16,13 @@ def html_server():
     """Start servers that answer every request with ``200`` and an HTML page.
 
     ``html_server(capabilities=True)`` answers ``GET /v1/capabilities`` with
-    a V=4 model's capabilities instead, so a client gets past the handshake.
+    a V=4 model's capabilities instead, so a client gets past the handshake;
+    with ``v4=False`` they lack the ``max_continuation`` of wire protocol v4.
     Returns the base URL.
     """
     servers = []
 
-    def start(capabilities: bool) -> str:
+    def start(capabilities: bool, v4: bool = True) -> str:
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
 
@@ -38,6 +39,8 @@ def html_server():
             def do_GET(self):  # noqa: N802
                 if capabilities and self.path.startswith("/v1/capabilities"):
                     caps = {"model": "m", "vocab_size": 4, "eos_token": 3, "max_context": 64}
+                    if v4:
+                        caps["max_continuation"] = 8
                     self._answer("application/json", json.dumps(caps).encode())
                 else:
                     self._answer("text/html", b"<html><body>maintenance</body></html>")

@@ -45,6 +45,10 @@ BAD_INPUTS = [
     pytest.param("traces", [GOOD_TRACE, BAD_TRACE], "malformed trace on line 2", id="traces-bad-last-line"),
     pytest.param("external", [json.dumps({"prompt_tokens": [0], "tokens": t}) for t in ([1, 2], [99])],
                  "line 2: token 99", id="external-bad-last-line"),
+    pytest.param("external", [json.dumps({"prompt_tokens": [0], "tokens": [1.7, True]})],
+                 "line 1: token must be an integer, got 1.7", id="external-float-token"),
+    pytest.param("external", [json.dumps({"prompt_tokens": [True], "tokens": [1]})],
+                 "line 1: prompt token must be an integer, got True", id="external-bool-prompt-token"),
 ]
 
 
@@ -553,7 +557,12 @@ class TestRemoteBackend:
                 gc.collect()
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
-    @pytest.mark.parametrize("key, value", [("max_retries", -1), ("timeout_s", 0), ("backoff_s", -0.5)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("max_retries", -1), ("timeout_s", 0), ("backoff_s", -0.5), ("max_retries", 2.7), ("max_retries", True),
+         ("timeout_s", True), ("backoff_s", False), ("vocab_size", 4.9), ("vocab_size", True), ("eos_token", "3"),
+         ("eos_token", 3.0)],
+    )
     def test_impossible_retry_setting_is_config_error_at_once(self, tmp_path, capsys, key, value):
         teacher = {"backend": "remote", "base_url": "http://127.0.0.1:9", "model_name": "m", key: value}
         cfg_path = write_config(tmp_path, answers=["b"], teacher=teacher)
@@ -668,6 +677,15 @@ class TestExitCodes:
         assert "body is not JSON" in error["message"]
         assert not (tmp_path / "dataset.jsonl").exists()
 
+    def test_server_older_than_wire_protocol_v4_is_backend_error(self, tmp_path, capsys, html_server):
+        teacher = {"backend": "remote", "base_url": html_server(capabilities=True, v4=False), "model_name": "m"}
+        cfg_path = write_config(tmp_path, answers=["b"], teacher=teacher)
+        assert main(["generate", str(cfg_path)]) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "backend"
+        assert "advertises no max_continuation" in error["message"]
+        assert not (tmp_path / "dataset.jsonl").exists()
+
     def test_model_spec_key_its_backend_does_not_read_is_config_error(self, tmp_path, capsys):
         student = {"backend": "table", "eos_token": 3, "default": [0.25] * 4, "max_inflight": 8}
         cfg_path = write_config(tmp_path, answers=["b"], student=student)
@@ -755,6 +773,17 @@ class TestExitCodes:
         assert error["kind"] == "data"
         assert "'q1'" in error["message"]
         assert calls == []
+        assert not (tmp_path / "dataset.jsonl").exists()
+
+    def test_prompt_token_that_is_not_an_integer_is_data_error_naming_the_line(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, answers=["b", "b"])
+        rows = [{"id": "q0", "prompt_tokens": [0], "answer": "b"},
+                {"id": "q1", "prompt_tokens": [1.5, True, "2"], "answer": "b"}]
+        (tmp_path / "problems.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert main(["generate", str(cfg_path)]) == 4
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "data"
+        assert "problems.jsonl: line 2: prompt token must be an integer, got 1.5" in error["message"]
         assert not (tmp_path / "dataset.jsonl").exists()
 
     @pytest.mark.parametrize(

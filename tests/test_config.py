@@ -287,6 +287,13 @@ class TestLoadProblems:
         (problem,) = load_problems(path, ["a", "b"])
         assert problem.prompt_tokens == (0, 1)
 
+    @pytest.mark.parametrize("tokens", [[1.5], [True, 1], ["2"], [0, 1.0]], ids=["float", "bool", "string", "integral-float"])
+    def test_prompt_token_that_is_not_an_integer_is_refused(self, tmp_path, tokens):
+        rows = [{"id": "a", "prompt_tokens": [0], "answer": "x"}, {"id": "b", "prompt_tokens": tokens, "answer": "x"}]
+        path = self.write(tmp_path, rows)
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 2: prompt token must be an integer")):
+            load_problems(path, None)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         rows = [{"id": "p", "prompt_tokens": [0], "answer": "x"}] * 2
         with pytest.raises(DataError, match="duplicate"):

@@ -128,20 +128,14 @@ def record_targets(monkeypatch) -> list:
 
 
 def v3_handler(models, max_context: int = 8192):
-    """The stub's handler as a server without the block endpoint answers: its capabilities
-    advertise no ``max_continuation``, and ``/v1/distributions`` is an unknown path."""
+    """The stub's handler as a server older than wire protocol v4 answers: its capabilities
+    advertise no ``max_continuation``."""
 
     class V3(_make_handler(models, max_context, True)):
         def _send(self, status, payload):
             if isinstance(payload, dict):
                 payload = {k: v for k, v in payload.items() if k != "max_continuation"}
             super()._send(status, payload)
-
-        def do_POST(self):  # noqa: N802
-            if self.path == "/v1/distributions":
-                self._fail(404, f"unknown path {self.path}")
-            else:
-                super().do_POST()
 
     return V3
 
@@ -159,9 +153,12 @@ def record_connects(monkeypatch) -> list:
     return opened
 
 
-def backend(content_type: str, body: bytes, max_continuation: int | None = None):
-    """A handler for a V=4 model that answers every ``POST`` with ``body``, whatever was asked,
-    and advertises the block endpoint when ``max_continuation`` is given."""
+CAPS = {"model": "m", "vocab_size": 4, "eos_token": 3, "max_context": 64, "max_continuation": 8}
+
+
+def backend(content_type: str, body: bytes, **advertised):
+    """A handler for a V=4 model that answers every ``POST`` with ``body``, whatever was asked;
+    its capabilities are :data:`CAPS` updated by ``advertised``."""
 
     class Backend(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
@@ -177,10 +174,7 @@ def backend(content_type: str, body: bytes, max_continuation: int | None = None)
             self.wfile.write(data)
 
         def do_GET(self):  # noqa: N802
-            caps = {"model": "m", "vocab_size": 4, "eos_token": 3, "max_context": 64}
-            if max_continuation is not None:
-                caps["max_continuation"] = max_continuation
-            self._answer("application/json", json.dumps(caps).encode())
+            self._answer("application/json", json.dumps({**CAPS, **advertised}).encode())
 
         def do_POST(self):  # noqa: N802
             self.rfile.read(int(self.headers.get("Content-Length", "0")))
@@ -240,8 +234,31 @@ class TestHandshake:
     @pytest.mark.parametrize("key", ["timeout_s", "max_retries", "backoff_s"])
     def test_non_numeric_retry_setting_fails_at_construction(self, key):
         # not at the first retry, in the middle of a run
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             BackendEndpoint(base_url="http://127.0.0.1:9", model_name="x", **{key: "fast"})
+
+    def test_server_older_than_v4_fails_the_handshake(self):
+        with serving(v3_handler({"fixture-table": fixture_model()})) as base_url:
+            with pytest.raises(CapabilityMismatchError, match="advertises no max_continuation"):
+                RemoteModel(BackendEndpoint(base_url=base_url, model_name="fixture-table"))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("vocab_size", 4.9),
+            ("vocab_size", 4.0),
+            ("vocab_size", "4"),
+            ("eos_token", "3"),
+            ("eos_token", True),
+            ("max_context", 64.5),
+            ("max_context", None),
+        ],
+    )
+    def test_capability_that_is_not_a_json_integer_is_refused(self, key, value):
+        # int() would round 4.9 to 4 and read true as 1
+        with serving(backend("application/octet-stream", b"", **{key: value})) as base_url:
+            with pytest.raises(BackendError, match="malformed capabilities payload"):
+                handshake(BackendEndpoint(base_url=base_url, model_name="m"))
 
     def test_unreachable_server_retries_then_fails(self):
         dead = BackendEndpoint(
@@ -264,60 +281,14 @@ class TestNonJsonBody:
     def test_next_distribution_refuses_a_non_json_body(self, html_server, remote_model):
         ep = BackendEndpoint(base_url=html_server(capabilities=True), model_name="m")
         remote = remote_model(ep)
-        with pytest.raises(BackendError, match="POST /v1/distribution -> body is not JSON"):
+        with pytest.raises(BackendError, match="POST /v1/distributions -> body is not JSON"):
             remote.next_distribution([0])
 
 
 class TestPayloadConversion:
-    def test_log_uniform_becomes_uniform(self):
-        lp = [math.log(0.25)] * 4
-        dist = distribution_from_payload({"logprobs": lp}, 4)
-        np.testing.assert_allclose(dist.probs, 0.25, atol=1e-12)
-
-    def test_unnormalized_logits_are_softmaxed(self):
-        dist = distribution_from_payload({"logprobs": [1.0, 2.0, 3.0]}, 3)
-        assert abs(dist.probs.sum() - 1.0) <= 1e-9
-        expected = np.exp([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(dist.probs, expected / expected.sum(), rtol=1e-12)
-
-    def test_exact_probs_preferred_over_logprobs(self):
-        payload = {"logprobs": [0.0, 0.0], "probs": [0.125, 0.875]}
-        dist = distribution_from_payload(payload, 2)
-        assert dist.probs.tolist() == [0.125, 0.875]
-
-    def test_minus_infinity_logprobs_are_zero_mass(self):
-        dist = distribution_from_payload({"logprobs": [0.0, -math.inf]}, 2)
-        assert dist.probs.tolist() == [1.0, 0.0]
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(BackendError, match="length"):
-            distribution_from_payload({"logprobs": [0.0, 0.0]}, 3)
-
-    def test_degenerate_payload_rejected(self):
-        with pytest.raises(BackendError, match="finite"):
-            distribution_from_payload({"logprobs": [-math.inf, -math.inf]}, 2)
-        with pytest.raises(BackendError, match="neither"):
-            distribution_from_payload({}, 2)
-
     def test_unnormalizable_probs_payload_rejected(self):
         with pytest.raises(BackendError, match="non-normalizable"):
-            distribution_from_payload({"probs": [0.9, 0.4]}, 2)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_probs_rejected_on_both_encodings(self, bad):
-        vector = [bad, 0.5, 0.5]
-        with pytest.raises(BackendError):
-            distribution_from_payload({"probs": vector}, 3)
-        with pytest.raises(BackendError):
-            distribution_from_payload(f64le(vector), 3)
-        # json.loads accepts the non-standard NaN and Infinity literals
-        with pytest.raises(BackendError):
-            distribution_from_payload(json.loads(json.dumps({"probs": vector})), 3)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_nan_or_positive_infinite_logprobs_rejected(self, bad):
-        with pytest.raises(BackendError, match="NaN or \\+inf"):
-            distribution_from_payload({"logprobs": [0.0, bad, 0.0]}, 3)
+            distribution_from_payload(f64le([0.9, 0.4]), 2)
 
     @pytest.mark.parametrize(
         "body, match",
@@ -362,17 +333,9 @@ class TestPayloadConversion:
             return
         assert dist.probs.tobytes() == body
 
-    @pytest.mark.parametrize(
-        "payload",
-        [{"probs": ["a", "b"]}, {"probs": {"x": 1}}, {"logprobs": [[1.0], [2.0, 3.0]]}, {"logprobs": "ab"}],
-    )
-    def test_non_numeric_vector_rejected(self, payload):
-        with pytest.raises(BackendError, match="not a list of numbers"):
-            distribution_from_payload(payload, 2)
-
     def test_non_object_payload_rejected(self):
-        with pytest.raises(BackendError, match="not a JSON object"):
-            distribution_from_payload([0.5, 0.5], 2)
+        with pytest.raises(BackendError, match="reply is not a raw body but list"):
+            distributions_from_payload([0.5, 0.5], 1, 2)
 
     @given(st.data())
     def test_binary_round_trip_is_bit_exact(self, data):
@@ -398,7 +361,7 @@ class TestRemoteModel:
         server, _ = stub
         remote = remote_model(endpoint(server))
         remote.capabilities = remote.capabilities.__class__(
-            model_name="fixture-table", vocab_size=4, eos_token=3, max_context=2
+            model_name="fixture-table", vocab_size=4, eos_token=3, max_context=2, max_continuation=8
         )
         with pytest.raises(BackendError, match="exceeds server max"):
             remote.next_distribution([0, 1, 2])
@@ -412,26 +375,20 @@ class TestRemoteModel:
         remote.next_distribution([0, 1])
         assert len(posts) == 1
 
-    def test_requests_the_binary_encoding(self, stub, monkeypatch, remote_model):
+    def test_one_row_is_the_recorded_block_request_with_no_continuation(self, stub, monkeypatch, remote_model):
         server, _ = stub
-        posts = record_requests(monkeypatch, "POST")
-        remote_model(endpoint(server)).next_distribution([0, 1])
+        remote = remote_model(endpoint(server))
+        sent, posts = record_targets(monkeypatch), record_requests(monkeypatch, "POST")
+        remote.next_distribution([0, 1])
         bodies = [json.loads(body) for body in posts]
         assert bodies == [json.loads((FIXTURES / "distribution_request_f64le.json").read_text())]
+        assert sent == [("POST", "/v1/distributions")]
 
     def test_raw_body_of_the_wrong_length_is_a_backend_error(self, remote_model):
         with serving(backend("application/octet-stream", f64le([0.5, 0.5]))) as base_url:
             remote = remote_model(BackendEndpoint(base_url=base_url, model_name="m"))
-            with pytest.raises(BackendError, match="raw body holds 16 bytes, expected 8 x vocab size 4"):
+            with pytest.raises(BackendError, match="raw body holds 16 bytes, expected 1 rows x 8 x vocab size 4"):
                 remote.next_distribution([0])
-
-    def test_server_ignoring_the_encoding_is_read_as_json(self, remote_model):
-        logprobs = json.dumps({"logprobs": [0.0, 0.0, math.log(2.0), -1e300]}).encode()
-        with serving(backend("application/json", logprobs)) as base_url:
-            remote = remote_model(BackendEndpoint(base_url=base_url, model_name="m"))
-            probs = remote.next_distribution([0]).probs
-        np.testing.assert_allclose(probs, [0.25, 0.25, 0.5, 0.0], rtol=1e-12)
-        assert remote.stats["response_bytes"] == len(logprobs)
 
     def test_small_responses_do_not_wait_for_delayed_acks(self, remote_model):
         # the stub writes headers and body separately; with Nagle on, each
@@ -472,9 +429,9 @@ class TestBlockRequests:
     def test_rows_are_views_of_one_reply(self, stub, remote_model):
         server, _ = stub
         rows = remote_model(endpoint(server)).next_distributions([0], [1, 2])
-        block = rows[0].probs.base
-        assert block is not None and block.size == 3 * 4
-        assert all(row.probs.base is block for row in rows)
+        starts = [row.probs.__array_interface__["data"][0] for row in rows]
+        assert not any(row.probs.flags.owndata for row in rows)
+        assert [b - a for a, b in zip(starts, starts[1:])] == [8 * 4, 8 * 4]  # back to back in one buffer
 
     def test_each_row_is_cached_under_its_prefix(self, stub, monkeypatch, remote_model):
         server, _ = stub
@@ -495,7 +452,7 @@ class TestBlockRequests:
         posts = record_requests(monkeypatch, "POST")
         rows = remote.next_distributions([0], [1, 2, 3])
         assert [json.loads(body) for body in posts] == [
-            {"model": "fixture-table", "context": [0, 1, 2], "continuation": [3], "want": "full", "encoding": "f64-le"}
+            {"model": "fixture-table", "context": [0, 1, 2], "continuation": [3], "encoding": "f64-le"}
         ]
         expected = model.next_distributions([0], [1, 2, 3])
         assert [r.probs.tobytes() for r in rows] == [r.probs.tobytes() for r in expected]
@@ -514,11 +471,12 @@ class TestBlockRequests:
     def test_continuation_longer_than_the_server_takes_goes_row_by_row(self, stub, monkeypatch, remote_model):
         server, model = stub
         remote = remote_model(endpoint(server))
-        sent = record_targets(monkeypatch)
+        sent, posts = record_targets(monkeypatch), record_requests(monkeypatch, "POST")
         continuation = [1, 2] * MAX_CONTINUATION
         rows = remote.next_distributions([0], continuation)
         assert len(rows) == len(continuation) + 1
-        assert {target for _, target in sent} == {"/v1/distribution"}
+        assert {target for _, target in sent} == {"/v1/distributions"}
+        assert all(json.loads(body)["continuation"] == [] for body in posts)
         assert rows[-1].probs.tobytes() == model.next_distribution([0, *continuation]).probs.tobytes()
 
     @pytest.mark.parametrize("rows", [2, 4], ids=["short", "long"])
@@ -529,39 +487,24 @@ class TestBlockRequests:
             with pytest.raises(BackendError, match=f"raw body holds {32 * rows} bytes, expected 3 rows x 8 x vocab size 4"):
                 remote.next_distributions([0], [1, 2])
 
-    def test_json_reply_to_a_block_is_a_backend_error(self, remote_model):
+    @pytest.mark.parametrize("continuation", [[], [1]], ids=["one-row", "block"])
+    def test_json_reply_to_a_block_is_a_backend_error(self, remote_model, continuation):
         reply = json.dumps({"probs": [0.25] * 4}).encode()
-        with serving(backend("application/json", reply, max_continuation=8)) as base_url:
+        with serving(backend("application/json", reply)) as base_url:
             remote = remote_model(BackendEndpoint(base_url=base_url, model_name="m"))
-            with pytest.raises(BackendError, match="block reply is not a raw body but dict"):
-                remote.next_distributions([0], [1])
+            with pytest.raises(BackendError, match="reply is not a raw body but dict"):
+                remote.next_distributions([0], continuation)
 
     def test_each_row_is_checked(self):
         body = f64le([0.25] * 4 + [0.5, 0.5, 0.5, 0.0])
         with pytest.raises(BackendError, match="non-normalizable"):
             distributions_from_payload(body, 2, 4)
 
-    @pytest.mark.parametrize("advertised", [-1, "many", [8]])
+    @pytest.mark.parametrize("advertised", [-1, "many", [8], True, 8.0, None])
     def test_malformed_max_continuation_is_a_backend_error(self, advertised):
         with serving(backend("application/octet-stream", b"", max_continuation=advertised)) as base_url:
             with pytest.raises(BackendError, match="malformed capabilities payload"):
                 handshake(BackendEndpoint(base_url=base_url, model_name="m"))
-
-    def test_server_without_the_block_endpoint_is_judged_row_by_row(self, monkeypatch, remote_model):
-        table_student = TableModel({(1,): [0.1, 0.2, 0.3, 0.4]}, [0.4, 0.1, 0.3, 0.2], eos_token=3)
-        teacher = fixture_model()
-        with serving(v3_handler({"student": table_student})) as base_url:
-            student = remote_model(BackendEndpoint(base_url=base_url, model_name="student"))
-            assert student.capabilities.max_continuation is None
-            assert student.lookahead == 1
-            sent = record_targets(monkeypatch)
-            for seed in range(6):
-                cfg = GenerationConfig(p_th=0.05, max_tokens=8, temperature=0.7, seed=seed)
-                over_wire = decode(teacher, student, [0], cfg)
-                assert over_wire.to_json_line() == decode(teacher, table_student, [0], cfg).to_json_line()
-            student.next_distributions([0], [1, 2])
-        assert sent and {target for _, target in sent} == {"/v1/distribution"}
-
 
 class TestConnections:
     def test_each_worker_thread_keeps_one_connection(self, stub, monkeypatch, remote_model):
@@ -649,7 +592,7 @@ class TestStats:
         assert stats["cache_hits"] + stats["requests"] - stats["retries"] == len(contexts)
         assert (stats["cache_hits"], len(served)) == (24, 24)
         assert stats["response_bytes"] == 8 * model.vocab_size * len(served)  # raw bodies, nothing else
-        sent = [{"model": "fixture-table", "context": ctx, "want": "full", "encoding": "f64-le"} for ctx in served]
+        sent = [{"model": "fixture-table", "context": ctx, "continuation": [], "encoding": "f64-le"} for ctx in served]
         assert stats["request_bytes"] == sum(len(json.dumps(b).encode()) for b in sent)
         assert stats["round_trip_s"] > 0.0
 
@@ -659,19 +602,13 @@ class TestStats:
         )
         counts = Counter()
         with pytest.raises(BackendUnavailableError, match="after 3 tries"):
-            _request(dead, threading.local(), "POST", "/v1/distribution", body={}, tally=counts.update)
+            _request(dead, threading.local(), "POST", "/v1/distributions", body={}, tally=counts.update)
         assert counts["requests"] == 3
         assert counts["retries"] == 2
         assert counts["response_bytes"] == 0
 
 
 class TestRecordReplay:
-    def test_replayed_fixture_gives_identical_distribution(self):
-        stored = json.loads((FIXTURES / "distribution_response_full.json").read_text())
-        replayed = distribution_from_payload(stored, 4)
-        expected = fixture_model().next_distribution([0, 1])
-        np.testing.assert_array_equal(replayed.probs, expected.probs)
-
     def test_replayed_binary_fixture_gives_identical_distribution(self):
         stored = (FIXTURES / "distribution_response_f64le.bin").read_bytes()
         replayed = distribution_from_payload(stored, 4)
@@ -681,7 +618,7 @@ class TestRecordReplay:
     def test_live_stub_still_matches_recorded_binary_response(self, stub):
         server, _ = stub
         request = json.loads((FIXTURES / "distribution_request_f64le.json").read_text())
-        status, content_type, body = exchange(f"{server.base_url}/v1/distribution", request)
+        status, content_type, body = exchange(f"{server.base_url}/v1/distributions", request)
         assert status == 200
         assert content_type == "application/octet-stream"  # what a .bin record holds
         assert body == (FIXTURES / "distribution_response_f64le.bin").read_bytes()
@@ -716,35 +653,27 @@ class TestRecordReplay:
         assert json.loads(text) == stored
 
 
-class TestZeroMassTransport:
-    def test_clamped_logprobs_reconstruct_without_probs_field(self):
-        # servers that keep their JSON strict clamp zero mass to a huge negative logprob
-        dist = distribution_from_payload({"logprobs": [math.log(0.5), -1e300, math.log(0.5)]}, 3)
-        assert dist.probs[1] == 0.0
-        assert abs(dist.probs.sum() - 1.0) <= 1e-9
-
-
 class TestStubValidation:
-    def test_top_k_want_is_unsupported(self, stub):
-        # the wire has one shape: the full distribution
+    @pytest.mark.parametrize(
+        "extra",
+        [{"want": "full"}, {"want": {"top_k": 2, "score": [3]}}, {"temperature": 0.7}],
+        ids=["want-full", "want-top-k", "temperature"],
+    )
+    def test_unknown_body_key_400(self, stub, extra):
+        # the wire has one shape: the full rows; a client that asks for more is refused
         server, _ = stub
         status, text = fetch(
-            f"{server.base_url}/v1/distribution",
-            {
-                "model": "fixture-table",
-                "context": [0],
-                "want": {"top_k": 2, "score": [3]},
-                "encoding": "f64-le",
-            },
+            f"{server.base_url}/v1/distributions",
+            {"model": "fixture-table", "context": [0], "continuation": [], "encoding": "f64-le", **extra},
         )
         assert status == 400
-        assert "unsupported want" in json.loads(text)["error"]
+        assert json.loads(text)["error"] == f"malformed request: unknown keys {sorted(extra)}"
 
     def test_missing_encoding_is_unsupported(self, stub):
         # the stub answers only the exact binary encoding
         server, _ = stub
         status, text = fetch(
-            f"{server.base_url}/v1/distribution", {"model": "fixture-table", "context": [0], "want": "full"}
+            f"{server.base_url}/v1/distributions", {"model": "fixture-table", "context": [0], "continuation": []}
         )
         assert status == 400
         assert json.loads(text)["error"] == "unsupported encoding None"
@@ -752,8 +681,8 @@ class TestStubValidation:
     def test_unknown_encoding_is_unsupported(self, stub):
         server, _ = stub
         status, text = fetch(
-            f"{server.base_url}/v1/distribution",
-            {"model": "fixture-table", "context": [0], "want": "full", "encoding": "f32"},
+            f"{server.base_url}/v1/distributions",
+            {"model": "fixture-table", "context": [0], "continuation": [], "encoding": "f32"},
         )
         assert status == 400
         assert "unsupported encoding" in json.loads(text)["error"]
@@ -761,8 +690,8 @@ class TestStubValidation:
     def test_retired_base64_encoding_is_unsupported(self, stub):
         server, _ = stub
         status, text = fetch(
-            f"{server.base_url}/v1/distribution",
-            {"model": "fixture-table", "context": [0], "want": "full", "encoding": "f64-b64"},
+            f"{server.base_url}/v1/distributions",
+            {"model": "fixture-table", "context": [0], "continuation": [], "encoding": "f64-b64"},
         )
         assert status == 400
         assert json.loads(text)["error"] == "unsupported encoding 'f64-b64'"
@@ -770,8 +699,8 @@ class TestStubValidation:
     def test_unknown_model_404(self, stub):
         server, _ = stub
         status, text = fetch(
-            f"{server.base_url}/v1/distribution",
-            {"model": "ghost", "context": [], "want": "full", "encoding": "f64-le"},
+            f"{server.base_url}/v1/distributions",
+            {"model": "ghost", "context": [], "continuation": [], "encoding": "f64-le"},
         )
         assert status == 404
         assert json.loads(text)["error"] == "unknown model 'ghost'"
@@ -779,7 +708,7 @@ class TestStubValidation:
     def test_malformed_body_400(self, stub):
         server, _ = stub
         status, text = fetch(
-            f"{server.base_url}/v1/distribution", {"model": "fixture-table", "encoding": "f64-le"}
+            f"{server.base_url}/v1/distributions", {"model": "fixture-table", "encoding": "f64-le"}
         )
         assert status == 400
         assert json.loads(text)["error"] == "malformed request: 'context'"
@@ -792,8 +721,8 @@ class TestStubValidation:
     def test_context_that_is_not_a_list_of_ints_400(self, stub, context):
         server, _ = stub
         status, text = fetch(
-            f"{server.base_url}/v1/distribution",
-            {"model": "fixture-table", "context": context, "want": "full", "encoding": "f64-le"},
+            f"{server.base_url}/v1/distributions",
+            {"model": "fixture-table", "context": context, "continuation": [], "encoding": "f64-le"},
         )
         assert status == 400
         assert json.loads(text)["error"] == "malformed request: context must be a list of ints"
@@ -802,23 +731,23 @@ class TestStubValidation:
         # was a TypeError inside the handler: the connection dropped, and the client retried it
         server, _ = stub
         status, text = fetch(
-            f"{server.base_url}/v1/distribution",
-            {"model": ["t"], "context": [0], "want": "full", "encoding": "f64-le"},
+            f"{server.base_url}/v1/distributions",
+            {"model": ["t"], "context": [0], "continuation": [], "encoding": "f64-le"},
         )
         assert status == 400
         assert json.loads(text)["error"] == "malformed request: model must be a string, got list"
 
     def test_non_object_body_400(self, stub):
         server, _ = stub
-        status, text = fetch(f"{server.base_url}/v1/distribution", [0, 1])
+        status, text = fetch(f"{server.base_url}/v1/distributions", [0, 1])
         assert status == 400
         assert json.loads(text)["error"].startswith("malformed request: ")
 
     def test_out_of_vocab_context_400(self, stub):
         server, _ = stub
         status, text = fetch(
-            f"{server.base_url}/v1/distribution",
-            {"model": "fixture-table", "context": [0, 99], "want": "full", "encoding": "f64-le"},
+            f"{server.base_url}/v1/distributions",
+            {"model": "fixture-table", "context": [0, 99], "continuation": [], "encoding": "f64-le"},
         )
         assert status == 400
         assert json.loads(text)["error"] == "context token 99 outside vocabulary of size 4"
@@ -832,7 +761,7 @@ class TestStubValidation:
         server, _ = stub
         status, text = fetch(
             f"{server.base_url}/v1/distributions",
-            {"model": "fixture-table", "context": [0], "continuation": continuation, "want": "full",
+            {"model": "fixture-table", "context": [0], "continuation": continuation,
              "encoding": "f64-le"},
         )
         assert status == 400
@@ -842,7 +771,7 @@ class TestStubValidation:
         server, _ = stub
         status, text = fetch(
             f"{server.base_url}/v1/distributions",
-            {"model": "fixture-table", "context": [0], "want": "full", "encoding": "f64-le"},
+            {"model": "fixture-table", "context": [0], "encoding": "f64-le"},
         )
         assert status == 400
         assert json.loads(text)["error"] == "malformed request: 'continuation'"
@@ -851,7 +780,7 @@ class TestStubValidation:
         server, _ = stub
         status, text = fetch(
             f"{server.base_url}/v1/distributions",
-            {"model": "fixture-table", "context": [0], "continuation": [1, 4], "want": "full",
+            {"model": "fixture-table", "context": [0], "continuation": [1, 4],
              "encoding": "f64-le"},
         )
         assert status == 400
@@ -861,12 +790,12 @@ class TestStubValidation:
         with StubServer({"fixture-table": fixture_model()}, max_context=4) as server:
             ok, _, body = exchange(
                 f"{server.base_url}/v1/distributions",
-                {"model": "fixture-table", "context": [0, 1], "continuation": [2, 0], "want": "full",
+                {"model": "fixture-table", "context": [0, 1], "continuation": [2, 0],
                  "encoding": "f64-le"},
             )
             status, text = fetch(
                 f"{server.base_url}/v1/distributions",
-                {"model": "fixture-table", "context": [0, 1], "continuation": [2, 0, 1], "want": "full",
+                {"model": "fixture-table", "context": [0, 1], "continuation": [2, 0, 1],
                  "encoding": "f64-le"},
             )
         assert (ok, len(body)) == (200, 3 * 8 * 4)
@@ -878,7 +807,7 @@ class TestStubValidation:
         status, text = fetch(
             f"{server.base_url}/v1/distributions",
             {"model": "fixture-table", "context": [0], "continuation": [1] * (MAX_CONTINUATION + 1),
-             "want": "full", "encoding": "f64-le"},
+             "encoding": "f64-le"},
         )
         assert status == 400
         assert json.loads(text)["error"] == f"continuation length {MAX_CONTINUATION + 1} exceeds max {MAX_CONTINUATION}"
@@ -892,17 +821,32 @@ class TestStubValidation:
     def test_negative_content_length_400_without_reading(self, stub):
         # rfile.read(-1) would wait for the client to hang up
         server, _ = stub
-        url = urlparse(server.base_url)
-        with socket.create_connection((url.hostname, url.port), timeout=1.0) as sock:
-            sock.sendall(
-                b"POST /v1/distribution HTTP/1.1\r\nHost: stub\r\n"
-                b"Content-Type: application/json\r\nContent-Length: -1\r\n\r\n{}"
-            )
-            reply = b""
-            while chunk := sock.recv(4096):  # the stub closes the connection
-                reply += chunk
+        reply = post_until_closed(server, b"/v1/distributions", b"-1")
         assert reply.startswith(b"HTTP/1.1 400")
         assert b"negative Content-Length" in reply
+
+    def test_unknown_post_path_404_closes_the_connection(self, stub):
+        # a kept-alive connection would read the unread body as the next request
+        server, _ = stub
+        reply = post_until_closed(server, b"/v1/distribution", b"2")
+        assert reply.startswith(b"HTTP/1.1 404")
+        assert reply.count(b"HTTP/1.1") == 1
+        assert b"unknown path /v1/distribution" in reply
+
+
+def post_until_closed(server: StubServer, path: bytes, length: bytes) -> bytes:
+    """All the stub sends back for a POST of ``{}`` to ``path`` declaring ``length``, read until
+    the stub closes the connection (a timeout if it never does)."""
+    url = urlparse(server.base_url)
+    with socket.create_connection((url.hostname, url.port), timeout=1.0) as sock:
+        sock.sendall(
+            b"POST " + path + b" HTTP/1.1\r\nHost: stub\r\n"
+            b"Content-Type: application/json\r\nContent-Length: " + length + b"\r\n\r\n{}"
+        )
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return reply
 
 
 class TestBackendEquivalence:

@@ -127,19 +127,6 @@ def record_targets(monkeypatch) -> list:
     return sent
 
 
-def v3_handler(models, max_context: int = 8192):
-    """The stub's handler as a server older than wire protocol v4 answers: its capabilities
-    advertise no ``max_continuation``."""
-
-    class V3(_make_handler(models, max_context, True)):
-        def _send(self, status, payload):
-            if isinstance(payload, dict):
-                payload = {k: v for k, v in payload.items() if k != "max_continuation"}
-            super()._send(status, payload)
-
-    return V3
-
-
 def record_connects(monkeypatch) -> list:
     """``(thread id, connection)`` of every socket ``http.client`` opens from now on."""
     opened = []
@@ -237,10 +224,10 @@ class TestHandshake:
         with pytest.raises(TypeError):
             BackendEndpoint(base_url="http://127.0.0.1:9", model_name="x", **{key: "fast"})
 
-    def test_server_older_than_v4_fails_the_handshake(self):
-        with serving(v3_handler({"fixture-table": fixture_model()})) as base_url:
-            with pytest.raises(CapabilityMismatchError, match="advertises no max_continuation"):
-                RemoteModel(BackendEndpoint(base_url=base_url, model_name="fixture-table"))
+    def test_server_older_than_v4_fails_the_handshake(self, html_server):
+        ep = BackendEndpoint(base_url=html_server(capabilities=True, v4=False), model_name="m")
+        with pytest.raises(CapabilityMismatchError, match="advertises no max_continuation"):
+            handshake(ep)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -375,7 +362,8 @@ class TestRemoteModel:
         remote.next_distribution([0, 1])
         assert len(posts) == 1
 
-    def test_one_row_is_the_recorded_block_request_with_no_continuation(self, stub, monkeypatch, remote_model):
+    def test_requests_the_binary_encoding(self, stub, monkeypatch, remote_model):
+        # one row is the recorded block request with an empty continuation
         server, _ = stub
         remote = remote_model(endpoint(server))
         sent, posts = record_targets(monkeypatch), record_requests(monkeypatch, "POST")

@@ -1,13 +1,15 @@
 """Golden digests of decoded traces over a grid of regimes and settings.
 
-Each case decodes one 32-token trace with small table/n-gram models and
-compares the sha256 of ``Trace.to_json_line()`` (or of the error the decode
+Each case decodes one 32-token trace with small table/n-gram models, or, in
+the scale grid, one 256-token trace with n-gram models at V=32,064/32,000
+under a suppressing map, and compares the sha256 of ``Trace.to_json_line()`` (or of the error the decode
 raised) with a digest recorded from the reference implementation. Any change
 to a decoded byte, an error type or an error message fails the case.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 
@@ -188,3 +190,77 @@ GOLDEN: dict[str, str] = {
 @pytest.mark.parametrize("case", GRID, ids=_case_id)
 def test_decode_matches_golden_digest(case):
     assert _digest(case) == GOLDEN[_case_id(case)]
+
+
+# --- at scale: n-gram rows at V=32,064 under suppression --------------------------------
+
+SCALE_MARKERS = {1: (11, 12), 2: (13, 14)}  # student-only markers spelt as teacher pairs
+
+
+def _scale_corpus(states: np.ndarray, successors: np.ndarray, seed: int, teacher: bool) -> list[int]:
+    """A 40k-token walk of the chain, with a marker (student) or its pair (teacher) after 2% of tokens."""
+    rng = np.random.default_rng([SEED, seed])
+    steps = rng.integers(0, successors.shape[1], 40_000)
+    marks, picks = rng.random(40_000) < 0.02, rng.integers(1, 3, 40_000)
+    out, state = [], 0
+    for step, mark, pick in zip(steps.tolist(), marks.tolist(), picks.tolist()):
+        out.append(int(states[state]))
+        if mark:
+            out.extend(SCALE_MARKERS[pick] if teacher else (pick,))
+        state = int(successors[state, step])
+    return out
+
+
+@functools.cache
+def _scale_pair():
+    """A bigram teacher at V=32,064 with tiny smoothing (its unseen contexts give the uniform row)
+    and a trigram student at V=32,000 with none (its unseen contexts back off), both walking one
+    sparse chain whose 2,000 states include id 1, so the teacher also holds mass at the
+    suppressed homonym of marker 1; the map suppresses teacher ids 1, 2 and 32,000-32,063."""
+    rng = np.random.default_rng(SEED)
+    states = np.concatenate([[1], rng.choice(np.arange(15, 32_000), 1_999, replace=False)])
+    successors = rng.integers(0, states.size, size=(states.size, 4))
+    student_corpus = _scale_corpus(states, successors, 1, teacher=False)
+    teacher = NgramModel(_scale_corpus(states, successors, 2, teacher=True), 2, 1e-5, vocab_size=32_064, eos_token=0)
+    student = NgramModel(student_corpus, 3, 0.0, vocab_size=32_000, eos_token=0)
+    return teacher, student, build_vocab_map(32_064, 32_000, SCALE_MARKERS), tuple(student_corpus[:16])
+
+
+SCALE_GRID = [(regime, temperature, True) for regime in REGIMES for temperature in (0.7, 1.3)]
+SCALE_GRID += [("rsd", temperature, False) for temperature in (0.7, 1.3)]
+
+
+def _scale_id(case) -> str:
+    regime, temperature, raw = case
+    return f"{regime}-T{temperature:g}-{'raw' if raw else 'tempered'}-v32k"
+
+
+def _scale_digest(case) -> str:
+    regime, temperature, raw = case
+    teacher, student, vmap, prompt = _scale_pair()
+    cfg = GenerationConfig(p_th=0.05, max_tokens=256, temperature=temperature, context_limit=512,
+                           seed=SEED, regime=regime, threshold_uses_raw=raw)
+    try:
+        line = decode(teacher, student, prompt, cfg, vmap).to_json_line()
+    except Exception as exc:
+        line = f"error: {type(exc).__name__}: {exc}"
+    return hashlib.sha256(line.encode("utf-8")).hexdigest()
+
+
+SCALE_GOLDEN: dict[str, str] = {
+    "rsd-T0.7-raw-v32k": "4ad61ff7ba1d5c9ce16d619f0aa06c08fac248037781ee35b78711aee7115fc0",
+    "rsd-T1.3-raw-v32k": "7a323bd945d013cf2470530d97639cad2390f96aa857038ca823d9fa9caa506a",
+    "skd-T0.7-raw-v32k": "1376ccd60c91682e49f1241aa8694a6f72c334eb527f1ebb9ff791b98fba52d9",
+    "skd-T1.3-raw-v32k": "014ab39f7b6a64d37d6b41a43c9833074895d25960f57b9482349589d1c9c17f",
+    "solo-teacher-T0.7-raw-v32k": "d7ebed6dbd0dddbd7d04438d6262afcaa0cd05b4eb9b40c2661fad93ecb384cd",
+    "solo-teacher-T1.3-raw-v32k": "d920b8b775b99561d968205f62cca2beccf4e80cf0e2bbe3cdcc2093fbfd05f3",
+    "solo-student-T0.7-raw-v32k": "2d468a80f2c83d95babfdcabf9eec749ec93e4431a6400bab49e4f11417126d0",
+    "solo-student-T1.3-raw-v32k": "0740ad94ac1c45851393eed08194b009cdeefb57de58cec28562dc2ee31837a4",
+    "rsd-T0.7-tempered-v32k": "5a32539f8c78b48f9dd9aa61271aaef34d509d663f22848558faf901260894f2",
+    "rsd-T1.3-tempered-v32k": "5b29c3a87431f531030bde1061dd869b8f3a86b24212d070b6cfca57d6e17577",
+}
+
+
+@pytest.mark.parametrize("case", SCALE_GRID, ids=_scale_id)
+def test_decode_at_scale_matches_golden_digest(case):
+    assert _scale_digest(case) == SCALE_GOLDEN[_scale_id(case)]

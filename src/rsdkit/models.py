@@ -29,6 +29,8 @@ if TYPE_CHECKING:
     from .vocab import VocabularyMap
 
 NORMALIZATION_ATOL = 1e-9
+_NO_IDS = np.zeros(0, dtype=np.int64)
+_NO_IDS.flags.writeable = False
 
 
 class EmptySupportError(ValueError):
@@ -48,10 +50,16 @@ class Distribution:
     per (temperature, suppressed ids); the memo dies with the row.
     """
 
-    __slots__ = ("probs", "_cdfs")
+    __slots__ = ("probs", "sparse", "_cdfs")
     _fill = threading.Lock()  # one fill per (row, key) however workers race, so a run's work repeats
 
-    def __init__(self, probs: Sequence[float] | np.ndarray, *, validate: bool = True) -> None:
+    def __init__(
+        self,
+        probs: Sequence[float] | np.ndarray,
+        *,
+        validate: bool = True,
+        sparse: tuple[float, np.ndarray] | None = None,
+    ) -> None:
         arr = np.asarray(probs, dtype=np.float64)
         if validate:
             if arr.ndim != 1 or arr.shape[0] < 2:
@@ -64,6 +72,7 @@ class Distribution:
             if abs(total - 1.0) > NORMALIZATION_ATOL:
                 raise ValueError(f"distribution sums to {total!r}, expected 1 within {NORMALIZATION_ATOL}")
         self.probs = arr
+        self.sparse = sparse
         self._cdfs: dict[tuple[float, frozenset[int]], np.ndarray] = {}
 
     @property
@@ -90,7 +99,8 @@ class Distribution:
 def tempered_weights(dist: Distribution, temperature: float = 1.0, suppressed: VocabularyMap | None = None) -> np.ndarray:
     """The one tempering formula: unnormalized ``p_i^(1/T)`` without ``suppressed``'s ids, largest
     weight 1. ``dist.probs`` itself at T = 1 with no suppressed mass, else one pass over a fresh
-    vector in log space, so extreme temperatures cannot underflow the whole vector."""
+    vector in log space, so extreme temperatures cannot underflow the whole vector; a row with
+    :attr:`Distribution.sparse` runs that pass over its distinct values only, then spreads them."""
     if temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     p = dist.probs
@@ -104,16 +114,32 @@ def tempered_weights(dist: Distribution, temperature: float = 1.0, suppressed: V
         if not w.any():
             raise EmptySupportError("suppression removed all probability mass")
         return w
+    sparse = dist.sparse
     with np.errstate(divide="ignore"):
-        w = np.log(p)
-    w[ids] = -np.inf
+        w = np.log(p if sparse is None else np.append(p[sparse[1]], sparse[0]))
+    if sparse is None:
+        w[ids] = -np.inf
+    else:  # w holds the hits' values, then the fill's; the same max over what survives suppression
+        hits = sparse[1]
+        gone = np.zeros(p.shape[0], dtype=bool)
+        gone[ids] = True
+        gone = gone[hits]
+        w[:-1][gone] = -np.inf
+        if p.shape[0] - hits.size == len(ids) - np.count_nonzero(gone):  # every fill id is suppressed
+            w[-1] = -np.inf
     w /= temperature
     top = w.max()
     if top == -np.inf:
         cause = "suppression removed all probability mass" if cut else "cannot temper a distribution with no mass"
         raise EmptySupportError(cause)
     w -= top
-    return np.exp(w, out=w)
+    np.exp(w, out=w)
+    if sparse is None:
+        return w
+    out = np.full(p.shape[0], w[-1])
+    out[hits] = w[:-1]
+    out[ids] = 0.0
+    return out
 
 
 def apply_temperature(dist: Distribution, temperature: float) -> Distribution:
@@ -262,7 +288,9 @@ class NgramModel(LanguageModel):
                 self._keys.append(keys)
             pairs, counts = np.unique(rows * width + ids[k:], return_counts=True)
             offsets = np.searchsorted(pairs // width, np.arange(self._keys[k].size + 1))
-            self._rows.append((offsets, pairs % width, counts, np.bincount(rows)))
+            next_ids = pairs % width
+            next_ids.flags.writeable = False  # rows share slices of it as Distribution.sparse
+            self._rows.append((offsets, next_ids, counts, np.bincount(rows)))
         self._set_eos(eos_token)
 
     def next_distribution(self, context: Sequence[int]) -> Distribution:
@@ -274,11 +302,12 @@ class NgramModel(LanguageModel):
             i = keys.searchsorted(key)
             if i == keys.size or keys[i] != key:  # unseen, and so is every longer context
                 if s > 0.0:
-                    return Distribution(np.full(size, s / (s * size)), validate=False)
+                    fill = s / (s * size)
+                    return Distribution(np.full(size, fill), validate=False, sparse=(fill, _NO_IDS))
                 break  # zero smoothing: back off to the longest seen suffix
             k, row = k + 1, i
         offsets, next_ids, counts, totals = self._rows[k]
         hit, denom = slice(offsets[row], offsets[row + 1]), totals[row] + s * size
         probs = np.full(size, s / denom)
         probs[next_ids[hit]] = (counts[hit] + s) / denom
-        return Distribution(probs, validate=False)
+        return Distribution(probs, validate=False, sparse=(s / denom, next_ids[hit]))

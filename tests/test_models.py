@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ from rsdkit.models import (
     TableModel,
     apply_temperature,
     sample,
+    tempered_weights,
 )
 from rsdkit.seeding import StepStream
 from rsdkit.vocab import VocabularyMap
@@ -196,7 +198,7 @@ def reference_cdf(dist: Distribution, temperature: float, vmap: VocabularyMap) -
 def suppressing(ids: set[int], vocab: int) -> VocabularyMap:
     """A map suppressing exactly ``ids``; ids below its shared range of 2 are
     carved out as markers spelt with an id that stays."""
-    keep = next(t for t in range(vocab) if t not in ids)
+    keep = next(t for t in itertools.count() if t not in ids)  # beyond the row when all of it goes
     return VocabularyMap(shared_size=2, suppressed=frozenset(ids), expansions={t: (keep,) for t in ids if t < 2})
 
 
@@ -436,6 +438,62 @@ class TestNgramModel:
             np.testing.assert_array_equal(
                 a.next_distribution(ctx).probs, b.next_distribution(ctx).probs
             )
+
+
+def weights_or_error(dist: Distribution, temperature: float, vmap: VocabularyMap | None):
+    try:
+        return tempered_weights(dist, temperature, vmap)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestSparseTempering:
+    """An n-gram row tempers its distinct values only; the weights, and any error, must be
+    those of the same probabilities as a plain dense row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ngram_cases(), st.data())
+    def test_weights_equal_the_dense_rows(self, case, data):
+        corpus, order, _, vocab_size, contexts = case
+        order = min(order, 3)
+        smoothing = data.draw(st.one_of(st.just(0.0), st.floats(1e-300, 1e-9), st.floats(1.0, 1e6)), "smoothing")
+        model = NgramModel(corpus, order, smoothing, vocab_size=vocab_size)
+        for context in contexts:
+            row = model.next_distribution(context)
+            fill, hits = row.sparse
+            fills = np.setdiff1d(np.arange(vocab_size), hits)
+            assert (np.diff(hits) > 0).all() and (row.probs[hits] != fill).all()
+            assert (row.probs[fills] == fill).all()
+            pools = {
+                "hit ids": hits.tolist(),
+                "fill ids": fills.tolist(),
+                "any ids": list(range(vocab_size)),
+                "all the mass": np.flatnonzero(row.probs).tolist(),
+            }
+            kind = data.draw(st.sampled_from([None, *pools]), "map")
+            if kind is None:
+                vmap = None
+            elif kind == "all the mass":
+                vmap = suppressing(set(pools[kind]), vocab_size)
+            else:
+                vmap = suppressing(data.draw(st.sets(st.sampled_from(pools[kind]))) if pools[kind] else set(), vocab_size)
+            temperature = data.draw(st.one_of(st.just(1.0), st.floats(0.05, 20.0)), "temperature")
+            expected = weights_or_error(Distribution(row.probs, validate=False), temperature, vmap)
+            got = weights_or_error(row, temperature, vmap)
+            if isinstance(expected, tuple):
+                assert got == expected
+            else:
+                assert np.array_equal(got, expected)
+
+    def test_every_ngram_row_carries_its_fill_and_ids(self):
+        seen = NgramModel([0, 1, 0, 2, 0, 1], 2, 0.5, vocab_size=5).next_distribution([0])
+        assert seen.sparse[0] == seen.probs[4] and seen.sparse[1].tolist() == [1, 2]
+        unseen = NgramModel([0, 1, 0, 2], 2, 0.5, vocab_size=5).next_distribution([4])
+        assert unseen.sparse[0] == unseen.probs[0] and unseen.sparse[1].size == 0
+        backed_off = NgramModel([0, 1, 0, 2], 2, 0.0, vocab_size=5).next_distribution([4])
+        assert backed_off.sparse[0] == 0.0 and backed_off.sparse[1].tolist() == [0, 1, 2]
+        with pytest.raises(ValueError):
+            seen.sparse[1][0] = 3  # the ids are slices of the model's own read-only tables
 
 
 class TestBackendNormalization:

@@ -61,7 +61,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 # apply_temperature and suppress stay attributes here, beside sample, for profilers to patch
-from .models import ContextOverflowError, Distribution, LanguageModel, apply_temperature, sample  # noqa: F401
+from .models import ContextOverflowError, Distribution, LanguageModel, _integer, apply_temperature, sample  # noqa: F401
 from .remote import BackendError
 from .seeding import StepStream
 from .vocab import DualContext, VocabularyAlignmentError, VocabularyMap, suppress  # noqa: F401
@@ -74,8 +74,10 @@ ROLES = {
     "solo-student": ("student", None),
 }
 REGIMES = tuple(ROLES)
+PROPOSERS = frozenset(proposer for proposer, _ in ROLES.values())
 COORDINATED_REGIMES = tuple(regime for regime, (_, approver) in ROLES.items() if approver)
 TERMINATIONS = ("eos", "length-budget")
+_SCORE_TYPES = {int, float, type(None)}  # of a token record's probabilities and surprisal
 
 
 @dataclass(frozen=True)
@@ -168,15 +170,23 @@ class TokenRecord:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TokenRecord":
-        return cls(
-            token=int(payload["token"]),
-            proposer=str(payload["proposer"]),
-            accepted=bool(payload["accepted"]),
-            fallback=bool(payload["fallback"]),
-            p_teacher=payload.get("p_teacher"),
-            p_student=payload.get("p_student"),
-            surprisal_student=payload.get("surprisal_student"),
-        )
+        """The record :meth:`to_json_dict` wrote; a field it could not have written is a
+        TypeError or ValueError, never converted."""
+        token, proposer = payload["token"], payload["proposer"]
+        accepted, fallback = payload["accepted"], payload["fallback"]
+        p_teacher, p_student = payload.get("p_teacher"), payload.get("p_student")
+        surprisal = payload.get("surprisal_student")
+        if type(token) is not int:
+            token = _integer("token", token)
+        if proposer not in PROPOSERS:
+            raise ValueError(f"unknown proposer {proposer!r}")
+        if type(accepted) is not bool or type(fallback) is not bool:
+            name, value = ("accepted", accepted) if type(accepted) is not bool else ("fallback", fallback)
+            raise TypeError(f"{name} must be true or false, got {value!r}")
+        if type(p_teacher) not in _SCORE_TYPES or type(p_student) not in _SCORE_TYPES or type(surprisal) not in _SCORE_TYPES:
+            name = next(n for n in ("p_teacher", "p_student", "surprisal_student") if type(payload.get(n)) not in _SCORE_TYPES)
+            raise TypeError(f"{name} must be a number or null, got {payload[name]!r}")
+        return cls(token, proposer, accepted, fallback, p_teacher, p_student, surprisal)
 
 
 @dataclass
@@ -212,7 +222,7 @@ class Trace:
         if terminated_by not in TERMINATIONS:
             raise ValueError(f"unknown termination {terminated_by!r}")
         return cls(
-            prompt=tuple(int(t) for t in payload["prompt"]),
+            prompt=tuple(_integer("prompt token", t) for t in payload["prompt"]),
             records=[TokenRecord.from_json_dict(r) for r in payload["records"]],
             config=GenerationConfig.from_json_dict(payload["config"]),
             terminated_by=terminated_by,

@@ -11,7 +11,9 @@ Two deterministic in-process backends are provided for desk-scale work:
 
 * :class:`TableModel` — explicit rows keyed on context suffixes.
 * :class:`NgramModel` — maximum-likelihood n-gram with add-constant
-  smoothing, trained on a token corpus.
+  smoothing, trained on a token corpus. Its rows also carry their fill
+  value and the ids whose value differs (:attr:`Distribution.sparse`), so
+  :func:`tempered_weights` tempers only a row's distinct values.
 
 Both are pure functions of (model spec, context) and safe to query from
 concurrent workers.
@@ -48,18 +50,17 @@ class Distribution:
     ``NORMALIZATION_ATOL``. Instances are immutable, so each memoizes the
     cumulative :func:`tempered_weights` :func:`sample` draws from, one vector
     per (temperature, suppressed ids); the memo dies with the row.
+
+    ``sparse``, when a backend knows it, is ``(fill, ids)``: every entry is
+    ``fill`` except at the sorted, read-only ``ids``. It is never checked
+    against ``probs``, which stays the dense row every reader uses; only
+    :func:`tempered_weights` reads it, to temper the distinct values alone.
     """
 
     __slots__ = ("probs", "sparse", "_cdfs")
     _fill = threading.Lock()  # one fill per (row, key) however workers race, so a run's work repeats
 
-    def __init__(
-        self,
-        probs: Sequence[float] | np.ndarray,
-        *,
-        validate: bool = True,
-        sparse: tuple[float, np.ndarray] | None = None,
-    ) -> None:
+    def __init__(self, probs: Sequence[float] | np.ndarray, *, validate: bool = True, sparse: tuple | None = None) -> None:
         arr = np.asarray(probs, dtype=np.float64)
         if validate:
             if arr.ndim != 1 or arr.shape[0] < 2:

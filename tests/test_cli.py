@@ -645,6 +645,39 @@ class TestExitCodes:
         assert main(analyze_argv(tmp_path, kind, lines) + ["--out", str(tmp_path / "new" / "dir" / "out")]) == 4
         assert not (tmp_path / "new").exists()
 
+    @pytest.mark.parametrize(
+        "kind, field, value, message",
+        [
+            pytest.param(*case, id=f"{case[0]}-{case[1]}={case[2]!r}")
+            for case in [
+                ("dataset", "p_student", "0.5", "p_student must be a number or null, got '0.5'"),
+                ("dataset", "p_teacher", True, "p_teacher must be a number or null, got True"),
+                ("dataset", "surprisal_student", [1.0], "surprisal_student must be a number or null, got [1.0]"),
+                ("dataset", "accepted", "false", "accepted must be true or false, got 'false'"),
+                ("dataset", "fallback", 0, "fallback must be true or false, got 0"),
+                ("dataset", "token", 1980.0, "token must be an integer, got 1980.0"),
+                ("dataset", "proposer", "nobody", "unknown proposer 'nobody'"),
+                ("traces", "token", "1", "token must be an integer, got '1'"),
+                ("traces", "prompt", [0.0], "prompt token must be an integer, got 0.0"),
+                ("traces", "prompt", [True], "prompt token must be an integer, got True"),
+            ]
+        ],
+    )
+    def test_record_fields_are_refused_not_converted(self, tmp_path, capsys, kind, field, value, message):
+        if kind == "dataset":
+            item = json.loads(TOY_LINES[0])
+            item["records"][0][field] = value
+            lines = [json.dumps(item), '{"kind":"manifest","record_count":1,"schema":"rsdkit-dataset-v1"}']
+        else:
+            item = json.loads(GOOD_TRACE)
+            (item if field == "prompt" else item["records"][0])[field] = value
+            lines = [json.dumps(item)]
+        assert main(analyze_argv(tmp_path, kind, lines)) == 4
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert error["kind"] == "data"
+        assert f"{tmp_path / kind}.jsonl: " in error["message"] and "line 1" in error["message"]
+        assert message in error["message"]
+
     def test_malformed_trace_file_is_data_error(self, tmp_path):
         path = tmp_path / "traces.jsonl"
         path.write_text('{"records": [], "config": {"bad": true}, "prompt": []}\n')

@@ -1,10 +1,11 @@
 """Golden digests of decoded traces over a grid of regimes and settings.
 
 Each case decodes one 32-token trace with small table/n-gram models, or, in
-the scale grid, one 256-token trace with n-gram models at V=32,064/32,000
-under a suppressing map, and compares the sha256 of ``Trace.to_json_line()`` (or of the error the decode
-raised) with a digest recorded from the reference implementation. Any change
-to a decoded byte, an error type or an error message fails the case.
+the scale grid, one 256-token trace (one case: 2,048 tokens) with n-gram
+models at V=32,064/32,000 under a suppressing map, and compares the sha256 of
+``Trace.to_json_line()`` (or of the error the decode raised) with a digest
+recorded from the reference implementation. Any change to a decoded byte, an
+error type or an error message fails the case.
 """
 
 from __future__ import annotations
@@ -226,19 +227,22 @@ def _scale_pair():
     return teacher, student, build_vocab_map(32_064, 32_000, SCALE_MARKERS), tuple(student_corpus[:16])
 
 
-SCALE_GRID = [(regime, temperature, True) for regime in REGIMES for temperature in (0.7, 1.3)]
-SCALE_GRID += [("rsd", temperature, False) for temperature in (0.7, 1.3)]
+# (regime, temperature, raw threshold, tokens): T = 1 samples the raw values, cut at suppressed id 1
+SCALE_GRID = [(regime, temperature, True, 256) for regime in REGIMES for temperature in (0.7, 1.3)]
+SCALE_GRID += [("rsd", temperature, False, 256) for temperature in (0.7, 1.3)]
+SCALE_GRID += [(regime, 1.0, True, 256) for regime in ("rsd", "skd", "solo-teacher")]
+SCALE_GRID += [("rsd", 0.7, True, 2048)]
 
 
 def _scale_id(case) -> str:
-    regime, temperature, raw = case
-    return f"{regime}-T{temperature:g}-{'raw' if raw else 'tempered'}-v32k"
+    regime, temperature, raw, tokens = case
+    return f"{regime}-T{temperature:g}-{'raw' if raw else 'tempered'}-v32k" + ("" if tokens == 256 else f"-{tokens}")
 
 
 def _scale_digest(case) -> str:
-    regime, temperature, raw = case
+    regime, temperature, raw, tokens = case
     teacher, student, vmap, prompt = _scale_pair()
-    cfg = GenerationConfig(p_th=0.05, max_tokens=256, temperature=temperature, context_limit=512,
+    cfg = GenerationConfig(p_th=0.05, max_tokens=tokens, temperature=temperature, context_limit=2 * tokens,
                            seed=SEED, regime=regime, threshold_uses_raw=raw)
     try:
         line = decode(teacher, student, prompt, cfg, vmap).to_json_line()
@@ -258,6 +262,10 @@ SCALE_GOLDEN: dict[str, str] = {
     "solo-student-T1.3-raw-v32k": "0740ad94ac1c45851393eed08194b009cdeefb57de58cec28562dc2ee31837a4",
     "rsd-T0.7-tempered-v32k": "5a32539f8c78b48f9dd9aa61271aaef34d509d663f22848558faf901260894f2",
     "rsd-T1.3-tempered-v32k": "5b29c3a87431f531030bde1061dd869b8f3a86b24212d070b6cfca57d6e17577",
+    "rsd-T1-raw-v32k": "f32fac0d478a5682c41da27acb2eeb372d7beb59780fec357a27014046b2d4ea",
+    "skd-T1-raw-v32k": "63ee9f53806c1e3da31c9e8af0156d1683947ddb9e56b2f46a622af682121908",
+    "solo-teacher-T1-raw-v32k": "ca76030e8a64168c3adb05f17deacdc805abf51774b4e4015a5a80ae7d9e6cef",
+    "rsd-T0.7-raw-v32k-2048": "37ba1b3bab0c9daf59ea465e122a640de32b220399f253a1fb8f2e75c4e77b4e",
 }
 
 

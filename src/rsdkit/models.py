@@ -11,9 +11,10 @@ Two deterministic in-process backends are provided for desk-scale work:
 
 * :class:`TableModel` — explicit rows keyed on context suffixes.
 * :class:`NgramModel` — maximum-likelihood n-gram with add-constant
-  smoothing, trained on a token corpus. Its rows also carry their fill
-  value and the ids whose value differs (:attr:`Distribution.sparse`), so
-  :func:`tempered_weights` tempers only a row's distinct values.
+  smoothing, trained on a token corpus. Its rows hold only their fill value
+  and the ids whose value differs (:attr:`Distribution.sparse`): sampling
+  tempers their distinct values and sums the row run by run
+  (:class:`RunCdf`), and the dense vector is built only when read.
 
 Both are pure functions of (model spec, context) and safe to query from
 concurrent workers.
@@ -21,6 +22,8 @@ concurrent workers.
 
 from __future__ import annotations
 
+import bisect
+import math
 import threading
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -33,6 +36,8 @@ if TYPE_CHECKING:
 NORMALIZATION_ATOL = 1e-9
 _NO_IDS = np.zeros(0, dtype=np.int64)
 _NO_IDS.flags.writeable = False
+_NO_VALUES = np.zeros(0)
+_MIN_NORMAL = float(np.finfo(np.float64).tiny)
 
 
 class EmptySupportError(ValueError):
@@ -51,16 +56,23 @@ class Distribution:
     cumulative :func:`tempered_weights` :func:`sample` draws from, one vector
     per (temperature, suppressed ids); the memo dies with the row.
 
-    ``sparse``, when a backend knows it, is ``(fill, ids)``: every entry is
-    ``fill`` except at the sorted, read-only ``ids``. It is never checked
-    against ``probs``, which stays the dense row every reader uses; only
-    :func:`tempered_weights` reads it, to temper the distinct values alone.
+    ``sparse``, when a backend knows it, is ``(size, fill, ids, values)``: every entry is ``fill``
+    except ``values`` at the sorted, read-only ``ids``. Such a row is built with ``probs`` None and
+    is not validated; its dense ``probs`` is filled in once, when first read. ``row[token]`` reads
+    the sparse form, and :meth:`cdf` returns a :class:`RunCdf`, equal bit for bit to the dense
+    cumulative.
     """
 
-    __slots__ = ("probs", "sparse", "_cdfs")
+    __slots__ = ("_probs", "sparse", "_cdfs")
     _fill = threading.Lock()  # one fill per (row, key) however workers race, so a run's work repeats
 
-    def __init__(self, probs: Sequence[float] | np.ndarray, *, validate: bool = True, sparse: tuple | None = None) -> None:
+    def __init__(self, probs: Sequence[float] | np.ndarray | None, *, validate: bool = True,
+                 sparse: tuple | None = None) -> None:
+        self.sparse = sparse
+        self._cdfs: dict[tuple[float, frozenset[int]], np.ndarray | RunCdf] = {}
+        self._probs = None
+        if probs is None and sparse is not None:
+            return
         arr = np.asarray(probs, dtype=np.float64)
         if validate:
             if arr.ndim != 1 or arr.shape[0] < 2:
@@ -72,25 +84,46 @@ class Distribution:
                 raise ValueError(f"distribution entries must be finite, they sum to {total!r}")
             if abs(total - 1.0) > NORMALIZATION_ATOL:
                 raise ValueError(f"distribution sums to {total!r}, expected 1 within {NORMALIZATION_ATOL}")
-        self.probs = arr
-        self.sparse = sparse
-        self._cdfs: dict[tuple[float, frozenset[int]], np.ndarray] = {}
+        self._probs = arr
+
+    @property
+    def probs(self) -> np.ndarray:
+        if self._probs is None:
+            size, fill, ids, values = self.sparse
+            with self._fill:
+                if self._probs is None:
+                    probs = np.full(size, fill)
+                    probs[ids] = values
+                    self._probs = probs
+        return self._probs
 
     @property
     def vocab_size(self) -> int:
-        return int(self.probs.shape[0])
+        return int(self._probs.shape[0]) if self.sparse is None else self.sparse[0]
 
     def __getitem__(self, token: int) -> float:
-        return float(self.probs[token])
+        if self.sparse is None:
+            return float(self._probs[token])
+        size, fill, ids, values = self.sparse
+        if not -size <= token < size:
+            raise IndexError(f"index {token} is out of bounds for axis 0 with size {size}")
+        token %= size
+        i = ids.searchsorted(token)
+        return float(values[i] if i < ids.size and ids[i] == token else fill)
 
-    def cdf(self, temperature: float = 1.0, suppressed: VocabularyMap | None = None) -> np.ndarray:
-        """Cumulative :func:`tempered_weights`, memoized per (temperature, suppressed ids)."""
+    def cdf(self, temperature: float = 1.0, suppressed: VocabularyMap | None = None) -> np.ndarray | RunCdf:
+        """Cumulative :func:`tempered_weights`, memoized per (temperature, suppressed ids); a
+        :class:`RunCdf` on a row with :attr:`sparse`."""
         key = (temperature, frozenset() if suppressed is None else suppressed.suppressed)
         with self._fill:
             cdf = self._cdfs.get(key)
             if cdf is None:
-                w = tempered_weights(self, temperature, suppressed)
-                cdf = self._cdfs[key] = np.cumsum(w, out=None if w is self.probs else w)
+                if self.sparse is not None:
+                    cdf = RunCdf.of(self.sparse, temperature, suppressed)
+                else:
+                    w = tempered_weights(self, temperature, suppressed)
+                    cdf = np.cumsum(w, out=None if w is self._probs else w)
+                self._cdfs[key] = cdf
         return cdf
 
     def __repr__(self) -> str:
@@ -100,34 +133,28 @@ class Distribution:
 def tempered_weights(dist: Distribution, temperature: float = 1.0, suppressed: VocabularyMap | None = None) -> np.ndarray:
     """The one tempering formula: unnormalized ``p_i^(1/T)`` without ``suppressed``'s ids, largest
     weight 1. ``dist.probs`` itself at T = 1 with no suppressed mass, else one pass over a fresh
-    vector in log space, so extreme temperatures cannot underflow the whole vector; a row with
-    :attr:`Distribution.sparse` runs that pass over its distinct values only, then spreads them."""
+    vector in log space, so extreme temperatures cannot underflow the whole vector."""
     if temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     p = dist.probs
     ids = [] if suppressed is None else suppressed.suppressed_ids[suppressed.suppressed_ids < p.shape[0]]
-    cut = bool(p[ids].any())
+    return _temper(p, temperature, ids, bool(p[ids].any()))
+
+
+def _temper(values: np.ndarray, temperature: float, gone, cut: bool) -> np.ndarray:
+    """The formula on ``values`` without the entries at ``gone``, ``cut`` telling whether
+    suppression removes mass: ``values`` itself at T = 1 when it does not, else a fresh vector."""
     if temperature == 1.0:
         if not cut:
-            return p
-        w = p.copy()
-        w[ids] = 0.0
+            return values
+        w = values.copy()
+        w[gone] = 0.0
         if not w.any():
             raise EmptySupportError("suppression removed all probability mass")
         return w
-    sparse = dist.sparse
     with np.errstate(divide="ignore"):
-        w = np.log(p if sparse is None else np.append(p[sparse[1]], sparse[0]))
-    if sparse is None:
-        w[ids] = -np.inf
-    else:  # w holds the hits' values, then the fill's; the same max over what survives suppression
-        hits = sparse[1]
-        gone = np.zeros(p.shape[0], dtype=bool)
-        gone[ids] = True
-        gone = gone[hits]
-        w[:-1][gone] = -np.inf
-        if p.shape[0] - hits.size == len(ids) - np.count_nonzero(gone):  # every fill id is suppressed
-            w[-1] = -np.inf
+        w = np.log(values)
+    w[gone] = -np.inf
     w /= temperature
     top = w.max()
     if top == -np.inf:
@@ -135,12 +162,106 @@ def tempered_weights(dist: Distribution, temperature: float = 1.0, suppressed: V
         raise EmptySupportError(cause)
     w -= top
     np.exp(w, out=w)
-    if sparse is None:
-        return w
-    out = np.full(p.shape[0], w[-1])
-    out[hits] = w[:-1]
-    out[ids] = 0.0
-    return out
+    return w
+
+
+class RunCdf:
+    """The cumulative :func:`tempered_weights` of a row with :attr:`Distribution.sparse`, run by run:
+    bit for bit ``np.cumsum`` of the dense weights, answering ``[i]`` and ``searchsorted(x,
+    side="right")`` as that array does, and ``np.asarray`` with the array itself.
+
+    A sequential float sum that adds the same weight ``v`` to ``c`` moves by one grid step ``d``
+    while ``c`` is normal, ``c >= v``, ``v`` is no tie at ``c``'s ulp and the sums stay in ``c``'s
+    binade, so such a run is the piece ``(c + d, d)``: ``c + (j + 1) * d`` at its ``j``-th entry,
+    each exact. Any other run keeps numpy's own ``cumsum`` of ``[c, v, ..., v]``.
+    """
+
+    __slots__ = ("size", "_starts", "_ends", "_pieces")
+
+    def __init__(self, size: int, starts: list[int], ends: list[float], pieces: list) -> None:
+        self.size, self._starts, self._ends, self._pieces = size, starts, ends, pieces
+
+    @classmethod
+    def of(cls, sparse: tuple, temperature: float, suppressed: VocabularyMap | None) -> RunCdf:
+        """Temper the distinct values of ``sparse`` as :func:`tempered_weights` does the dense row,
+        then sum it one run of equal weights at a time."""
+        if temperature <= 0.0:
+            raise ValueError(f"temperature must be positive, got {temperature}")
+        size, fill, ids, values = sparse
+        cut = _NO_IDS if suppressed is None else suppressed.suppressed_ids
+        cut = cut[: cut.searchsorted(size)]
+        at = cut.searchsorted(ids)
+        gone = np.zeros(ids.size + 1, dtype=bool)  # the hits, then the fill
+        gone[:-1] = cut.searchsorted(ids, "right") > at
+        keep = np.ones(cut.size, dtype=bool)
+        keep[at[gone[:-1]]] = False
+        cut_fills = cut[keep]
+        gone[-1] = size - ids.size == cut_fills.size  # every fill id is suppressed
+        w = _temper(np.concatenate((values, [fill])), temperature, gone,
+                    bool(values[gone[:-1]].any()) or (cut_fills.size > 0 and fill != 0.0))
+        # one run per special id (hits and suppressed fill ids) and per fill gap, then equal runs merged
+        special = np.concatenate((ids, cut_fills))
+        order = special.argsort(kind="stable")
+        starts = np.zeros(2 * special.size + 1, dtype=np.int64)
+        starts[1::2] = special[order]
+        starts[2::2] = special[order] + 1
+        weights = np.full(starts.size, w[-1])
+        weights[1::2] = np.concatenate((w[:-1], np.zeros(cut_fills.size)))[order]  # suppressed hits weigh 0
+        keep = starts < np.concatenate((starts[1:], [size]))
+        starts, weights = starts[keep], weights[keep]
+        keep = np.concatenate(([True], weights[1:] != weights[:-1]))
+        starts, weights = starts[keep].tolist(), weights[keep].tolist()
+        c, ends, pieces = 0.0, [], []
+        for a, b, v in zip(starts, starts[1:] + [size], weights):
+            n = b - a
+            if n == 1 or v == 0.0:
+                c += v
+                pieces.append((c, 0.0))
+            else:
+                if c >= v and c >= _MIN_NORMAL:  # so v is under 2**53 of c's ulps
+                    top = math.frexp(c)[1]  # c lies in [2**(top - 1), 2**top), with ulp 2**(top - 53)
+                    d = (c + v) - c  # exact, as c <= c + v <= 2c
+                    if math.ldexp(v, 53 - top) % 1.0 != 0.5 and c + n * d < math.ldexp(1.0, top):
+                        pieces.append((c + d, d))
+                        c += n * d
+                        ends.append(c)
+                        continue
+                run = np.full(n + 1, v)
+                run[0] = c
+                np.cumsum(run, out=run)
+                pieces.append(run[1:])
+                c = float(run[-1])
+            ends.append(c)
+        return cls(size, starts, ends, pieces)
+
+    def __getitem__(self, i: int) -> float:
+        if not -self.size <= i < self.size:
+            raise IndexError(f"index {i} is out of bounds for axis 0 with size {self.size}")
+        i %= self.size
+        k = bisect.bisect_right(self._starts, i) - 1
+        piece, j = self._pieces[k], i - self._starts[k]
+        return piece[0] + j * piece[1] if type(piece) is tuple else float(piece[j])
+
+    def searchsorted(self, x: float, side: str = "right", sorter=None) -> int:
+        if side != "right" or sorter is not None:
+            raise ValueError("a run-length cumulative answers side='right' only")
+        k = bisect.bisect_right(self._ends, x)
+        if k == len(self._ends):
+            return self.size
+        a, piece = self._starts[k], self._pieces[k]
+        if type(piece) is not tuple:
+            return a + int(piece.searchsorted(x, side="right"))
+        first, d = piece
+        if x < first:
+            return a
+        return a + 1 + int((x - first) // d)  # exact: x and first share a binade, and d > 0 as x < the end
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = np.concatenate([
+            p if type(p) is not tuple else p[0] + np.arange(b - a) * p[1]
+            for a, b, p in zip(self._starts, self._starts[1:] + [self.size], self._pieces)
+        ])
+        return out if dtype is None else out.astype(dtype)
 
 
 def apply_temperature(dist: Distribution, temperature: float) -> Distribution:
@@ -303,12 +424,9 @@ class NgramModel(LanguageModel):
             i = keys.searchsorted(key)
             if i == keys.size or keys[i] != key:  # unseen, and so is every longer context
                 if s > 0.0:
-                    fill = s / (s * size)
-                    return Distribution(np.full(size, fill), validate=False, sparse=(fill, _NO_IDS))
+                    return Distribution(None, sparse=(size, s / (s * size), _NO_IDS, _NO_VALUES))
                 break  # zero smoothing: back off to the longest seen suffix
             k, row = k + 1, i
         offsets, next_ids, counts, totals = self._rows[k]
         hit, denom = slice(offsets[row], offsets[row + 1]), totals[row] + s * size
-        probs = np.full(size, s / denom)
-        probs[next_ids[hit]] = (counts[hit] + s) / denom
-        return Distribution(probs, validate=False, sparse=(s / denom, next_ids[hit]))
+        return Distribution(None, sparse=(size, s / denom, next_ids[hit], (counts[hit] + s) / denom))

@@ -239,13 +239,17 @@ def _scale_id(case) -> str:
     return f"{regime}-T{temperature:g}-{'raw' if raw else 'tempered'}-v32k" + ("" if tokens == 256 else f"-{tokens}")
 
 
-def _scale_digest(case) -> str:
+def _scale_line(case) -> str:
     regime, temperature, raw, tokens = case
     teacher, student, vmap, prompt = _scale_pair()
     cfg = GenerationConfig(p_th=0.05, max_tokens=tokens, temperature=temperature, context_limit=2 * tokens,
                            seed=SEED, regime=regime, threshold_uses_raw=raw)
+    return decode(teacher, student, prompt, cfg, vmap).to_json_line()
+
+
+def _scale_digest(case) -> str:
     try:
-        line = decode(teacher, student, prompt, cfg, vmap).to_json_line()
+        line = _scale_line(case)
     except Exception as exc:
         line = f"error: {type(exc).__name__}: {exc}"
     return hashlib.sha256(line.encode("utf-8")).hexdigest()
@@ -272,3 +276,25 @@ SCALE_GOLDEN: dict[str, str] = {
 @pytest.mark.parametrize("case", SCALE_GRID, ids=_scale_id)
 def test_decode_at_scale_matches_golden_digest(case):
     assert _scale_digest(case) == SCALE_GOLDEN[_scale_id(case)]
+
+
+def test_scale_decode_builds_no_dense_row(monkeypatch):
+    """The at-scale decode samples and scores n-gram rows from their sparse form alone; a row's
+    dense vector, built when read afterwards, is the fill with the hit values scattered in."""
+    teacher, student, _, _ = _scale_pair()
+    rows = []
+    for model in (teacher, student):
+        def recording(context, inner=model.next_distribution):
+            rows.append(inner(context))
+            return rows[-1]
+
+        monkeypatch.setattr(model, "next_distribution", recording)
+    case = ("rsd", 0.7, True, 256)
+    assert hashlib.sha256(_scale_line(case).encode("utf-8")).hexdigest() == SCALE_GOLDEN[_scale_id(case)]
+    assert len(rows) >= 2 * 256
+    assert all(row._probs is None for row in rows)
+    for row in rows:
+        size, fill, ids, values = row.sparse
+        dense = np.full(size, fill)
+        dense[ids] = values
+        assert row.probs.tobytes() == dense.tobytes()

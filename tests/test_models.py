@@ -16,6 +16,7 @@ from rsdkit.models import (
     Distribution,
     EmptySupportError,
     NgramModel,
+    RunCdf,
     TableModel,
     apply_temperature,
     sample,
@@ -440,16 +441,55 @@ class TestNgramModel:
             )
 
 
-def weights_or_error(dist: Distribution, temperature: float, vmap: VocabularyMap | None):
+def cumulative_or_error(dist: Distribution, temperature: float, vmap: VocabularyMap | None):
     try:
-        return tempered_weights(dist, temperature, vmap)
+        return dist.cdf(temperature, vmap)
     except Exception as exc:
         return type(exc), str(exc)
 
 
+def assert_sums_as_numpy(row: Distribution, temperature: float, vmap: VocabularyMap | None, every_index: bool):
+    """``row.cdf`` (a run-length cumulative) answers as ``np.cumsum`` of its dense twin's weights,
+    bit for bit: the array, the total, ``[i]`` and ``searchsorted`` at random x and at each run's
+    end and one ulp either side; an error must be the twin's, message and all."""
+    twin = Distribution(row.probs.copy(), validate=False)
+    expected = cumulative_or_error(twin, temperature, vmap)
+    got = cumulative_or_error(row, temperature, vmap)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert isinstance(got, RunCdf)
+    assert np.asarray(got).tobytes() == expected.tobytes()
+    assert got[-1] == expected[-1]
+    for i in range(row.vocab_size) if every_index else np.random.default_rng(0).integers(0, row.vocab_size, 64):
+        assert got[int(i)] == expected[i]
+    with pytest.raises(IndexError):
+        got[row.vocab_size]
+    ends = np.asarray(got._ends)
+    xs = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+                         np.random.default_rng(1).random(64) * expected[-1], [0.0, -1.0]])
+    for x in xs:
+        assert got.searchsorted(x, side="right") == expected.searchsorted(x, side="right"), x
+
+
+@st.composite
+def sparse_rows(draw):
+    """A hand-built row with ``Distribution.sparse``: ties (power-of-two fill and hit values),
+    zero, subnormal and random values, of up to 512 ids."""
+    size = draw(st.integers(2, 512))
+    value = st.one_of(
+        st.sampled_from([0.0, 5e-324, 2.0 ** -1030, 2.0 ** -1022, 2.0 ** -60, 2.0 ** -12, 2.0 ** -3, 0.5, 1.0]),
+        st.floats(1e-300, 1.0),
+        st.floats(1e-12, 1e-3),
+    )
+    ids = np.array(sorted(draw(st.sets(st.integers(0, size - 1), max_size=min(size, 24)))), dtype=np.int64)
+    values = np.array(draw(st.lists(value, min_size=ids.size, max_size=ids.size)), dtype=np.float64)
+    return Distribution(None, sparse=(size, draw(value), ids, values))
+
+
 class TestSparseTempering:
-    """An n-gram row tempers its distinct values only; the weights, and any error, must be
-    those of the same probabilities as a plain dense row."""
+    """An n-gram row holds its fill and hit values only. Its reads, and the run-length cumulative
+    it samples from, must be those of the same probabilities as a plain dense row, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(ngram_cases(), st.data())
@@ -460,7 +500,13 @@ class TestSparseTempering:
         model = NgramModel(corpus, order, smoothing, vocab_size=vocab_size)
         for context in contexts:
             row = model.next_distribution(context)
-            fill, hits = row.sparse
+            size, fill, hits, _ = row.sparse
+            assert size == vocab_size and row.vocab_size == vocab_size
+            for token in range(-vocab_size, vocab_size):
+                assert row[token] == row.probs[token]  # the sparse read; probs is built on the first read
+            for token in (vocab_size, -vocab_size - 1):
+                with pytest.raises(IndexError):
+                    row[token]
             fills = np.setdiff1d(np.arange(vocab_size), hits)
             assert (np.diff(hits) > 0).all() and (row.probs[hits] != fill).all()
             assert (row.probs[fills] == fill).all()
@@ -477,23 +523,62 @@ class TestSparseTempering:
                 vmap = suppressing(set(pools[kind]), vocab_size)
             else:
                 vmap = suppressing(data.draw(st.sets(st.sampled_from(pools[kind]))) if pools[kind] else set(), vocab_size)
-            temperature = data.draw(st.one_of(st.just(1.0), st.floats(0.05, 20.0)), "temperature")
-            expected = weights_or_error(Distribution(row.probs, validate=False), temperature, vmap)
-            got = weights_or_error(row, temperature, vmap)
-            if isinstance(expected, tuple):
-                assert got == expected
-            else:
-                assert np.array_equal(got, expected)
+            temperature = data.draw(st.sampled_from([1.0, 0.05, 20.0, 0.7]), "temperature")
+            assert_sums_as_numpy(row, temperature, vmap, every_index=True)
+
+    @settings(max_examples=400, deadline=None)
+    @given(sparse_rows(), st.data())
+    def test_hand_built_rows_sum_run_by_run_as_numpy_does(self, row, data):
+        size, _, hits, _ = row.sparse
+        fills = sorted(set(range(size)) - set(hits.tolist()))
+        kind = data.draw(st.sampled_from(["none", "some", "every fill id", "every id", "a block"]), "map")
+        if kind == "none":
+            vmap = None
+        elif kind == "some":
+            vmap = suppressing(data.draw(st.sets(st.integers(0, size - 1), max_size=40)), size)
+        elif kind == "every fill id":
+            vmap = suppressing(set(fills), size)
+        elif kind == "every id":
+            vmap = suppressing(set(range(size)), size)
+        else:  # a long block beyond a shared range, as a wider teacher's
+            start = data.draw(st.integers(0, size - 1))
+            vmap = suppressing(set(range(start, size)), size)
+        temperature = data.draw(st.one_of(st.sampled_from([1.0, 0.05, 20.0]), st.floats(0.05, 20.0)), "temperature")
+        assert_sums_as_numpy(row, temperature, vmap, every_index=True)
+
+    def test_long_fill_runs_are_arithmetic_pieces(self):
+        # V=32,064 with three hits: the runs after the first hit stay in one binade each
+        ids = np.array([5, 9_000, 20_000], dtype=np.int64)
+        row = Distribution(None, sparse=(32_064, 1e-9, ids, np.array([0.3, 0.2, 0.5])))
+        for temperature in (0.7, 1.0):
+            cdf = row.cdf(temperature, suppressing(set(range(32_000, 32_064)), 32_064))
+            assert sum(type(p) is tuple and p[1] > 0 for p in cdf._pieces) >= 2
+            assert_sums_as_numpy(row, temperature, suppressing(set(range(32_000, 32_064)), 32_064), every_index=False)
+
+    def test_a_run_far_above_its_start_falls_back_to_numpy(self):
+        # c = 2**-1022 then a fill of 0.5: v is 2**1073 of c's ulps, beyond any binade step
+        ids = np.array([0], dtype=np.int64)
+        row = Distribution(None, sparse=(6, 0.5, ids, np.array([2.0 ** -1022])))
+        assert_sums_as_numpy(row, 1.0, None, every_index=True)
+
+    def test_the_dense_row_is_built_once_when_read(self):
+        ids = np.array([1, 2], dtype=np.int64)
+        row = Distribution(None, sparse=(5, 0.1, ids, np.array([0.4, 0.3])))
+        sample(row, StepStream(0, 0), 0.7)
+        assert row[2] == 0.3 and row[-1] == 0.1 and row._probs is None
+        assert row.probs is row.probs
+        np.testing.assert_array_equal(row.probs, [0.1, 0.4, 0.3, 0.1, 0.1])
 
     def test_every_ngram_row_carries_its_fill_and_ids(self):
         seen = NgramModel([0, 1, 0, 2, 0, 1], 2, 0.5, vocab_size=5).next_distribution([0])
-        assert seen.sparse[0] == seen.probs[4] and seen.sparse[1].tolist() == [1, 2]
+        assert seen.sparse[0] == 5 and seen.sparse[1] == seen.probs[4] and seen.sparse[2].tolist() == [1, 2]
+        assert seen.sparse[3].tolist() == seen.probs[[1, 2]].tolist()
         unseen = NgramModel([0, 1, 0, 2], 2, 0.5, vocab_size=5).next_distribution([4])
-        assert unseen.sparse[0] == unseen.probs[0] and unseen.sparse[1].size == 0
+        assert unseen.sparse[1] == unseen.probs[0] and unseen.sparse[2].size == 0
         backed_off = NgramModel([0, 1, 0, 2], 2, 0.0, vocab_size=5).next_distribution([4])
-        assert backed_off.sparse[0] == 0.0 and backed_off.sparse[1].tolist() == [0, 1, 2]
+        assert backed_off.sparse[1] == 0.0 and backed_off.sparse[2].tolist() == [0, 1, 2]
         with pytest.raises(ValueError):
-            seen.sparse[1][0] = 3  # the ids are slices of the model's own read-only tables
+            seen.sparse[2][0] = 3  # the ids are slices of the model's own read-only tables
 
 
 class TestBackendNormalization:

@@ -188,32 +188,27 @@ class RunCdf:
         if temperature <= 0.0:
             raise ValueError(f"temperature must be positive, got {temperature}")
         size, fill, ids, values = sparse
-        cut = _NO_IDS if suppressed is None else suppressed.suppressed_ids
+        cut, cut_runs = (_NO_IDS, ()) if suppressed is None else (suppressed.suppressed_ids, suppressed.suppressed_runs)
         cut = cut[: cut.searchsorted(size)]
-        at = cut.searchsorted(ids)
         gone = np.zeros(ids.size + 1, dtype=bool)  # the hits, then the fill
-        gone[:-1] = cut.searchsorted(ids, "right") > at
-        keep = np.ones(cut.size, dtype=bool)
-        keep[at[gone[:-1]]] = False
-        cut_fills = cut[keep]
-        gone[-1] = size - ids.size == cut_fills.size  # every fill id is suppressed
+        gone[:-1] = cut.searchsorted(ids, "right") > cut.searchsorted(ids)
+        cut_fills = cut.size - np.count_nonzero(gone)
+        gone[-1] = size - ids.size == cut_fills  # every fill id is suppressed
         w = _temper(np.concatenate((values, [fill])), temperature, gone,
-                    bool(values[gone[:-1]].any()) or (cut_fills.size > 0 and fill != 0.0))
-        # one run per special id (hits and suppressed fill ids) and per fill gap, then equal runs merged
-        special = np.concatenate((ids, cut_fills))
-        order = special.argsort(kind="stable")
-        starts = np.zeros(2 * special.size + 1, dtype=np.int64)
-        starts[1::2] = special[order]
-        starts[2::2] = special[order] + 1
-        weights = np.full(starts.size, w[-1])
-        weights[1::2] = np.concatenate((w[:-1], np.zeros(cut_fills.size)))[order]  # suppressed hits weigh 0
-        keep = starts < np.concatenate((starts[1:], [size]))
-        starts, weights = starts[keep], weights[keep]
-        keep = np.concatenate(([True], weights[1:] != weights[:-1]))
-        starts, weights = starts[keep].tolist(), weights[keep].tolist()
+                    bool(values[gone[:-1]].any()) or (cut_fills > 0 and fill != 0.0))
+        # in id order: each kept hit, each suppressed run (weight 0), and the fill runs between them
+        marks = [(a, min(b, size), 0.0) for a, b in cut_runs if a < size]
+        marks += [(h, h + 1, v) for h, v, g in zip(ids.tolist(), w[:-1].tolist(), gone.tolist()) if not g]
+        runs, at, fw = [], 0, float(w[-1])
+        for a, b, v in sorted(marks):
+            if a > at:
+                runs.append((at, a - at, fw))
+            runs.append((a, b - a, v))
+            at = b
+        if at < size:
+            runs.append((at, size - at, fw))
         c, ends, pieces = 0.0, [], []
-        for a, b, v in zip(starts, starts[1:] + [size], weights):
-            n = b - a
+        for _, n, v in runs:
             if n == 1 or v == 0.0:
                 c += v
                 pieces.append((c, 0.0))
@@ -232,6 +227,7 @@ class RunCdf:
                 pieces.append(run[1:])
                 c = float(run[-1])
             ends.append(c)
+        starts = [a for a, _, _ in runs]
         return cls(size, starts, ends, pieces)
 
     def __getitem__(self, i: int) -> float:

@@ -136,6 +136,14 @@ class DatasetRecord:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "DatasetRecord":
+        """The record :meth:`to_json_dict` wrote; a field it could not have written is a
+        TypeError or ValueError, never converted."""
+        for key in ("problem_id", "source_trace_ref"):
+            if type(payload[key]) is not str:
+                raise TypeError(f"{key} must be a string, got {payload[key]!r}")
+        stats = payload.get("stats", {})
+        if type(stats) is not dict:
+            raise TypeError(f"stats must be an object, got {stats!r}")
         for key, allowed in (("kind", RECORD_KINDS), ("verdict", VERDICTS), ("regime", REGIMES)):
             if payload[key] not in allowed:
                 raise DataError(f"unknown record {key} {payload[key]!r}")
@@ -146,14 +154,14 @@ class DatasetRecord:
         if payload["tokens"] != tokens:
             raise DataError("tokens disagree with the token records")
         return cls(
-            problem_id=str(payload["problem_id"]),
+            problem_id=payload["problem_id"],
             kind=payload["kind"],
             verdict=payload["verdict"],
             tokens=tuple(tokens),
-            source_trace_ref=str(payload["source_trace_ref"]),
+            source_trace_ref=payload["source_trace_ref"],
             regime=payload["regime"],
             records=records,
-            stats=dict(payload.get("stats", {})),
+            stats=dict(stats),
         )
 
 

@@ -81,6 +81,17 @@ class VocabularyMap:
         """The suppressed ids as one sorted index array, built once per map."""
         return np.array(sorted(self.suppressed), dtype=np.intp)
 
+    @cached_property
+    def suppressed_runs(self) -> tuple[tuple[int, int], ...]:
+        """The suppressed ids as sorted ``(start, stop)`` runs of consecutive ids, built once per map."""
+        runs: list[list[int]] = []
+        for t in sorted(self.suppressed):
+            if runs and runs[-1][1] == t:
+                runs[-1][1] = t + 1
+            else:
+                runs.append([t, t + 1])
+        return tuple((a, b) for a, b in runs)
+
     @classmethod
     def identity(cls, vocab_size: int) -> "VocabularyMap":
         """Map for a teacher/student pair sharing one vocabulary."""

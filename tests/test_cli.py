@@ -657,6 +657,9 @@ class TestExitCodes:
                 ("dataset", "fallback", 0, "fallback must be true or false, got 0"),
                 ("dataset", "token", 1980.0, "token must be an integer, got 1980.0"),
                 ("dataset", "proposer", "nobody", "unknown proposer 'nobody'"),
+                ("record", "problem_id", 5, "problem_id must be a string, got 5"),
+                ("record", "source_trace_ref", 7, "source_trace_ref must be a string, got 7"),
+                ("record", "stats", [], "stats must be an object, got []"),
                 ("traces", "token", "1", "token must be an integer, got '1'"),
                 ("traces", "prompt", [0.0], "prompt token must be an integer, got 0.0"),
                 ("traces", "prompt", [True], "prompt token must be an integer, got True"),
@@ -664,10 +667,11 @@ class TestExitCodes:
         ],
     )
     def test_record_fields_are_refused_not_converted(self, tmp_path, capsys, kind, field, value, message):
-        if kind == "dataset":
+        if kind in ("dataset", "record"):  # a token record's field, or the dataset record's own
             item = json.loads(TOY_LINES[0])
-            item["records"][0][field] = value
+            (item if kind == "record" else item["records"][0])[field] = value
             lines = [json.dumps(item), '{"kind":"manifest","record_count":1,"schema":"rsdkit-dataset-v1"}']
+            kind = "dataset"
         else:
             item = json.loads(GOOD_TRACE)
             (item if field == "prompt" else item["records"][0])[field] = value

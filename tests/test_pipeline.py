@@ -9,13 +9,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rsdkit.decoding import GenerationConfig, TokenRecord, Trace, decode
+from rsdkit.decoding import PROPOSERS, REGIMES, GenerationConfig, TokenRecord, Trace, decode
 from rsdkit.metrics import aggregate_records
 from rsdkit.models import TableModel
 from rsdkit.pipeline import (
+    RECORD_KINDS,
+    VERDICTS,
     AttemptOutcome,
     DataError,
+    DatasetRecord,
     Problem,
     RejectionResult,
     Verifier,
@@ -24,6 +29,7 @@ from rsdkit.pipeline import (
     extract_boxed,
     import_dataset,
     problem_record,
+    read_dataset,
     read_jsonl,
     rejection_sample,
     run_generation,
@@ -327,7 +333,47 @@ class TestAssemble:
         assert record.stats["fallback_count"] == 0
 
 
+PROBABILITIES = st.one_of(
+    st.none(), st.sampled_from([0, 1, 0.0, 1.0, 5e-324, 2.0 ** -1030, 2.2250738585072014e-308]), st.floats(0.0, 1.0)
+)
+
+
+@st.composite
+def dataset_records(draw):
+    """Any record ``export_dataset`` can write: subnormal probabilities, infinite surprisal,
+    any text and any JSON stats."""
+    records = draw(st.lists(st.builds(
+        TokenRecord,
+        token=st.integers(0, 2 ** 40),
+        proposer=st.sampled_from(sorted(PROPOSERS)),
+        accepted=st.booleans(),
+        fallback=st.booleans(),
+        p_teacher=PROBABILITIES,
+        p_student=PROBABILITIES,
+        surprisal_student=st.one_of(st.none(), st.just(float("inf")), st.floats(0.0, allow_infinity=True)),
+    ), min_size=1, max_size=6))
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8))
+    return DatasetRecord(
+        problem_id=draw(st.text(max_size=12)),
+        kind=draw(st.sampled_from(RECORD_KINDS)),
+        verdict=draw(st.sampled_from(VERDICTS)),
+        tokens=tuple(r.token for r in records),
+        source_trace_ref=draw(st.text(max_size=12)),
+        regime=draw(st.sampled_from(REGIMES)),
+        records=records,
+        stats=draw(st.dictionaries(st.text(max_size=8), scalars, max_size=4)),
+    )
+
+
 class TestExportImport:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(dataset_records(), max_size=4))
+    def test_any_records_round_trip_byte_for_byte(self, tmp_path_factory, records):
+        where = tmp_path_factory.mktemp("round-trip")
+        export_dataset(records, where / "a.jsonl")
+        export_dataset(read_dataset(where / "a.jsonl"), where / "b.jsonl")
+        assert (where / "a.jsonl").read_bytes() == (where / "b.jsonl").read_bytes()
+
     def make_records(self):
         results = TestAssemble().run_problems({"q1": "bba", "q2": "never"})
         return assemble_dataset(results, prefix_length=2)

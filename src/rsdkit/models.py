@@ -36,8 +36,6 @@ if TYPE_CHECKING:
 NORMALIZATION_ATOL = 1e-9
 _NO_IDS = np.zeros(0, dtype=np.int64)
 _NO_IDS.flags.writeable = False
-_NO_VALUES = np.zeros(0)
-_MIN_NORMAL = float(np.finfo(np.float64).tiny)
 
 
 class EmptySupportError(ValueError):
@@ -49,7 +47,7 @@ class ContextOverflowError(RuntimeError):
 
 
 class Distribution:
-    """Dense normalized probability vector over a vocabulary.
+    """Normalized probability vector over a vocabulary.
 
     Entries are finite float64, non-negative, and sum to 1 within
     ``NORMALIZATION_ATOL``. Instances are immutable, so each memoizes the
@@ -119,7 +117,7 @@ class Distribution:
             cdf = self._cdfs.get(key)
             if cdf is None:
                 if self.sparse is not None:
-                    cdf = RunCdf.of(self.sparse, temperature, suppressed)
+                    cdf = RunCdf(self.sparse, temperature, suppressed)
                 else:
                     w = tempered_weights(self, temperature, suppressed)
                     cdf = np.cumsum(w, out=None if w is self._probs else w)
@@ -134,8 +132,6 @@ def tempered_weights(dist: Distribution, temperature: float = 1.0, suppressed: V
     """The one tempering formula: unnormalized ``p_i^(1/T)`` without ``suppressed``'s ids, largest
     weight 1. ``dist.probs`` itself at T = 1 with no suppressed mass, else one pass over a fresh
     vector in log space, so extreme temperatures cannot underflow the whole vector."""
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
     p = dist.probs
     ids = [] if suppressed is None else suppressed.suppressed_ids[suppressed.suppressed_ids < p.shape[0]]
     return _temper(p, temperature, ids, bool(p[ids].any()))
@@ -144,6 +140,8 @@ def tempered_weights(dist: Distribution, temperature: float = 1.0, suppressed: V
 def _temper(values: np.ndarray, temperature: float, gone, cut: bool) -> np.ndarray:
     """The formula on ``values`` without the entries at ``gone``, ``cut`` telling whether
     suppression removes mass: ``values`` itself at T = 1 when it does not, else a fresh vector."""
+    if temperature <= 0.0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
     if temperature == 1.0:
         if not cut:
             return values
@@ -168,7 +166,7 @@ def _temper(values: np.ndarray, temperature: float, gone, cut: bool) -> np.ndarr
 class RunCdf:
     """The cumulative :func:`tempered_weights` of a row with :attr:`Distribution.sparse`, run by run:
     bit for bit ``np.cumsum`` of the dense weights, answering ``[i]`` and ``searchsorted(x,
-    side="right")`` as that array does, and ``np.asarray`` with the array itself.
+    side="right")`` as that array does.
 
     A sequential float sum that adds the same weight ``v`` to ``c`` moves by one grid step ``d``
     while ``c`` is normal, ``c >= v``, ``v`` is no tie at ``c``'s ulp and the sums stay in ``c``'s
@@ -178,15 +176,9 @@ class RunCdf:
 
     __slots__ = ("size", "_starts", "_ends", "_pieces")
 
-    def __init__(self, size: int, starts: list[int], ends: list[float], pieces: list) -> None:
-        self.size, self._starts, self._ends, self._pieces = size, starts, ends, pieces
-
-    @classmethod
-    def of(cls, sparse: tuple, temperature: float, suppressed: VocabularyMap | None) -> RunCdf:
+    def __init__(self, sparse: tuple, temperature: float, suppressed: VocabularyMap | None) -> None:
         """Temper the distinct values of ``sparse`` as :func:`tempered_weights` does the dense row,
         then sum it one run of equal weights at a time."""
-        if temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
         size, fill, ids, values = sparse
         cut, cut_runs = (_NO_IDS, ()) if suppressed is None else (suppressed.suppressed_ids, suppressed.suppressed_runs)
         cut = cut[: cut.searchsorted(size)]
@@ -213,7 +205,7 @@ class RunCdf:
                 c += v
                 pieces.append((c, 0.0))
             else:
-                if c >= v and c >= _MIN_NORMAL:  # so v is under 2**53 of c's ulps
+                if c >= v and c >= 2.0 ** -1022:  # c normal, and v under 2**53 of its ulps
                     top = math.frexp(c)[1]  # c lies in [2**(top - 1), 2**top), with ulp 2**(top - 53)
                     d = (c + v) - c  # exact, as c <= c + v <= 2c
                     if math.ldexp(v, 53 - top) % 1.0 != 0.5 and c + n * d < math.ldexp(1.0, top):
@@ -227,8 +219,7 @@ class RunCdf:
                 pieces.append(run[1:])
                 c = float(run[-1])
             ends.append(c)
-        starts = [a for a, _, _ in runs]
-        return cls(size, starts, ends, pieces)
+        self.size, self._starts, self._ends, self._pieces = size, [a for a, _, _ in runs], ends, pieces
 
     def __getitem__(self, i: int) -> float:
         if not -self.size <= i < self.size:
@@ -251,13 +242,6 @@ class RunCdf:
         if x < first:
             return a
         return a + 1 + int((x - first) // d)  # exact: x and first share a binade, and d > 0 as x < the end
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        out = np.concatenate([
-            p if type(p) is not tuple else p[0] + np.arange(b - a) * p[1]
-            for a, b, p in zip(self._starts, self._starts[1:] + [self.size], self._pieces)
-        ])
-        return out if dtype is None else out.astype(dtype)
 
 
 def apply_temperature(dist: Distribution, temperature: float) -> Distribution:
@@ -420,7 +404,7 @@ class NgramModel(LanguageModel):
             i = keys.searchsorted(key)
             if i == keys.size or keys[i] != key:  # unseen, and so is every longer context
                 if s > 0.0:
-                    return Distribution(None, sparse=(size, s / (s * size), _NO_IDS, _NO_VALUES))
+                    return Distribution(None, sparse=(size, s / (s * size), _NO_IDS, np.zeros(0)))
                 break  # zero smoothing: back off to the longest seen suffix
             k, row = k + 1, i
         offsets, next_ids, counts, totals = self._rows[k]

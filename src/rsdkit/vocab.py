@@ -18,6 +18,7 @@ here inspects tokenizer internals.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -84,13 +85,8 @@ class VocabularyMap:
     @cached_property
     def suppressed_runs(self) -> tuple[tuple[int, int], ...]:
         """The suppressed ids as sorted ``(start, stop)`` runs of consecutive ids, built once per map."""
-        runs: list[list[int]] = []
-        for t in sorted(self.suppressed):
-            if runs and runs[-1][1] == t:
-                runs[-1][1] = t + 1
-            else:
-                runs.append([t, t + 1])
-        return tuple((a, b) for a, b in runs)
+        starts = [t for t in sorted(self.suppressed) if t - 1 not in self.suppressed]
+        return tuple((a, next(t for t in itertools.count(a) if t not in self.suppressed)) for a in starts)
 
     @classmethod
     def identity(cls, vocab_size: int) -> "VocabularyMap":

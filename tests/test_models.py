@@ -5,7 +5,10 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -566,6 +569,27 @@ class TestSparseTempering:
         assert row[2] == 0.3 and row[-1] == 0.1 and row._probs is None
         assert row.probs is row.probs
         np.testing.assert_array_equal(row.probs, [0.1, 0.4, 0.3, 0.1, 0.1])
+
+    def test_racing_readers_share_one_dense_row(self):
+        rows = [Distribution(None, sparse=(50_000, 1e-6, np.array([3, 7]), np.array([0.4, 0.5]))) for _ in range(20)]
+        start = threading.Barrier(8)
+
+        def read_all(_):
+            seen = []
+            for row in rows:
+                start.wait(timeout=60)
+                seen.append(row.probs)
+            return seen
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                seen = list(pool.map(read_all, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for i, row in enumerate(rows):  # every reader got the one vector the row keeps
+            assert all(reader[i] is row.probs for reader in seen)
 
     def test_every_ngram_row_carries_its_fill_and_ids(self):
         seen = NgramModel([0, 1, 0, 2, 0, 1], 2, 0.5, vocab_size=5).next_distribution([0])

@@ -23,7 +23,6 @@ from rsdkit.models import (
     TableModel,
     apply_temperature,
     sample,
-    tempered_weights,
 )
 from rsdkit.seeding import StepStream
 from rsdkit.vocab import VocabularyMap

@@ -36,6 +36,9 @@ if TYPE_CHECKING:
 NORMALIZATION_ATOL = 1e-9
 _NO_IDS = np.zeros(0, dtype=np.int64)
 _NO_IDS.flags.writeable = False
+#: :class:`RunCdf`'s cost over the dense path, in entries of the dense path's numpy passes (about
+#: 5 ns each): a setup, then one price per hit or suppressed run. Dearer rows are summed dense.
+RUN_SETUP_ENTRIES, RUN_ENTRIES = 4096, 384
 
 
 class EmptySupportError(ValueError):
@@ -57,8 +60,7 @@ class Distribution:
     ``sparse``, when a backend knows it, is ``(size, fill, ids, values)``: every entry is ``fill``
     except ``values`` at the sorted, read-only ``ids``. Such a row is built with ``probs`` None and
     is not validated; its dense ``probs`` is filled in once, when first read. ``row[token]`` reads
-    the sparse form, and :meth:`cdf` returns a :class:`RunCdf`, equal bit for bit to the dense
-    cumulative.
+    the sparse form, and :meth:`cdf` sums it run by run (:class:`RunCdf`) unless it has many hits.
     """
 
     __slots__ = ("_probs", "sparse", "_cdfs")
@@ -111,13 +113,13 @@ class Distribution:
 
     def cdf(self, temperature: float = 1.0, suppressed: VocabularyMap | None = None) -> np.ndarray | RunCdf:
         """Cumulative :func:`tempered_weights`, memoized per (temperature, suppressed ids); a
-        :class:`RunCdf` on a row with :attr:`sparse`."""
+        :class:`RunCdf` on a row with :attr:`sparse` and few runs."""
         key = (temperature, frozenset() if suppressed is None else suppressed.suppressed)
         with self._fill:
             cdf = self._cdfs.get(key)
             if cdf is None:
                 if self.sparse is not None:
-                    cdf = RunCdf(self.sparse, temperature, suppressed)
+                    cdf = _sparse_cdf(self.sparse, temperature, suppressed)
                 else:
                     w = tempered_weights(self, temperature, suppressed)
                     cdf = np.cumsum(w, out=None if w is self._probs else w)
@@ -163,6 +165,28 @@ def _temper(values: np.ndarray, temperature: float, gone, cut: bool) -> np.ndarr
     return w
 
 
+def _sparse_cdf(sparse: tuple, temperature: float, suppressed: VocabularyMap | None) -> np.ndarray | RunCdf:
+    """The cumulative :func:`tempered_weights` of a row with :attr:`Distribution.sparse`, from its tempered
+    distinct values: a :class:`RunCdf` where :data:`RUN_ENTRIES` price it within the row's size, else dense."""
+    size, fill, ids, values = sparse
+    cut, cut_runs = (_NO_IDS, ()) if suppressed is None else (suppressed.suppressed_ids, suppressed.suppressed_runs)
+    cut = cut[: cut.searchsorted(size)]
+    gone = np.zeros(ids.size + 1, dtype=bool)  # the hits, then the fill
+    if ids.size:  # each suppressed id looked up among the hits, so the work grows with the fewer
+        at = np.minimum(ids.searchsorted(cut), ids.size - 1)
+        gone[at[ids[at] == cut]] = True
+    cut_fills = cut.size - np.count_nonzero(gone)
+    gone[-1] = size - ids.size == cut_fills  # every fill id is suppressed
+    w = _temper(np.concatenate((values, [fill])), temperature, gone,
+                bool(values[gone[:-1]].any()) or (cut_fills > 0 and fill != 0.0))
+    if RUN_SETUP_ENTRIES + RUN_ENTRIES * (ids.size + len(cut_runs)) <= size:
+        return RunCdf(size, ids, w, gone, cut_runs)
+    dense = np.full(size, w[-1])
+    dense[ids] = w[:-1]
+    dense[cut] = 0.0
+    return np.cumsum(dense, out=dense)
+
+
 class RunCdf:
     """The cumulative :func:`tempered_weights` of a row with :attr:`Distribution.sparse`, run by run:
     bit for bit ``np.cumsum`` of the dense weights, answering ``[i]`` and ``searchsorted(x,
@@ -176,18 +200,9 @@ class RunCdf:
 
     __slots__ = ("size", "_starts", "_ends", "_pieces")
 
-    def __init__(self, sparse: tuple, temperature: float, suppressed: VocabularyMap | None) -> None:
-        """Temper the distinct values of ``sparse`` as :func:`tempered_weights` does the dense row,
-        then sum it one run of equal weights at a time."""
-        size, fill, ids, values = sparse
-        cut, cut_runs = (_NO_IDS, ()) if suppressed is None else (suppressed.suppressed_ids, suppressed.suppressed_runs)
-        cut = cut[: cut.searchsorted(size)]
-        gone = np.zeros(ids.size + 1, dtype=bool)  # the hits, then the fill
-        gone[:-1] = cut.searchsorted(ids, "right") > cut.searchsorted(ids)
-        cut_fills = cut.size - np.count_nonzero(gone)
-        gone[-1] = size - ids.size == cut_fills  # every fill id is suppressed
-        w = _temper(np.concatenate((values, [fill])), temperature, gone,
-                    bool(values[gone[:-1]].any()) or (cut_fills > 0 and fill != 0.0))
+    def __init__(self, size: int, ids: np.ndarray, w: np.ndarray, gone: np.ndarray, cut_runs) -> None:
+        """Sum the row whose hit ``ids`` weigh ``w[:-1]`` and fill ids ``w[-1]``, less those ``gone``
+        (hits, then the fill) and the ``(start, stop)`` runs ``cut_runs``, a run of equal weights at a time."""
         # in id order: each kept hit, each suppressed run (weight 0), and the fill runs between them
         marks = [(a, min(b, size), 0.0) for a, b in cut_runs if a < size]
         marks += [(h, h + 1, v) for h, v, g in zip(ids.tolist(), w[:-1].tolist(), gone.tolist()) if not g]

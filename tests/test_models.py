@@ -9,12 +9,14 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsdkit import models
 from rsdkit.models import (
     Distribution,
     EmptySupportError,
@@ -443,23 +445,35 @@ class TestNgramModel:
             )
 
 
-def cumulative_or_error(dist: Distribution, temperature: float, vmap: VocabularyMap | None):
+def cumulative_or_error(cdf, *args):
+    """``cdf(*args)``, or the type and message of the error it raised."""
     try:
-        return dist.cdf(temperature, vmap)
+        return cdf(*args)
     except Exception as exc:
         return type(exc), str(exc)
 
 
+def forced_cdf(row: Distribution, temperature: float, vmap: VocabularyMap | None, runs: bool):
+    """The cumulative of ``row`` (with :attr:`Distribution.sparse`) by :class:`RunCdf` when
+    ``runs``, else spread dense, whatever its size and hits."""
+    setup = 0 if runs else row.vocab_size + 1
+    with mock.patch.multiple(models, RUN_SETUP_ENTRIES=setup, RUN_ENTRIES=0):
+        return models._sparse_cdf(row.sparse, temperature, vmap)
+
+
 def assert_sums_as_numpy(row: Distribution, temperature: float, vmap: VocabularyMap | None):
-    """``row.cdf`` (a run-length cumulative) answers as ``np.cumsum`` of its dense twin's weights,
-    bit for bit: the total, ``[i]`` at every index, and ``searchsorted`` at random x and at each
-    run's end and one ulp either side; an error must be the twin's, message and all."""
+    """The cumulative of a row with :attr:`Distribution.sparse`, by either path, answers as
+    ``np.cumsum`` of its dense twin's weights, bit for bit: the total, ``[i]`` at every index, and
+    ``searchsorted`` at random x and at each run's end and one ulp either side; an error must be
+    the twin's, message and all."""
     twin = Distribution(row.probs.copy(), validate=False)
-    expected = cumulative_or_error(twin, temperature, vmap)
-    got = cumulative_or_error(row, temperature, vmap)
+    expected = cumulative_or_error(twin.cdf, temperature, vmap)
+    spread = cumulative_or_error(forced_cdf, row, temperature, vmap, False)
+    got = cumulative_or_error(forced_cdf, row, temperature, vmap, True)
     if isinstance(expected, tuple):
-        assert got == expected
+        assert got == expected and spread == expected
         return
+    assert spread.tobytes() == expected.tobytes()
     assert isinstance(got, RunCdf)
     assert got[-1] == expected[-1]
     assert np.array([got[i] for i in range(row.vocab_size)]).tobytes() == expected.tobytes()
@@ -523,7 +537,7 @@ class TestSparseTempering:
                 vmap = suppressing(set(pools[kind]), vocab_size)
             else:
                 vmap = suppressing(data.draw(st.sets(st.sampled_from(pools[kind]))) if pools[kind] else set(), vocab_size)
-            temperature = data.draw(st.sampled_from([1.0, 0.05, 20.0, 0.7]), "temperature")
+            temperature = data.draw(st.one_of(st.sampled_from([1.0, 0.05, 20.0]), st.floats(0.05, 20.0)), "temperature")
             assert_sums_as_numpy(row, temperature, vmap)
 
     @settings(max_examples=400, deadline=None)
@@ -554,6 +568,22 @@ class TestSparseTempering:
             cdf = row.cdf(temperature, suppressing(set(range(32_000, 32_064)), 32_064))
             assert sum(type(p) is tuple and p[1] > 0 for p in cdf._pieces) >= 2
             assert_sums_as_numpy(row, temperature, suppressing(set(range(32_000, 32_064)), 32_064))
+
+    def test_rows_with_many_hits_are_summed_dense(self):
+        # V=32,064 with markers and a suppressed block: the most hits RunCdf takes, and one more
+        size = 32_064
+        vmap = suppressing(set(range(1, 11)) | set(range(32_000, size)), size)
+        edge = (size - models.RUN_SETUP_ENTRIES) // models.RUN_ENTRIES - len(vmap.suppressed_runs)
+        rng = np.random.default_rng(5)
+        for hits, kind in ((edge, RunCdf), (edge + 1, np.ndarray)):
+            ids = np.sort(rng.choice(np.arange(11, 32_000), hits, replace=False))
+            row = Distribution(None, sparse=(size, 1e-9, ids, rng.random(hits) / hits))
+            for temperature in (0.7, 1.0):
+                assert type(row.cdf(temperature, vmap)) is kind
+            assert row._probs is None
+            assert_sums_as_numpy(row, 0.7, vmap)
+        unigram = NgramModel(rng.integers(11, 32_000, 20_000), 1, 1e-5, vocab_size=size).next_distribution([])
+        assert unigram.sparse[2].size > 10 * edge and type(unigram.cdf(1.0, vmap)) is np.ndarray
 
     def test_a_run_far_above_its_start_falls_back_to_numpy(self):
         # c = 2**-1022 then a fill of 0.5: v is 2**1073 of c's ulps, beyond any binade step

@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 
 from .decoding import ROLES, GenerationConfig
 from .metrics import DEFAULT_SUB_THRESHOLD
-from .models import LanguageModel, NgramModel, TableModel
+from .models import LanguageModel, NgramModel, TableModel, _integer
 from .pipeline import (
     DEFAULT_ATTEMPTS,
     DEFAULT_PREFIX_LENGTH,
@@ -49,7 +49,7 @@ from .pipeline import (
     read_jsonl,
 )
 from .remote import BackendEndpoint, RemoteModel
-from .vocab import VocabularyAlignmentError, VocabularyMap, build_vocab_map
+from .vocab import VocabularyAlignmentError, VocabularyMap, build_vocab_map, expansions_from_json
 
 
 class ConfigError(ValueError):
@@ -254,9 +254,9 @@ def build_vocab_map_from_spec(spec: Mapping | None, student_vocab_size: int,
         elif form == "shared_size":
             vmap = VocabularyMap.from_json_dict(spec)
         else:
-            sizes = int(spec["teacher_vocab_size"]), int(spec.get("student_vocab_size", student_vocab_size))
-            expansions = {int(k): tuple(v) for k, v in spec.get("expansions", {}).items()}
-            vmap = build_vocab_map(*sizes, expansions)
+            sizes = (_integer("teacher_vocab_size", spec["teacher_vocab_size"]),
+                     _integer("student_vocab_size", spec.get("student_vocab_size", student_vocab_size)))
+            vmap = build_vocab_map(*sizes, expansions_from_json(spec.get("expansions", {})))
         if teacher_vocab_size is not None:
             pair = (teacher_vocab_size, student_vocab_size)
             if form == "teacher_vocab_size" and sizes != pair:

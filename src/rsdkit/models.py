@@ -291,7 +291,7 @@ class LanguageModel(ABC):
 
     Handles must tolerate concurrent queries: the pipeline's worker threads
     share one handle per role. Table and n-gram models are pure functions of
-    the context, and the remote model locks its own cache.
+    the context, and the remote model locks its own stats and connections.
     """
 
     vocab_size: int

@@ -22,7 +22,7 @@ Wire protocol v4 (HTTP/1.1, JSON requests):
 
 Each thread keeps its own ``http.client`` connection alive; a non-2xx status,
 a redirect too, raises :class:`BackendError`. Requests are idempotent and never
-mutate server state; responses are cached per context with a bounded LRU.
+mutate server state. The client keeps no rows: each call is one request.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import http.client
 import json
 import threading
 import time
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 from urllib.parse import SplitResult, urlencode, urlsplit
@@ -46,8 +46,8 @@ F64_LE = "f64-le"
 OCTET_STREAM = "application/octet-stream"
 #: Steps a remote approver judges per block request. Proposals after a
 #: rejection are wasted, so longer blocks stop paying: on the remote-stub-v4k
-#: benchmark (accept ratio 0.97) a command made 83 requests at 4, 79 at 8 and
-#: 91 at 16, against 120 one row at a time.
+#: benchmark (accept ratio 0.97) a command made 87 requests at 4, 83 at 8 and
+#: 95 at 16, against 128 one row at a time.
 LOOKAHEAD = 8
 _CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
@@ -223,58 +223,43 @@ class RemoteModel(LanguageModel):
 
     Thread-safe; the caller's worker count bounds the requests in flight,
     each thread on its own connection, and :meth:`close` closes them all.
-    The response cache is shared (sound, since responses are pure functions
-    of the context) and bounded, one entry per row. ``stats`` counts HTTP
-    tries, the rows their replies held, retries, cache hits, body bytes (raw
-    ones: ``8·V`` a row) and seconds in requests.
+    It keeps no rows: every call asks the server, which may cache a repeated
+    prompt itself. ``stats`` counts HTTP tries, the rows their replies held,
+    retries, body bytes (raw ones: ``8·V`` a row) and seconds in requests.
     """
 
-    def __init__(self, endpoint: BackendEndpoint, cache_size: int = 256) -> None:
+    def __init__(self, endpoint: BackendEndpoint) -> None:
         self.endpoint = endpoint
         caps = handshake(endpoint)
         self.capabilities = caps
         self.vocab_size = caps.vocab_size
         self.eos_token = caps.eos_token
         self.lookahead = min(LOOKAHEAD, caps.max_continuation + 1)
-        self._cache: OrderedDict[tuple[int, ...], Distribution] = OrderedDict()
-        self._cache_size = cache_size
         self._lock = threading.Lock()
         self._local = threading.local()
         self._opened: list[http.client.HTTPConnection] = []  # every thread's, for close()
-        self.stats = Counter(requests=0, rows=0, retries=0, cache_hits=0, request_bytes=0, response_bytes=0,
-                             round_trip_s=0.0)
+        self.stats = Counter(requests=0, rows=0, retries=0, request_bytes=0, response_bytes=0, round_trip_s=0.0)
 
     def next_distribution(self, context: Sequence[int]) -> Distribution:
         return self.next_distributions(context, ())[0]
 
     def next_distributions(self, context: Sequence[int], continuation: Sequence[int]) -> list[Distribution]:
-        """One ``/v1/distributions`` request for the rows from the first one not cached on, or
-        none when all are cached; row by row when the continuation is longer than the server takes."""
-        key, more = tuple(context), tuple(continuation)
-        if len(more) > self.capabilities.max_continuation:
-            return super().next_distributions(key, more)
-        keys = [key + more[:i] for i in range(len(more) + 1)]
-        with self._lock:
-            rows = [self._cache.get(k) for k in keys]
-            first = next((i for i, row in enumerate(rows) if row is None), len(rows))
-            for k in keys[:first]:
-                self._cache.move_to_end(k)
-            self.stats["cache_hits"] += first
-        if first == len(rows):
-            return rows
-        if len(keys[-1]) > self.capabilities.max_context:
-            raise BackendError(
-                f"context length {len(keys[-1])} exceeds server max {self.capabilities.max_context}"
-            )
+        """One ``/v1/distributions`` request for all the rows; row by row when the continuation
+        is longer than the server takes."""
+        if len(continuation) > self.capabilities.max_continuation:
+            return super().next_distributions(context, continuation)
+        length = len(context) + len(continuation)
+        if length > self.capabilities.max_context:
+            raise BackendError(f"context length {length} exceeds server max {self.capabilities.max_context}")
         body = {
             "model": self.endpoint.model_name,
-            "context": list(keys[first]),
-            "continuation": list(more[first:]),
+            "context": list(context),
+            "continuation": list(continuation),
             "encoding": F64_LE,
         }
-        fetched = distributions_from_payload(self._post(body), len(keys) - first, self.vocab_size)
-        self._keep(keys[first:], fetched)
-        return rows[:first] + fetched
+        rows = distributions_from_payload(self._post(body), len(continuation) + 1, self.vocab_size)
+        self._tally(rows=len(rows))
+        return rows
 
     def _post(self, body: dict) -> dict | bytes:
         if getattr(self._local, "conn", None) is None:  # this thread's first request
@@ -282,15 +267,6 @@ class RemoteModel(LanguageModel):
             with self._lock:
                 self._opened.append(self._local.conn)
         return _request(self.endpoint, self._local, "POST", "/v1/distributions", body=body, tally=self._tally)
-
-    def _keep(self, keys: list[tuple[int, ...]], rows: list[Distribution]) -> None:
-        """Cache each of a reply's rows under its context, evicting the least recently used."""
-        with self._lock:
-            self.stats["rows"] += len(rows)
-            for key, row in zip(keys, rows):
-                self._cache[key] = row
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
 
     def _tally(self, **counts) -> None:
         with self._lock:

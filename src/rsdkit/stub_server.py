@@ -47,11 +47,10 @@ class StubServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_context: int = 8192,
-        quiet: bool = True,
     ) -> None:
         self.models = dict(models)
         self.max_context = max_context
-        handler = _make_handler(self.models, max_context, quiet)
+        handler = _make_handler(self.models, max_context)
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._thread: threading.Thread | None = None
 
@@ -84,7 +83,7 @@ class StubServer:
         self.stop()
 
 
-def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: bool):
+def _make_handler(models: Mapping[str, LanguageModel], max_context: int):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         # headers and body go out in two writes; with Nagle on, a body that
@@ -92,8 +91,7 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int, quiet: 
         disable_nagle_algorithm = True
 
         def log_message(self, fmt, *args):  # noqa: N802
-            if not quiet:
-                super().log_message(fmt, *args)
+            pass
 
         def _send(self, status: int, payload: dict | bytes) -> None:
             """``payload`` as JSON, or raw ``bytes`` as an octet stream."""

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .models import ContextOverflowError, Distribution, tempered_weights
+from .models import ContextOverflowError, Distribution, _integer, tempered_weights
 
 
 class VocabularyAlignmentError(ValueError):
@@ -127,9 +127,9 @@ class VocabularyMap:
     def from_json_dict(cls, payload: Mapping) -> "VocabularyMap":
         try:
             return cls(
-                shared_size=int(payload["shared_size"]),
-                suppressed=frozenset(int(t) for t in payload.get("suppressed", ())),
-                expansions={int(k): tuple(v) for k, v in payload.get("expansions", {}).items()},
+                shared_size=_integer("shared_size", payload["shared_size"]),
+                suppressed=frozenset(_integer("suppressed", t) for t in payload.get("suppressed", ())),
+                expansions=expansions_from_json(payload.get("expansions", {})),
             )
         except (KeyError, TypeError) as exc:
             raise VocabularyAlignmentError(f"malformed vocabulary map document: {exc}") from exc
@@ -140,6 +140,14 @@ class VocabularyMap:
     @classmethod
     def load(cls, path: str | Path) -> "VocabularyMap":
         return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
+def expansions_from_json(payload: Mapping) -> dict[int, tuple[int, ...]]:
+    """A JSON ``expansions`` object -> ``{student id: teacher ids}``. Keys are strings of decimal
+    ids; each value id must be a JSON integer: a float, a bool or a string is refused, not rounded."""
+    if not isinstance(payload, Mapping):
+        raise TypeError(f"expansions must be an object, got {payload!r}")
+    return {int(k): tuple(_integer(f"expansions[{k}]", t) for t in v) for k, v in payload.items()}
 
 
 def build_vocab_map(

@@ -526,6 +526,8 @@ class TestRemoteBackend:
 
     def test_remote_generate_runs_without_requests_and_logs_its_http_health(self, tmp_path):
         served = build_stub_server(load_run_config(write_config(tmp_path, answers=["b"])), "127.0.0.1", 0)
+        asked, inner = [], served.models["teacher"].next_distributions
+        served.models["teacher"].next_distributions = lambda ctx, more: asked.append(ctx + more) or inner(ctx, more)
         with served:
             teacher = {"backend": "remote", "base_url": served.base_url, "model_name": "teacher"}
             cfg_path = write_config(tmp_path, answers=["bbbbbb", "zzz"], teacher=teacher)
@@ -538,13 +540,13 @@ class TestRemoteBackend:
         lines = [line for line in proc.stderr.splitlines() if line.startswith("remote ")]
         assert [line.split()[1] for line in lines] == ["teacher"]
         stats = json.loads(lines[0].split(maxsplit=2)[2])
-        assert set(stats) == {
-            "requests", "rows", "retries", "cache_hits", "request_bytes", "response_bytes", "round_trip_s"
-        }
+        assert set(stats) == {"requests", "rows", "retries", "request_bytes", "response_bytes", "round_trip_s"}
         assert stats["requests"] > 0
         assert stats["rows"] == stats["requests"]  # a teacher proposes one row per request
         assert stats["retries"] == 0
-        assert stats["cache_hits"] > 0  # the same prompt in every attempt
+        assert stats["requests"] == len(asked)  # every row asked for reached the server
+        # the same prompt in each of 3 attempts (q0 solved at its first, q1 never), asked each time
+        assert asked.count([0]) == 3
 
     def test_remote_generate_closes_every_connection(self, tmp_path):
         served = build_stub_server(load_run_config(write_config(tmp_path, answers=["b"])), "127.0.0.1", 0)
@@ -860,10 +862,19 @@ class TestExitCodes:
             ({"shared_size": 4, "suppressed": [], "expansions": {"7": [1]}}, "expansion key 7"),
             ({"shared_size": 5}, "shared_size 5"),
             ({"teacher_vocab_size": 6, "student_vocab_size": 4}, "(6, 4)"),
+            # int() used to round each of these to a map that fits the 4-token pair
+            ({"shared_size": 4.0}, "shared_size must be an integer"),
+            ({"shared_size": 3, "suppressed": [3.2]}, "suppressed must be an integer"),
+            ({"shared_size": 3, "expansions": {"3": [1.5, 2]}}, "expansions[3] must be an integer"),
+            ({"teacher_vocab_size": 4.6}, "teacher_vocab_size must be an integer"),
+            ({"teacher_vocab_size": 4, "student_vocab_size": "4"}, "student_vocab_size must be an integer"),
+            ({"teacher_vocab_size": 4, "expansions": {"3": [True]}}, "expansions[3] must be an integer"),
         ],
-        ids=["value-outside-teacher", "key-outside-student", "shared-size", "derived-sizes"],
+        ids=["value-outside-teacher", "key-outside-student", "shared-size", "derived-sizes",
+             "float-shared-size", "float-suppressed", "float-expansion", "float-teacher-size",
+             "string-student-size", "bool-derived-expansion"],
     )
-    def test_map_that_does_not_fit_the_pair_is_config_error_before_any_decoding(
+    def test_map_that_is_malformed_or_does_not_fit_the_pair_is_config_error_before_any_decoding(
         self, tmp_path, monkeypatch, capsys, vocab_map, message
     ):
         calls = []

@@ -55,7 +55,6 @@ def test_remote_workload_passes_its_own_checks():
     """One untraced ``remote-stub-v4k`` run: its checks cover the golden sha256 of the
     dataset and that decoding over HTTP, block verification included, writes the bytes
     the same models write in-process."""
-    pytest.importorskip("requests")  # skipped where the traced test above is
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "remote-stub-v4k",
          "--seed", "0", "--seconds", "0", "--trace", "0"],

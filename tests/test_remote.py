@@ -353,14 +353,16 @@ class TestRemoteModel:
         with pytest.raises(BackendError, match="exceeds server max"):
             remote.next_distribution([0, 1, 2])
 
-    def test_responses_cached_per_context(self, stub, monkeypatch, remote_model):
-        server, _ = stub
+    def test_a_context_asked_again_is_asked_of_the_server_again(self, stub, monkeypatch, remote_model):
+        server, model = stub
         posts = record_requests(monkeypatch, "POST")
         remote = remote_model(endpoint(server))
-        remote.next_distribution([0, 1])
-        remote.next_distribution([0, 1])
-        remote.next_distribution([0, 1])
-        assert len(posts) == 1
+        rows = [remote.next_distribution([0, 1]) for _ in range(3)]
+        assert len(posts) == 3
+        assert len({body for body in posts}) == 1
+        expected = model.next_distribution([0, 1]).probs.tobytes()
+        assert [row.probs.tobytes() for row in rows] == [expected] * 3
+        assert (remote.stats["requests"], remote.stats["rows"]) == (3, 3)
 
     def test_requests_the_binary_encoding(self, stub, monkeypatch, remote_model):
         # one row is the recorded block request with an empty continuation
@@ -421,18 +423,22 @@ class TestBlockRequests:
         assert not any(row.probs.flags.owndata for row in rows)
         assert [b - a for a, b in zip(starts, starts[1:])] == [8 * 4, 8 * 4]  # back to back in one buffer
 
-    def test_each_row_is_cached_under_its_prefix(self, stub, monkeypatch, remote_model):
-        server, _ = stub
+    def test_rows_of_an_earlier_reply_are_asked_for_again(self, stub, monkeypatch, remote_model):
+        server, model = stub
         remote = remote_model(endpoint(server))
         remote.next_distributions([0], [1, 2])
         posts = record_requests(monkeypatch, "POST")
-        for ctx in ([0], [0, 1], [0, 1, 2]):
-            remote.next_distribution(ctx)
-        remote.next_distributions([0, 1], [2])
-        assert posts == []
-        assert remote.stats["cache_hits"] == 5
+        rows = [remote.next_distribution(ctx) for ctx in ([0], [0, 1], [0, 1, 2])]
+        rows += remote.next_distributions([0, 1], [2])
+        assert [json.loads(body) for body in posts] == [
+            {"model": "fixture-table", "context": ctx, "continuation": more, "encoding": "f64-le"}
+            for ctx, more in (([0], []), ([0, 1], []), ([0, 1, 2], []), ([0, 1], [2]))
+        ]
+        expected = [model.next_distribution(ctx) for ctx in ([0], [0, 1], [0, 1, 2], [0, 1], [0, 1, 2])]
+        assert [r.probs.tobytes() for r in rows] == [r.probs.tobytes() for r in expected]
+        assert (remote.stats["requests"], remote.stats["rows"]) == (1 + 4, 3 + 5)
 
-    def test_only_the_rows_from_the_first_uncached_one_are_asked_for(self, stub, monkeypatch, remote_model):
+    def test_a_block_asks_for_every_row_it_returns(self, stub, monkeypatch, remote_model):
         server, model = stub
         remote = remote_model(endpoint(server))
         remote.next_distribution([0])
@@ -440,7 +446,7 @@ class TestBlockRequests:
         posts = record_requests(monkeypatch, "POST")
         rows = remote.next_distributions([0], [1, 2, 3])
         assert [json.loads(body) for body in posts] == [
-            {"model": "fixture-table", "context": [0, 1, 2], "continuation": [3], "encoding": "f64-le"}
+            {"model": "fixture-table", "context": [0], "continuation": [1, 2, 3], "encoding": "f64-le"}
         ]
         expected = model.next_distributions([0], [1, 2, 3])
         assert [r.probs.tobytes() for r in rows] == [r.probs.tobytes() for r in expected]
@@ -520,7 +526,7 @@ class TestConnections:
     def test_server_closing_kept_alive_connections_costs_no_retry(self, monkeypatch, remote_model):
         model = fixture_model()
 
-        class Hangup(_make_handler({"m": model}, 64, True)):
+        class Hangup(_make_handler({"m": model}, 64)):
             def handle_one_request(self):
                 super().handle_one_request()
                 self.close_connection = True  # hang up, without a Connection: close header
@@ -569,16 +575,16 @@ class TestStats:
             return inner(ctx)
 
         model.next_distribution = counting
-        # each of 12 contexts twice in a row, two rounds: hits, and evictions from 4 slots
+        # each of 12 contexts twice in a row, two rounds: every one is served every time
         contexts = [[k % 3, k % 4] for _ in range(2) for k in range(12) for _ in range(2)]
         with StubServer({"fixture-table": model}) as server:
-            remote = remote_model(endpoint(server), cache_size=4)
+            remote = remote_model(endpoint(server))
             for ctx in contexts:
                 remote.next_distribution(ctx)
         stats = remote.stats
-        assert stats["requests"] - stats["retries"] == len(served)
-        assert stats["cache_hits"] + stats["requests"] - stats["retries"] == len(contexts)
-        assert (stats["cache_hits"], len(served)) == (24, 24)
+        assert served == contexts
+        assert (stats["requests"], stats["rows"], stats["retries"]) == (len(contexts), len(contexts), 0)
+        assert "cache_hits" not in stats
         assert stats["response_bytes"] == 8 * model.vocab_size * len(served)  # raw bodies, nothing else
         sent = [{"model": "fixture-table", "context": ctx, "continuation": [], "encoding": "f64-le"} for ctx in served]
         assert stats["request_bytes"] == sum(len(json.dumps(b).encode()) for b in sent)
@@ -862,7 +868,7 @@ class TestConcurrentRemoteGeneration:
         )
 
         server, _ = stub
-        remote_teacher = remote_model(endpoint(server), cache_size=64)
+        remote_teacher = remote_model(endpoint(server))
         student = TableModel({}, [0.4, 0.1, 0.3, 0.2], eos_token=3)
 
         def generator(prompt, seed):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsdkit.models import ContextOverflowError, Distribution, EmptySupportError
 from rsdkit.vocab import (
@@ -19,6 +23,19 @@ from rsdkit.vocab import (
 # 151668 (</think>) renders in the teacher vocabulary as (522, 26865, 29)
 THINK_CLOSE = 151668
 THINK_CLOSE_EXPANSION = (522, 26865, 29)
+
+
+@st.composite
+def vocab_pairs(draw):
+    """``(teacher size, student size, expansions)`` that :func:`build_vocab_map` accepts:
+    student-only keys, each expanding to teacher ids that are no key."""
+    teacher, student = draw(st.integers(2, 24)), draw(st.integers(2, 24))
+    keys = draw(st.sets(st.integers(0, student - 1), max_size=4))
+    values = [t for t in range(teacher) if t not in keys]
+    if not values:
+        return teacher, student, {}
+    seqs = st.lists(st.sampled_from(values), min_size=1, max_size=3).map(tuple)
+    return teacher, student, {k: draw(seqs) for k in keys}
 
 
 class TestBuildVocabMap:
@@ -79,6 +96,19 @@ class TestBuildVocabMap:
     def test_declared_map_expansion_into_suppressed_rejected(self):
         with pytest.raises(VocabularyAlignmentError, match="suppressed"):
             VocabularyMap(shared_size=8, suppressed={9}, expansions={8: (9,)})
+
+    @settings(max_examples=300, deadline=None)
+    @given(vocab_pairs())
+    def test_suppresses_exactly_the_teacher_ids_the_student_cannot_score(self, pair):
+        teacher, student, expansions = pair
+        m = build_vocab_map(teacher, student, expansions)
+        value_ids = {t for seq in m.expansions.values() for t in seq}
+        unscoreable = {t for t in range(teacher) if t >= student or t in m.expansions}
+        assert m.suppressed == unscoreable - value_ids
+        assert all(0 <= t < teacher and m.is_student_only(t) for t in m.suppressed)
+        assert not value_ids & m.suppressed
+        m.check_fits(teacher, student)
+        assert VocabularyMap.from_json_dict(json.loads(json.dumps(m.to_json_dict()))) == m
 
     def test_student_only_covers_undeclared_high_ids(self):
         m = build_vocab_map(8, 10)
@@ -186,6 +216,22 @@ class TestDualContext:
         with pytest.raises(ContextOverflowError, match="context budget 3 exhausted"):
             ctx.append(THINK_CLOSE, self.map())
 
+    @settings(max_examples=300, deadline=None)
+    @given(vocab_pairs(), st.integers(0, 12), st.data())
+    def test_teacher_context_is_always_the_replayed_student_context(self, pair, budget, data):
+        # some appends are refused (overflow, or a student-only id with no expansion); they change nothing
+        teacher, student, expansions = pair
+        m = build_vocab_map(teacher, student, expansions)
+        ctx = DualContext(budget)
+        for token in data.draw(st.lists(st.integers(0, student - 1), max_size=16)):
+            before = (list(ctx.student), list(ctx.teacher))
+            try:
+                ctx.append(token, m)
+            except (ContextOverflowError, VocabularyAlignmentError):
+                assert (ctx.student, ctx.teacher) == before
+            assert ctx.teacher == replay_student_context(ctx.student, m)
+            assert len(ctx.student) <= len(ctx.teacher) <= budget
+
     def test_oversized_prompt_rejected(self):
         with pytest.raises(ContextOverflowError, match="context budget 2 exhausted"):
             DualContext.from_prompt([1, 2, 3], self.map(), 2)
@@ -200,8 +246,6 @@ class TestMapDocument:
         assert loaded == m
 
     def test_document_fields(self, tmp_path):
-        import json
-
         m = VocabularyMap(shared_size=8, suppressed={9, 10}, expansions={8: (1, 2)})
         path = tmp_path / "map.json"
         m.save(path)
@@ -210,6 +254,19 @@ class TestMapDocument:
         assert doc["suppressed"] == [9, 10]
         assert doc["expansions"] == {"8": [1, 2]}
 
-    def test_malformed_document_rejected(self):
-        with pytest.raises(VocabularyAlignmentError, match="malformed"):
-            VocabularyMap.from_json_dict({"suppressed": []})
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"suppressed": []}, "'shared_size'"),
+            # numbers that are not JSON integers are refused, not rounded
+            ({"shared_size": 12.9}, "shared_size must be an integer"),
+            ({"shared_size": 14, "suppressed": [13.2]}, "suppressed must be an integer"),
+            ({"shared_size": 14, "suppressed": [True]}, "suppressed must be an integer"),
+            ({"shared_size": 14, "expansions": {"1": [5.7, 6]}}, r"expansions\[1\] must be an integer"),
+            ({"shared_size": 14, "expansions": {"1": "56"}}, r"expansions\[1\] must be an integer"),
+            ({"shared_size": 14, "expansions": [[1, 5]]}, "expansions must be an object"),
+        ],
+    )
+    def test_malformed_document_rejected(self, document, message):
+        with pytest.raises(VocabularyAlignmentError, match=f"malformed vocabulary map document: {message}"):
+            VocabularyMap.from_json_dict(document)

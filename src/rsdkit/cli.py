@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="run rejection sampling and write a dataset")
     p_gen.add_argument("config", help="run configuration JSON file")
-    p_gen.add_argument("--workers", type=int, default=None, help="worker pool size (1 = serial)")
+    p_gen.add_argument("--workers", type=int, default=None,
+                       help="remote requests in flight (in-process pairs decode serially)")
     p_gen.add_argument("--threshold", type=float, default=None, help="override generation p_th")
     p_gen.add_argument("--seed", type=int, default=None, help="override the base seed")
     p_gen.add_argument("--attempts", type=int, default=None, help="override the attempt budget")
@@ -110,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated p_th values (default %(default)s)",
     )
     p_sweep.add_argument("--out-dir", default=None, help="output directory (default <config>_sweep)")
-    p_sweep.add_argument("--workers", type=int, default=None, help="worker pool size")
+    p_sweep.add_argument("--workers", type=int, default=None,
+                         help="remote requests in flight (in-process pairs decode serially)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_stub = sub.add_parser("stub-serve", help="serve the config's in-process models over HTTP")
@@ -176,8 +178,11 @@ def _prepare(cfg: RunConfig):
 
 def _run_dataset(cfg: RunConfig, pair, problems) -> Iterator[DatasetRecord]:
     """Each problem's record as the run yields it, logged; the remote models
-    are closed when the run ends."""
+    are closed when the run ends. Only a pair with a remote model decodes on a
+    pool of ``cfg.workers`` threads, which wait on its sockets: in-process
+    decoding holds the GIL, so threads would only contend for it."""
     teacher, student, vmap = pair
+    remote = isinstance(teacher, RemoteModel) or isinstance(student, RemoteModel)
     gen_cfg = cfg.generation
 
     def generator(prompt, seed):
@@ -193,7 +198,7 @@ def _run_dataset(cfg: RunConfig, pair, problems) -> Iterator[DatasetRecord]:
             build_detokenizer(cfg.token_text),
             prefix_length=cfg.prefix_length,
             prefix_source=cfg.prefix_source,
-            workers=cfg.workers or os.cpu_count() or 1,
+            workers=(cfg.workers or os.cpu_count() or 1) if remote else 1,
         ):
             log.info("problem=%s kind=%s source=%s", record.problem_id, record.kind, record.source_trace_ref)
             yield record

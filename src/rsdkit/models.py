@@ -63,13 +63,13 @@ class Distribution:
     the sparse form, and :meth:`cdf` sums it run by run (:class:`RunCdf`) unless it has many hits.
     """
 
-    __slots__ = ("_probs", "sparse", "_cdfs")
-    _fill = threading.Lock()  # one fill per (row, key) however workers race, so a run's work repeats
+    __slots__ = ("_probs", "sparse", "_cdfs", "_lock")
 
     def __init__(self, probs: Sequence[float] | np.ndarray | None, *, validate: bool = True,
                  sparse: tuple | None = None) -> None:
         self.sparse = sparse
         self._cdfs: dict[tuple[float, frozenset[int]], np.ndarray | RunCdf] = {}
+        self._lock = threading.Lock()  # one fill per (row, key) however workers race, so a run's work repeats
         self._probs = None
         if probs is None and sparse is not None:
             return
@@ -90,7 +90,7 @@ class Distribution:
     def probs(self) -> np.ndarray:
         if self._probs is None:
             size, fill, ids, values = self.sparse
-            with self._fill:
+            with self._lock:
                 if self._probs is None:
                     probs = np.full(size, fill)
                     probs[ids] = values
@@ -115,15 +115,17 @@ class Distribution:
         """Cumulative :func:`tempered_weights`, memoized per (temperature, suppressed ids); a
         :class:`RunCdf` on a row with :attr:`sparse` and few runs."""
         key = (temperature, frozenset() if suppressed is None else suppressed.suppressed)
-        with self._fill:
-            cdf = self._cdfs.get(key)
-            if cdf is None:
-                if self.sparse is not None:
-                    cdf = _sparse_cdf(self.sparse, temperature, suppressed)
-                else:
-                    w = tempered_weights(self, temperature, suppressed)
-                    cdf = np.cumsum(w, out=None if w is self._probs else w)
-                self._cdfs[key] = cdf
+        cdf = self._cdfs.get(key)
+        if cdf is None:
+            with self._lock:  # a worker that lost the race finds the winner's fill
+                cdf = self._cdfs.get(key)
+                if cdf is None:
+                    if self.sparse is not None:
+                        cdf = _sparse_cdf(self.sparse, temperature, suppressed)
+                    else:
+                        w = tempered_weights(self, temperature, suppressed)
+                        cdf = np.cumsum(w, out=None if w is self._probs else w)
+                    self._cdfs[key] = cdf
         return cdf
 
     def __repr__(self) -> str:
@@ -289,9 +291,10 @@ def _integer(name: str, value) -> int:
 class LanguageModel(ABC):
     """Context -> next-token distribution at temperature 1.
 
-    Handles must tolerate concurrent queries: the pipeline's worker threads
-    share one handle per role. Table and n-gram models are pure functions of
-    the context, and the remote model locks its own stats and connections.
+    Handles must tolerate concurrent queries: ``run_generation``'s worker threads
+    share one handle per role, and the CLI starts them for remote models only.
+    Table and n-gram models are pure functions of the context, and the remote
+    model locks its own stats and connections.
     """
 
     vocab_size: int

@@ -7,11 +7,11 @@ then reduces the problem to its one dataset record: a solved problem
 contributes its full trace; an unsolved one is salvaged as a short prefix
 (first 128 generated tokens by default) so no training instance is wasted.
 
-Problems are independent work items; a worker pool may run them
-concurrently. Each problem is reduced to its record as soon as its attempts
+Problems are independent work items; a thread pool may run them
+concurrently, which the CLI does only for remote models, whose threads wait
+on sockets. Each problem is reduced to its record as soon as its attempts
 end, so no attempt trace outlives its problem, and records are yielded in
-problem order, so parallel runs produce byte-identical datasets to serial
-ones.
+problem order, so parallel runs produce byte-identical datasets to serial ones.
 """
 
 from __future__ import annotations

@@ -143,10 +143,14 @@ class VocabularyMap:
 
 
 def expansions_from_json(payload: Mapping) -> dict[int, tuple[int, ...]]:
-    """A JSON ``expansions`` object -> ``{student id: teacher ids}``. Keys are strings of decimal
-    ids; each value id must be a JSON integer: a float, a bool or a string is refused, not rounded."""
+    """A JSON ``expansions`` object -> ``{student id: teacher ids}``. Keys are canonical decimal ids
+    (``"7"``, never ``" 7"``, ``"+7"``, ``"7_0"`` or ``"07"``), so no two keys name one id; each value
+    id must be a JSON integer: a float, a bool or a string is refused, not rounded."""
     if not isinstance(payload, Mapping):
         raise TypeError(f"expansions must be an object, got {payload!r}")
+    for k in payload:
+        if not (isinstance(k, str) and k.isascii() and k.isdigit() and k == str(int(k))):
+            raise VocabularyAlignmentError(f"expansions key {k!r} is not a canonical decimal id")
     return {int(k): tuple(_integer(f"expansions[{k}]", t) for t in v) for k, v in payload.items()}
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -49,6 +50,13 @@ BAD_INPUTS = [
                  "line 1: token must be an integer, got 1.7", id="external-float-token"),
     pytest.param("external", [json.dumps({"prompt_tokens": [True], "tokens": [1]})],
                  "line 1: prompt token must be an integer, got True", id="external-bool-prompt-token"),
+]
+
+
+# (the key refused, the vocab_map expansions holding it)
+BAD_EXPANSION_KEYS = [
+    *((key, {key: [1]}) for key in (" 3", "+3", "0_3", "03", "\u0663", "x")),
+    ("03", {"3": [1], "03": [2]}),
 ]
 
 
@@ -139,6 +147,14 @@ class TestGenerate:
         assert main(["generate", str(cfg_path), "--workers", "4"]) == 0
         parallel = (tmp_path / "dataset.jsonl").read_bytes()
         assert serial == parallel
+
+    def test_in_process_pair_decodes_on_the_calling_thread(self, tmp_path, monkeypatch):
+        threads, inner = [], cli.decode
+        monkeypatch.setattr(cli, "decode", lambda *args: threads.append(threading.get_ident()) or inner(*args))
+        cfg_path = write_config(tmp_path, answers=["bbbbbb", "zzz", "bb", "ab"] * 3)
+        assert main(["generate", str(cfg_path), "--workers", "4"]) == 0
+        assert len(threads) > 12
+        assert set(threads) == {threading.get_ident()}
 
     @pytest.mark.parametrize("workers", ["1", "4"])
     def test_unsalvageable_problem_keeps_the_old_dataset(self, tmp_path, monkeypatch, capsys, workers):
@@ -559,6 +575,21 @@ class TestRemoteBackend:
                 gc.collect()
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
+    def test_remote_pair_decodes_on_a_pool_and_matches_serial(self, tmp_path, monkeypatch):
+        threads, inner = [], cli.decode
+        monkeypatch.setattr(cli, "decode", lambda *args: threads.append(threading.get_ident()) or inner(*args))
+        served = build_stub_server(load_run_config(write_config(tmp_path, answers=["b"])), "127.0.0.1", 0)
+        with served:
+            teacher = {"backend": "remote", "base_url": served.base_url, "model_name": "teacher"}
+            cfg_path = write_config(tmp_path, answers=["bbbbbb", "zzz", "bb", "ab"] * 3, teacher=teacher)
+            assert main(["generate", str(cfg_path), "--workers", "1"]) == 0
+            serial = (tmp_path / "dataset.jsonl").read_bytes()
+            assert set(threads) == {threading.get_ident()}
+            threads.clear()
+            assert main(["generate", str(cfg_path), "--workers", "4"]) == 0
+        assert len(set(threads)) > 1
+        assert (tmp_path / "dataset.jsonl").read_bytes() == serial
+
     @pytest.mark.parametrize(
         "key, value",
         [("max_retries", -1), ("timeout_s", 0), ("backoff_s", -0.5), ("max_retries", 2.7), ("max_retries", True),
@@ -869,10 +900,15 @@ class TestExitCodes:
             ({"teacher_vocab_size": 4.6}, "teacher_vocab_size must be an integer"),
             ({"teacher_vocab_size": 4, "student_vocab_size": "4"}, "student_vocab_size must be an integer"),
             ({"teacher_vocab_size": 4, "expansions": {"3": [True]}}, "expansions[3] must be an integer"),
+            # int() used to read each of these keys as an id, or "3" and "03" as one id
+            *[({form: 4, "expansions": keys}, f"expansions key {bad!r}")
+              for form in ("shared_size", "teacher_vocab_size") for bad, keys in BAD_EXPANSION_KEYS],
         ],
         ids=["value-outside-teacher", "key-outside-student", "shared-size", "derived-sizes",
              "float-shared-size", "float-suppressed", "float-expansion", "float-teacher-size",
-             "string-student-size", "bool-derived-expansion"],
+             "string-student-size", "bool-derived-expansion",
+             *[f"{form}-keys-{'-'.join(map(repr, keys))}" for form in ("inline", "derived")
+               for _, keys in BAD_EXPANSION_KEYS]],
     )
     def test_map_that_is_malformed_or_does_not_fit_the_pair_is_config_error_before_any_decoding(
         self, tmp_path, monkeypatch, capsys, vocab_map, message

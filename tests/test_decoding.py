@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -439,6 +440,29 @@ class TestTemperedMemo:
             sys.setswitchinterval(interval)
         assert got == expected
         assert len(calls) == fills
+
+    def test_a_fill_held_on_one_row_does_not_block_another_rows_fill(self, monkeypatch):
+        first, second = Distribution([0.5, 0.5]), Distribution([0.25, 0.75])
+        held, release = threading.Event(), threading.Event()
+        weights = models.tempered_weights
+
+        def holding(dist, temperature=1.0, suppressed=None):
+            if dist is first:
+                held.set()
+                release.wait(timeout=30)
+            return weights(dist, temperature, suppressed)
+
+        monkeypatch.setattr(models, "tempered_weights", holding)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            try:
+                pending = pool.submit(first.cdf, 0.7)
+                assert held.wait(timeout=30)
+                other = pool.submit(second.cdf, 0.7)
+                other.result(timeout=5)  # a lock shared by all rows waits here until the release
+            finally:
+                release.set()
+            assert pending.result(timeout=30) is first.cdf(0.7)
+        np.testing.assert_array_equal(other.result(), np.cumsum(weights(second, 0.7)))
 
 
 def count_fills(monkeypatch, delay_s: float = 0.0) -> list:

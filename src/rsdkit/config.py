@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 
 from .decoding import ROLES, GenerationConfig
 from .metrics import DEFAULT_SUB_THRESHOLD
-from .models import LanguageModel, NgramModel, TableModel, _integer
+from .models import LanguageModel, NgramModel, TableModel
 from .pipeline import (
     DEFAULT_ATTEMPTS,
     DEFAULT_PREFIX_LENGTH,
@@ -254,8 +254,7 @@ def build_vocab_map_from_spec(spec: Mapping | None, student_vocab_size: int,
         elif form == "shared_size":
             vmap = VocabularyMap.from_json_dict(spec)
         else:
-            sizes = (_integer("teacher_vocab_size", spec["teacher_vocab_size"]),
-                     _integer("student_vocab_size", spec.get("student_vocab_size", student_vocab_size)))
+            sizes = (spec["teacher_vocab_size"], spec.get("student_vocab_size", student_vocab_size))
             vmap = build_vocab_map(*sizes, expansions_from_json(spec.get("expansions", {})))
         if teacher_vocab_size is not None:
             pair = (teacher_vocab_size, student_vocab_size)
@@ -331,7 +330,7 @@ def load_problems(path: str | Path, token_text: Sequence[str] | None) -> list[Pr
         else:
             raise DataError(f"{path}: line {i}: need prompt_tokens or prompt_text")
         try:
-            problems.append(Problem(id=pid, prompt_tokens=tokens, answer=answer, prompt_text=text))
+            problems.append(Problem(id=pid, prompt_tokens=tokens, answer=answer))
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}: line {i}: {exc}") from exc
     if not problems:

@@ -43,8 +43,9 @@ at EOS, at ``max_tokens``, and before a step whose context would overflow
 (the loop's own append then raises, at that step). A proposer error at a
 later step of the block only ends it, and is raised when the loop reaches
 that step; an approver error on a block is answered by judging its first
-step alone. So the trace, and any error, is the one-step loop's, bit for
-bit.
+step alone. On either path the loop checks the approver's context before
+each step's proposal, so an id the approver lacks fails first. So the
+trace, and any error, is the one-step loop's, bit for bit.
 
 Thresholding uses the *raw* (temperature-1) probability by default so the
 acceptance rule measures the same quantity as the sub-threshold diagnostics;
@@ -295,10 +296,14 @@ def decode(
     checked = 0  # other_ctx[:checked] lies in other's vocabulary; own_ctx always does
     block: list = []  # speculated steps not yet emitted, next last; empty unless ahead > 1
     for step in range(cfg.max_tokens):
+        if other is not None:  # the approver's (or a solo teacher's scorer's) context, before the proposal
+            for t in other_ctx[checked:]:
+                if not 0 <= t < other.vocab_size:
+                    raise ValueError(f"context token {t} outside vocabulary of size {other.vocab_size}")
+            checked = len(other_ctx)
         if ahead > 1:
             if not block:
-                block, checked = _speculate(step, ahead, cfg, vmap, ctx, teacher_proposes, proposer, other, draw, eos,
-                                            checked)
+                block = _speculate(step, ahead, cfg, vmap, ctx, teacher_proposes, proposer, other, draw, eos)
             speculated = block.pop()
             if isinstance(speculated, Exception):
                 raise speculated
@@ -307,14 +312,7 @@ def decode(
             stream = StepStream(cfg.seed, step)
             own = proposer.next_distribution(own_ctx)
             token = draw(teacher_proposes, own, stream)
-            judge = None
-        if other is not None:  # only a solo teacher's ids can lie outside the student's vocabulary
-            for t in other_ctx[checked:]:
-                if not 0 <= t < other.vocab_size:
-                    raise ValueError(f"context token {t} outside vocabulary of size {other.vocab_size}")
-            checked = len(other_ctx)
-            if judge is None:
-                judge = other.next_distribution(other_ctx)
+            judge = None if other is None else other.next_distribution(other_ctx)
         fallback = False
         if approving:
             if vmap.is_student_only(token):  # unscoreable by a teacher approver
@@ -349,11 +347,10 @@ def decode(
 
 
 def _speculate(step: int, ahead: int, cfg: GenerationConfig, vmap: VocabularyMap, ctx: DualContext,
-               teacher_proposes: bool, proposer: LanguageModel, approver: LanguageModel, draw, eos: int,
-               checked: int) -> tuple[list, int]:
+               teacher_proposes: bool, proposer: LanguageModel, approver: LanguageModel, draw, eos: int) -> list:
     """Up to ``ahead`` steps of :func:`decode` from ``step`` on, proposed on a trial copy of ``ctx`` and
-    judged by one approver call, and how far the approver's context is now checked. The steps are
-    ``(stream, proposer row, proposal, approver row)``, last first, below a later step's error,
+    judged by one approver call, on an approver context :func:`decode` has already checked. The steps
+    are ``(stream, proposer row, proposal, approver row)``, last first, below a later step's error,
     which ends the block and is raised at its own step."""
     other_ctx = ctx.student if teacher_proposes else ctx.teacher
     trial = DualContext(ctx.max_length, list(ctx.student), list(ctx.teacher))
@@ -379,9 +376,6 @@ def _speculate(step: int, ahead: int, cfg: GenerationConfig, vmap: VocabularyMap
             break  # decode's own append raises it, at this step
         if len(t_other) - base >= ahead:  # a reply holds at most ``ahead`` rows
             break
-    for t in other_ctx[checked:]:  # as decode checks before it judges
-        if not 0 <= t < approver.vocab_size:
-            raise ValueError(f"context token {t} outside vocabulary of size {approver.vocab_size}")
     rows = None
     if len(steps) > 1:
         try:
@@ -393,7 +387,7 @@ def _speculate(step: int, ahead: int, cfg: GenerationConfig, vmap: VocabularyMap
         rows = [approver.next_distribution(other_ctx)]
     block = [] if deferred is None else [deferred]
     block.extend((stream, own, token, rows[at]) for stream, own, token, at in reversed(steps))
-    return block, len(other_ctx)
+    return block
 
 
 def _prob(dist: Distribution, token: int, outside: float | None, temperature: float = 1.0) -> float | None:

@@ -81,7 +81,6 @@ class Problem:
     id: str
     prompt_tokens: tuple[int, ...]
     answer: str
-    prompt_text: str | None = None
 
     def __post_init__(self) -> None:
         if not self.prompt_tokens:
@@ -205,16 +204,21 @@ class Verifier:
     command: tuple[str, ...] | None = None
     timeout_s: float = 30.0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> None:  # a list becomes a tuple; any other shape is refused, never converted
+        command, timeout_s, normalization = self.command, self.timeout_s, self.normalization
         if self.mode not in ("exact-match", "boxed-answer", "external-command"):
             raise ValueError(f"unknown verifier mode {self.mode!r}")
-        if self.mode == "external-command" and not self.command:
+        if command is not None and not (type(command) in (list, tuple) and command and all(type(a) is str for a in command)):
+            raise TypeError(f"command must be null or a non-empty list of strings, got {command!r}")
+        if self.mode == "external-command" and command is None:
             raise ValueError("external-command verifier needs a command")
-        if not set(self.normalization) <= set(NORMALIZATIONS):
-            raise ValueError(f"unknown normalization in {list(self.normalization)}, expected {NORMALIZATIONS}")
-        object.__setattr__(self, "normalization", tuple(self.normalization))
-        object.__setattr__(self, "command", tuple(self.command) if self.command else None)
-        object.__setattr__(self, "timeout_s", float(self.timeout_s))
+        if type(timeout_s) not in (int, float) or not 0.0 < timeout_s < math.inf:
+            raise ValueError(f"timeout_s must be a finite number > 0, got {timeout_s!r}")
+        if type(normalization) not in (list, tuple) or any(name not in NORMALIZATIONS for name in normalization):
+            raise ValueError(f"normalization must be a list of names from {NORMALIZATIONS}, got {normalization!r}")
+        object.__setattr__(self, "normalization", tuple(normalization))
+        object.__setattr__(self, "command", None if command is None else tuple(command))
+        object.__setattr__(self, "timeout_s", float(timeout_s))
 
     def normalize(self, text: str) -> str:
         if "strip" in self.normalization:

@@ -49,10 +49,12 @@ class VocabularyMap:
     expansions: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "shared_size", _integer("shared_size", self.shared_size))
         if self.shared_size < 2:
             raise VocabularyAlignmentError(f"shared_size must be >= 2, got {self.shared_size}")
-        object.__setattr__(self, "suppressed", frozenset(int(t) for t in self.suppressed))
-        expansions = {int(k): tuple(int(t) for t in v) for k, v in self.expansions.items()}
+        object.__setattr__(self, "suppressed", frozenset(_integer("suppressed", t) for t in self.suppressed))
+        expansions = {_integer("expansions key", k): tuple(_integer(f"expansions[{k}]", t) for t in v)
+                      for k, v in self.expansions.items()}
         object.__setattr__(self, "expansions", expansions)
         value_ids = {t for seq in expansions.values() for t in seq}
         for key, seq in expansions.items():
@@ -126,11 +128,8 @@ class VocabularyMap:
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "VocabularyMap":
         try:
-            return cls(
-                shared_size=_integer("shared_size", payload["shared_size"]),
-                suppressed=frozenset(_integer("suppressed", t) for t in payload.get("suppressed", ())),
-                expansions=expansions_from_json(payload.get("expansions", {})),
-            )
+            expansions = expansions_from_json(payload.get("expansions", {}))
+            return cls(payload["shared_size"], payload.get("suppressed", ()), expansions)  # __post_init__ reads every id
         except (KeyError, TypeError) as exc:
             raise VocabularyAlignmentError(f"malformed vocabulary map document: {exc}") from exc
 
@@ -142,16 +141,16 @@ class VocabularyMap:
         return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def expansions_from_json(payload: Mapping) -> dict[int, tuple[int, ...]]:
+def expansions_from_json(payload: Mapping) -> dict[int, Sequence[int]]:
     """A JSON ``expansions`` object -> ``{student id: teacher ids}``. Keys are canonical decimal ids
-    (``"7"``, never ``" 7"``, ``"+7"``, ``"7_0"`` or ``"07"``), so no two keys name one id; each value
-    id must be a JSON integer: a float, a bool or a string is refused, not rounded."""
+    (``"7"``, never ``" 7"``, ``"+7"``, ``"7_0"`` or ``"07"``), so no two keys name one id; the value
+    ids are read, refused rather than rounded, by the map built from them."""
     if not isinstance(payload, Mapping):
         raise TypeError(f"expansions must be an object, got {payload!r}")
     for k in payload:
         if not (isinstance(k, str) and k.isascii() and k.isdigit() and k == str(int(k))):
             raise VocabularyAlignmentError(f"expansions key {k!r} is not a canonical decimal id")
-    return {int(k): tuple(_integer(f"expansions[{k}]", t) for t in v) for k, v in payload.items()}
+    return {int(k): v for k, v in payload.items()}
 
 
 def build_vocab_map(
@@ -165,9 +164,12 @@ def build_vocab_map(
     homonyms of declared student-only ids; teacher ids referenced by an
     expansion are exempted from suppression since teacher contexts need them.
     """
+    teacher_vocab_size = _integer("teacher_vocab_size", teacher_vocab_size)
+    student_vocab_size = _integer("student_vocab_size", student_vocab_size)
     if teacher_vocab_size < 2 or student_vocab_size < 2:
         raise VocabularyAlignmentError("both vocabularies must have size >= 2")
-    expansions = {int(k): tuple(int(t) for t in v) for k, v in (expansions or {}).items()}
+    expansions = {_integer("expansions key", k): tuple(_integer(f"expansions[{k}]", t) for t in v)
+                  for k, v in (expansions or {}).items()}
     shared = min(teacher_vocab_size, student_vocab_size)
     value_ids = {t for seq in expansions.values() for t in seq}
     suppressed = set(range(shared, teacher_vocab_size))

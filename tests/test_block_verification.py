@@ -197,6 +197,16 @@ class TestBlockDecoding:
                 decode(approver, student, [0], cfg)
         assert teacher.rows == [1]  # the block reading the 3 was refused, then its first step judged alone
 
+    def test_an_id_the_approver_lacks_fails_before_the_proposal(self):
+        # as above, but the student's backend also refuses step 1's context: the approver's context fails first
+        teacher = TableModel({}, [0.5, 0.5, 0.0], eos_token=2)
+        student = Ahead(TableModel({}, one_hot(5, 3), eos_token=4), 1, lambda context: len(context) == 2)
+        cfg = GenerationConfig(p_th=0.0, max_tokens=8, seed=2, regime="skd")
+        for approver in (teacher, Ahead(teacher, 8)):
+            with pytest.raises(ValueError, match="context token 3 outside vocabulary of size 3"):
+                decode(approver, student, [0], cfg)
+        assert student.rows == [1, 1]  # step 0 on each path; the refusal of step 1 is never answered
+
 
 @pytest.fixture()
 def served_pair():

@@ -886,6 +886,28 @@ class TestExitCodes:
         assert calls == []
         assert sorted(tmp_path.iterdir()) == before
 
+    # each used to be converted or kept: "python3 check.py" ran as 16 one-character arguments, so every
+    # judge was unverifiable and the run exited 0 having solved nothing
+    @pytest.mark.parametrize(
+        "key, value",
+        [("command", "python3 check.py"), ("command", [1, 2]), ("timeout_s", True), ("timeout_s", "30"),
+         ("timeout_s", 0), ("timeout_s", -5), ("timeout_s", float("nan")), ("normalization", "strip")],
+    )
+    def test_verifier_setting_of_the_wrong_shape_is_config_error_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, key, value
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "decode", lambda *args: calls.append(args))
+        verifier = {"mode": "external-command", "command": [sys.executable, "check.py"], key: value}
+        cfg_path = write_config(tmp_path, answers=["b"], verifier=verifier)
+        before = sorted(tmp_path.iterdir())
+        assert main(["generate", str(cfg_path)]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert f"bad verifier settings: {key} must be" in error["message"]
+        assert calls == []
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize(
         "vocab_map, message",
         [

@@ -348,7 +348,7 @@ class TestSpecsGoStraightToConstructors:
 
     def test_unknown_normalization_is_config_error(self):
         payload = dict(MINIMAL, verifier={"mode": "exact-match", "normalization": ["strp"]})
-        with pytest.raises(ConfigError, match="unknown normalization"):
+        with pytest.raises(ConfigError, match=r"normalization must be a list of names from .*, got \['strp'\]"):
             parse_run_config(payload)
 
     def test_defaults_come_from_the_objects(self):

@@ -4,10 +4,12 @@
 ``cli.assemble_dataset``, ``pipeline.rejection_sample`` and more). A rename in
 ``src/`` breaks ``perfbench/run.py --trace 1`` without failing any unit test;
 this runs the traced child once on a tiny table config to catch it.
+``PATCH_SEAMS`` lists the names ``src/`` keeps only for that child to patch.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -17,6 +19,23 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# (module, name): imported into the module, never read there, and patched by the traced child
+PATCH_SEAMS = [
+    *(("cli", name) for name in
+      ("assemble_dataset", "import_dataset", "dataset_report", "records_perplexity", "low_prob_token_tally")),
+    ("decoding", "apply_temperature"),
+    ("decoding", "suppress"),
+]
+
+
+@pytest.mark.parametrize("module, name", PATCH_SEAMS, ids=[f"{m}.{n}" for m, n in PATCH_SEAMS])
+def test_every_patch_seam_is_still_patched(module, name):
+    child = (ROOT / "perfbench" / "child.py").read_text(encoding="utf-8")
+    assert f'rec.patch({module}, "{name}"' in child, f"nothing patches {module}.{name} any more: delete the seam"
+    tree = ast.parse((ROOT / "src" / "rsdkit" / f"{module}.py").read_text(encoding="utf-8"))
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)]
+    assert reads == [], f"{module} reads {name} itself (lines {reads}), so it is no seam kept only for patching"
 
 
 def test_traced_child_runs_generate(tmp_path):

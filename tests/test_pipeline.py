@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import re
 import sys
 import textwrap
 import tracemalloc
@@ -134,9 +136,31 @@ class TestVerifier:
 
     @pytest.mark.parametrize("normalization", [("strp",), ("strip", "lowercase"), "strip"])
     def test_unknown_normalization_rejected(self, normalization):
-        # a misspelt name would otherwise normalize nothing and change which traces pass
-        with pytest.raises(ValueError, match="unknown normalization"):
+        # a misspelt name would otherwise normalize nothing and change which traces pass; a string
+        # used to be read as its characters
+        with pytest.raises(ValueError, match=f"normalization must be a list of names from .*, got {re.escape(repr(normalization))}"):
             Verifier(mode="exact-match", normalization=normalization)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"command": "python3 check.py"}, "command must be null or a non-empty list of strings"),
+            ({"command": [1, 2]}, "command must be null or a non-empty list of strings, got \\[1, 2\\]"),
+            ({"command": []}, "command must be null or a non-empty list of strings, got \\[\\]"),
+            # each of these used to be kept or converted, and made every external judge unverifiable
+            ({"timeout_s": True}, "timeout_s must be a finite number > 0, got True"),
+            ({"timeout_s": "30"}, "timeout_s must be a finite number > 0, got '30'"),
+            ({"timeout_s": 0}, "timeout_s must be a finite number > 0, got 0"),
+            ({"timeout_s": -5}, "timeout_s must be a finite number > 0, got -5"),
+            ({"timeout_s": math.nan}, "timeout_s must be a finite number > 0, got nan"),
+            ({"timeout_s": math.inf}, "timeout_s must be a finite number > 0, got inf"),
+        ],
+        ids=["command-string", "command-ints", "command-empty", "timeout-bool",
+             "timeout-string", "timeout-zero", "timeout-negative", "timeout-nan", "timeout-inf"],
+    )
+    def test_settings_of_the_wrong_shape_are_refused(self, fields, message):
+        with pytest.raises((TypeError, ValueError), match=message):
+            Verifier(**{"mode": "external-command", "command": ("true",), **fields})
 
     def test_json_shaped_settings_are_converted(self):
         v = Verifier(mode="external-command", command=["python3", "check.py"], timeout_s=5)

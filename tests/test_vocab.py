@@ -110,6 +110,34 @@ class TestBuildVocabMap:
         m.check_fits(teacher, student)
         assert VocabularyMap.from_json_dict(json.loads(json.dumps(m.to_json_dict()))) == m
 
+    # int() used to read each of these as an id or a size: 12.7 suppressed id 12, and 1.9 or "1" keyed 1
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: VocabularyMap(shared_size=12, suppressed={12.7}), "suppressed must be an integer, got 12.7"),
+            (lambda: VocabularyMap(shared_size=12.5), "shared_size must be an integer, got 12.5"),
+            (lambda: VocabularyMap(shared_size=True), "shared_size must be an integer, got True"),
+            (lambda: VocabularyMap(shared_size=12, expansions={"1": (5,)}), "expansions key must be an integer, got '1'"),
+            (lambda: VocabularyMap(shared_size=12, expansions={1: (5.0,)}), r"expansions\[1\] must be an integer, got 5.0"),
+            (lambda: build_vocab_map(14, 12, {1.9: (5.2, 6)}), "expansions key must be an integer, got 1.9"),
+            (lambda: build_vocab_map(14, 12, {"1": (5, 6)}), "expansions key must be an integer, got '1'"),
+            (lambda: build_vocab_map(14, 12, {1: (5, True)}), r"expansions\[1\] must be an integer, got True"),
+            (lambda: build_vocab_map(14.0, 12), "teacher_vocab_size must be an integer, got 14.0"),
+            (lambda: build_vocab_map(14, "12"), "student_vocab_size must be an integer, got '12'"),
+        ],
+        ids=["float-suppressed", "float-shared-size", "bool-shared-size", "string-key", "float-value",
+             "built-float-key", "built-string-key", "built-bool-value", "float-teacher-size", "string-student-size"],
+    )
+    def test_ids_and_sizes_that_would_be_rounded_are_refused(self, build, message):
+        with pytest.raises(TypeError, match=message):
+            build()
+
+    def test_numpy_ids_and_sizes_are_read_as_ints(self):
+        m = build_vocab_map(np.int64(10), np.int32(8), {np.int64(6): (np.int64(9), 1)})
+        assert m == build_vocab_map(10, 8, {6: (9, 1)})
+        assert type(m.shared_size) is int and all(type(t) is int for t in m.suppressed | {*m.expansions[6]})
+        assert json.dumps(m.to_json_dict())  # plain ints, so the document serializes
+
     def test_student_only_covers_undeclared_high_ids(self):
         m = build_vocab_map(8, 10)
         assert m.is_student_only(8)

@@ -163,16 +163,18 @@ def _build_pair(cfg: RunConfig):
 
 
 def _prepare(cfg: RunConfig):
-    """Build the pair and load the problems, checking every prompt before any decode."""
+    """Build the pair and load the problems, checking every prompt and token_text before any decode."""
     if cfg.problems_path is None:
         raise ConfigError("config names no problems file")
     teacher, student, vmap = _build_pair(cfg)
     problems = load_problems(cfg.resolve_path(cfg.problems_path), cfg.token_text)
     for problem in problems:
-        try:
-            prompt_context(teacher, student, problem.prompt_tokens, cfg.generation, vmap)
+        try:  # home, the model whose ids the run emits, is the same for every problem
+            home = prompt_context(teacher, student, problem.prompt_tokens, cfg.generation, vmap)[0]
         except (ValueError, ContextOverflowError) as exc:
             raise DataError(f"problem {problem.id!r}: {exc}") from exc
+    if cfg.token_text is not None and len(cfg.token_text) < home.vocab_size:
+        raise ConfigError(f"token_text has {len(cfg.token_text)} entries, fewer than the {home.vocab_size} ids the run emits")
     return (teacher, student, vmap), problems
 
 

@@ -14,9 +14,9 @@ Top-level keys (defaults mirror the headline generation setup):
     ``{"teacher_vocab_size": ..., "student_vocab_size": ...,
     "expansions": {...}}`` to derive one.
 ``token_text``
-    Optional list mapping token id -> text fragment, used to render traces
-    for the verifier and to encode ``prompt_text`` problems (single-char
-    fragments only; there is no tokenizer here).
+    Optional list mapping each id the run emits -> text fragment, used to
+    render traces for the verifier and to encode ``prompt_text`` problems
+    (single-char fragments only; there is no tokenizer here).
 ``verifier``
     ``mode``, ``normalization``, ``command``, ``timeout_s``.
 ``attempts`` (16), ``prefix_length`` (128), ``prefix_source`` ("first"),
@@ -271,23 +271,16 @@ def build_detokenizer(token_text: Sequence[str] | None) -> Callable[[Sequence[in
 
     With a ``token_text`` table, fragments are concatenated; without one,
     ids render as space-separated decimals (exact-match verification still
-    works against references written the same way).
+    works against references written the same way). ``rsdkit generate``
+    refuses a table shorter than the vocabulary it emits before any decode.
     """
     if token_text is None:
         return lambda tokens: " ".join(str(t) for t in tokens)
-    table = list(token_text)
-
-    def detokenize(tokens: Sequence[int]) -> str:
-        try:
-            return "".join(table[t] for t in tokens)
-        except IndexError as exc:
-            raise DataError(f"token outside token_text table of size {len(table)}") from exc
-
-    return detokenize
+    return lambda tokens: "".join(token_text[t] for t in tokens)
 
 
-def encode_text(text: str, token_text: Sequence[str]) -> tuple[int, ...]:
-    """Character-wise inverse of the token_text table, for prompt_text.
+def text_encoder(token_text: Sequence[str]) -> Callable[[str], tuple[int, ...]]:
+    """Character-wise inverse of the token_text table, for prompt_text; the lookup is built once.
 
     Only single-character entries participate (empty or multi-character
     fragments, such as an EOS rendered as "", cannot be the target of a
@@ -299,40 +292,40 @@ def encode_text(text: str, token_text: Sequence[str]) -> tuple[int, ...]:
             lookup.setdefault(frag, i)
     if not lookup:
         raise ConfigError("prompt_text needs at least one single-character token_text entry")
-    try:
-        return tuple(lookup[c] for c in text)
-    except KeyError as exc:
-        raise DataError(f"prompt_text character {exc} not in token_text") from exc
+
+    def encode(text: str) -> tuple[int, ...]:
+        if type(text) is not str:
+            raise TypeError(f"prompt_text must be a string, got {text!r}")
+        try:
+            return tuple(lookup[c] for c in text)
+        except KeyError as exc:
+            raise DataError(f"prompt_text character {exc} not in token_text") from exc
+
+    return encode
 
 
 def load_problems(path: str | Path, token_text: Sequence[str] | None) -> list[Problem]:
     """Problems from newline-delimited JSON: id, prompt_tokens|prompt_text, answer."""
-    problems: list[Problem] = []
+    encode = None if token_text is None else text_encoder(token_text)
     seen: set[str] = set()
-    for i, row in read_jsonl(path):
-        try:
-            pid = str(row["id"])
-            answer = str(row["answer"])
-        except KeyError as exc:
-            raise DataError(f"{path}: line {i}: missing key {exc}") from exc
+
+    def parse(row: dict) -> Problem:
+        pid = str(row["id"])
+        answer = str(row["answer"])
         if pid in seen:
-            raise DataError(f"{path}: line {i}: duplicate problem id {pid!r}")
+            raise DataError(f"duplicate problem id {pid!r}")
         seen.add(pid)
-        text = row.get("prompt_text")
         if "prompt_tokens" in row:
             tokens = row["prompt_tokens"]  # Problem checks the ids
-        elif text is not None:
-            if token_text is None:
-                raise DataError(
-                    f"{path}: line {i}: prompt_text requires a token_text table in the config"
-                )
-            tokens = encode_text(text, token_text)
+        elif row.get("prompt_text") is None:
+            raise DataError("need prompt_tokens or prompt_text")
+        elif encode is None:
+            raise DataError("prompt_text requires a token_text table in the config")
         else:
-            raise DataError(f"{path}: line {i}: need prompt_tokens or prompt_text")
-        try:
-            problems.append(Problem(id=pid, prompt_tokens=tokens, answer=answer))
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: line {i}: {exc}") from exc
+            tokens = encode(row["prompt_text"])
+        return Problem(id=pid, prompt_tokens=tokens, answer=answer)
+
+    problems = [problem for _, problem in read_jsonl(path, parse)]
     if not problems:
         raise DataError(f"{path}: no problems found")
     return problems

@@ -142,15 +142,15 @@ class RecordsAggregate:
 
 
 def aggregate_records(
-    items: Iterable[tuple[str | None, Sequence[TokenRecord]]], threshold: float = DEFAULT_SUB_THRESHOLD
+    items: Iterable[tuple], threshold: float = DEFAULT_SUB_THRESHOLD
 ) -> RecordsAggregate:
-    """One pass over ``(regime, records)`` items; every records-level
-    statistic (reports, ratios, dataset stats) is read off its result.
-    Items are taken one at a time, so a generator that reads each item
-    when asked keeps one item in memory."""
+    """One pass over ``(regime, records[, full_trace])`` items, the arguments of
+    :meth:`RecordsAggregate.add`; every records-level statistic (reports, ratios,
+    dataset stats) is read off its result. Items are taken one at a time, so a
+    generator that reads each item when asked keeps one item in memory."""
     agg = RecordsAggregate(threshold)
-    for regime, records in items:
-        agg.add(regime, records)
+    for item in items:
+        agg.add(*item)
     return agg
 
 
@@ -159,10 +159,7 @@ def low_prob_token_tally(
 ) -> dict[int, int]:
     """Counts of tokens strictly below ``threshold``, highest count first
     (:meth:`RecordsAggregate.token_tally`)."""
-    agg = RecordsAggregate(threshold)
-    for records in record_lists:
-        agg.add(None, records)
-    return agg.token_tally()
+    return aggregate_records(((None, records) for records in record_lists), threshold).token_tally()
 
 
 def _quantile(values: np.ndarray, q: float) -> float:
@@ -199,35 +196,30 @@ def dataset_report(records: Iterable["DatasetRecord"], threshold: float = DEFAUL
     Fallback rate is None (rendered "not applicable") unless every record
     was generated by a coordinated regime.
     """
-    agg = RecordsAggregate(threshold)
-    for r in records:
-        agg.add(r.regime, r.records, r.kind == "full-trace")
-    return agg.dataset_report()
+    items = ((r.regime, r.records, r.kind == "full-trace") for r in records)
+    return aggregate_records(items, threshold).dataset_report()
+
+
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """``header``, then each of ``rows``, as one CSV file."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_surprisal_csv(records: Sequence[TokenRecord], path: str | Path) -> None:
     """Columns: step, surprisal (nats), accepted (0/1), fallback (0/1)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "surprisal", "accepted", "fallback"])
-        for i, rec in enumerate(records):
-            s = rec.surprisal_student
-            writer.writerow([i, "" if s is None else repr(s), int(rec.accepted), int(rec.fallback)])
+    rows = ((i, "" if r.surprisal_student is None else repr(r.surprisal_student), int(r.accepted), int(r.fallback))
+            for i, r in enumerate(records))
+    _write_csv(path, ["step", "surprisal", "accepted", "fallback"], rows)
 
 
 def write_perplexity_csv(rows: Iterable[tuple[str, float, int]], path: str | Path) -> None:
     """Columns: id, perplexity, token_count; one row per trace or record."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "perplexity", "token_count"])
-        for name, ppl, count in rows:
-            writer.writerow([name, repr(ppl), count])
+    _write_csv(path, ["id", "perplexity", "token_count"], ((name, repr(ppl), count) for name, ppl, count in rows))
 
 
 def write_token_tally_csv(tally: dict[int, int], path: str | Path) -> None:
     """Columns: token, count; descending count order as tallied."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["token", "count"])
-        for token, count in tally.items():
-            writer.writerow([token, count])
+    _write_csv(path, ["token", "count"], tally.items())

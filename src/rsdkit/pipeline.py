@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .decoding import REGIMES, TokenRecord, Trace, _surprisal
 from .metrics import aggregate_records
@@ -49,10 +49,20 @@ class DataError(ValueError):
     """An input data file is missing, malformed, truncated, or inconsistent."""
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """``(line number, object)`` for each non-blank line of a UTF-8 JSONL file.
-    An unopenable file, or a line that is not UTF-8, JSON or a JSON object,
-    raises :class:`DataError` naming the path and the line."""
+def parse_located(where: str, parse: Callable[[Any], Any], row) -> Any:
+    """``parse(row)``; a KeyError, TypeError or ValueError it raises is a DataError naming ``where``."""
+    try:
+        return parse(row)
+    except KeyError as exc:
+        raise DataError(f"{where}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{where}: {exc}") from exc
+
+
+def read_jsonl(path: str | Path, parse: Callable[[dict], Any] = dict) -> Iterator[tuple[int, Any]]:
+    """``(line number, parse(object))`` for each non-blank line of a UTF-8 JSONL file.
+    An unopenable file, a line that is not UTF-8, JSON or a JSON object, or a
+    line ``parse`` refuses raises :class:`DataError` naming the path and the line."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -71,7 +81,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 raise DataError(f"{path}: line {i}: invalid JSON: {exc}") from exc
             if not isinstance(row, dict):
                 raise DataError(f"{path}: line {i}: not a JSON object")
-            yield i, row
+            yield i, parse_located(f"{path}: line {i}", parse, row)
 
 
 @dataclass(frozen=True)
@@ -386,12 +396,8 @@ def read_dataset(path: str | Path) -> Iterator[DatasetRecord]:
         if payload.get("kind") == "manifest":
             manifest = payload
             continue
-        try:
-            record = DatasetRecord.from_json_dict(payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: line {i}: bad record: {exc}") from exc
         count += 1
-        yield record
+        yield parse_located(f"{path}: line {i}", DatasetRecord.from_json_dict, payload)
     if manifest is None:
         raise DataError(f"{path}: no manifest line; file is truncated or partial")
     if manifest.get("record_count") != count:
@@ -408,12 +414,7 @@ def import_dataset(path: str | Path) -> list[DatasetRecord]:
 
 def read_traces_jsonl(path: str | Path) -> Iterator[Trace]:
     """The traces of a file of ``Trace.to_json_line()`` lines, one at a time."""
-    for i, row in read_jsonl(path):
-        try:
-            trace = Trace.from_json_dict(row)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: malformed trace on line {i}: {exc}") from exc
-        yield trace
+    return (trace for _, trace in read_jsonl(path, Trace.from_json_dict))
 
 
 def score_external_traces(
@@ -432,21 +433,21 @@ def score_external_traces(
     student's ``lookahead`` tokens, so a remote student answers a block in
     one request.
     """
-    if isinstance(source, (str, Path)):
-        located = ((f"{source}: line {i}", row) for i, row in read_jsonl(source))
-    else:
-        located = ((f"external trace {n}", entry) for n, entry in enumerate(source))
-    for where, entry in located:
-        try:
-            prompt = [_integer("prompt token", t) for t in entry["prompt_tokens"]]
-            tokens = [_integer("token", t) for t in entry["tokens"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{where}: {exc}") from exc
+    def parse(entry: Mapping) -> tuple[list[int], list[int]]:
+        prompt = [_integer("prompt token", t) for t in entry["prompt_tokens"]]
+        tokens = [_integer("token", t) for t in entry["tokens"]]
         for t in prompt + tokens:
             if not 0 <= t < student.vocab_size:
-                raise DataError(f"{where}: token {t} out of vocabulary")
+                raise ValueError(f"token {t} out of vocabulary")
         if not tokens:
-            raise DataError(f"{where}: empty token sequence")
+            raise ValueError("empty token sequence")
+        return prompt, tokens
+
+    if isinstance(source, (str, Path)):
+        entries = (entry for _, entry in read_jsonl(source, parse))
+    else:
+        entries = (parse_located(f"external trace {n}", parse, entry) for n, entry in enumerate(source))
+    for prompt, tokens in entries:
         ctx = list(prompt)
         records = []
         for start in range(0, len(tokens), student.lookahead):

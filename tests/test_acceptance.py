@@ -434,14 +434,17 @@ class TestCriterion8BackendEquivalence:
                 BackendEndpoint(base_url=server.base_url, model_name="teacher")
             )
             mismatches = 0
-            for seed in range(100):
-                cfg = GenerationConfig(
-                    p_th=0.05, max_tokens=8, temperature=0.7, context_limit=32, seed=seed
-                )
-                local = decode(teacher, student, [0], cfg)
-                over_wire = decode(remote_teacher, student, [0], cfg)
-                if local.to_json_line() != over_wire.to_json_line():
-                    mismatches += 1
+            try:
+                for seed in range(100):
+                    cfg = GenerationConfig(
+                        p_th=0.05, max_tokens=8, temperature=0.7, context_limit=32, seed=seed
+                    )
+                    local = decode(teacher, student, [0], cfg)
+                    over_wire = decode(remote_teacher, student, [0], cfg)
+                    if local.to_json_line() != over_wire.to_json_line():
+                        mismatches += 1
+            finally:
+                remote_teacher.close()
         assert mismatches == 0
         passed(8, "100 seeded traces via stub server byte-identical to in-process")
 

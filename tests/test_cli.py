@@ -33,23 +33,45 @@ GOOD_TRACE = (
     '"terminated_by":"length-budget"}'
 )
 BAD_TRACE = '{"records": [], "config": {"bad": true}, "prompt": []}'
-# (kind, lines, what the error names) of inputs whose fault is on their first or last line
+GOOD_EXTERNAL = json.dumps({"prompt_tokens": [0], "tokens": [1, 2]})
+
+
+def edited(line: str, **fields) -> str:
+    """``line`` with ``fields`` set, or removed where the value is None."""
+    row = {**json.loads(line), **fields}
+    return json.dumps({key: value for key, value in row.items() if value is not None})
+
+
+# (kind, lines, what the error names after "<path>: ") of inputs whose fault is on their first or last line
 BAD_INPUTS = [
     pytest.param("dataset", ['{"kind": "full-trace"'], "line 1: invalid JSON", id="dataset-lines0"),
     pytest.param("dataset", [TOY_LINES[0], '{"kind": "full-trace"'], "line 2: invalid JSON", id="dataset-lines1"),
-    pytest.param("traces", [BAD_TRACE], "malformed trace on line 1", id="traces-lines2"),
+    pytest.param("traces", [BAD_TRACE], "line 1: missing key 'terminated_by'", id="traces-lines2"),
     pytest.param("external", [json.dumps({"prompt_tokens": [0], "tokens": [99]})], "line 1: token 99",
                  id="external-lines3"),
     pytest.param("dataset", TOY_LINES[:-1] + ['{"kind": "manifest", "record_count": 4, "schema": "rsdkit-dataset-v1"}'],
                  "manifest declares 4 records, found 3", id="dataset-count-mismatch"),
     pytest.param("dataset", TOY_LINES[:-1], "no manifest line", id="dataset-no-manifest"),
-    pytest.param("traces", [GOOD_TRACE, BAD_TRACE], "malformed trace on line 2", id="traces-bad-last-line"),
+    pytest.param("traces", [GOOD_TRACE, BAD_TRACE], "line 2: missing key 'terminated_by'", id="traces-bad-last-line"),
     pytest.param("external", [json.dumps({"prompt_tokens": [0], "tokens": t}) for t in ([1, 2], [99])],
                  "line 2: token 99", id="external-bad-last-line"),
     pytest.param("external", [json.dumps({"prompt_tokens": [0], "tokens": [1.7, True]})],
                  "line 1: token must be an integer, got 1.7", id="external-float-token"),
     pytest.param("external", [json.dumps({"prompt_tokens": [True], "tokens": [1]})],
                  "line 1: prompt token must be an integer, got True", id="external-bool-prompt-token"),
+    # one missing key and one value of the wrong type on line 2, for each reader analyze runs
+    pytest.param("dataset", [TOY_LINES[0], edited(TOY_LINES[1], problem_id=None)],
+                 "line 2: missing key 'problem_id'", id="dataset-missing-key"),
+    pytest.param("dataset", [TOY_LINES[0], edited(TOY_LINES[1], problem_id=5)],
+                 "line 2: problem_id must be a string, got 5", id="dataset-wrong-type"),
+    pytest.param("traces", [GOOD_TRACE, edited(GOOD_TRACE, records=None)],
+                 "line 2: missing key 'records'", id="traces-missing-key"),
+    pytest.param("traces", [GOOD_TRACE, GOOD_TRACE.replace('"accepted":true', '"accepted":1')],
+                 "line 2: accepted must be true or false, got 1", id="traces-wrong-type"),
+    pytest.param("external", [GOOD_EXTERNAL, edited(GOOD_EXTERNAL, tokens=None)],
+                 "line 2: missing key 'tokens'", id="external-missing-key"),
+    pytest.param("external", [GOOD_EXTERNAL, edited(GOOD_EXTERNAL, tokens="12")],
+                 "line 2: token must be an integer, got '1'", id="external-wrong-type"),
 ]
 
 
@@ -671,7 +693,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("kind, lines, message", BAD_INPUTS)
     def test_bad_input_leaves_no_analysis_directory(self, tmp_path, capsys, kind, lines, message):
         assert main(analyze_argv(tmp_path, kind, lines)) == 4
-        assert message in json.loads(capsys.readouterr().err.splitlines()[-1])["error"]["message"]
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])["error"]
+        assert f"{tmp_path / kind}.jsonl: {message}" in error["message"]
         assert not (tmp_path / f"{kind}_analysis").exists()
         assert not (tmp_path / f"{kind}_analysis.partial").exists()
         # nor the parent directories an --out below new directories needs
@@ -855,6 +878,76 @@ class TestExitCodes:
         assert error["kind"] == "data"
         assert "problems.jsonl: line 2: prompt token must be an integer, got 1.5" in error["message"]
         assert not (tmp_path / "dataset.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ({"id": "q1", "prompt_tokens": [0]}, "missing key 'answer'"),
+            ({"id": "q1", "prompt_tokens": "01", "answer": "b"}, "prompt token must be an integer, got '0'"),
+            ({"id": "q1", "prompt_text": 5, "answer": "b"}, "prompt_text must be a string, got 5"),
+            ({"id": "q1", "prompt_text": ["a", "b"], "answer": "b"}, "prompt_text must be a string, got ['a', 'b']"),
+            ({"id": "q1", "prompt_text": "az", "answer": "b"}, "prompt_text character 'z' not in token_text"),
+            ({"id": "q0", "prompt_tokens": [0], "answer": "b"}, "duplicate problem id 'q0'"),
+            ({"id": "q1", "answer": "b"}, "need prompt_tokens or prompt_text"),
+            ({"id": "q1", "prompt_tokens": [], "answer": "b"}, "problem 'q1' has an empty prompt"),
+        ],
+        ids=["missing-key", "wrong-type-tokens", "number-text", "list-text", "unknown-character", "duplicate-id",
+             "no-prompt", "empty-prompt"],
+    )
+    def test_problems_line_fault_is_data_error_reading_path_line_reason(
+        self, tmp_path, monkeypatch, capsys, row, reason
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "decode", lambda *args: calls.append(args))
+        cfg_path = write_config(tmp_path, answers=["b"])
+        problems = tmp_path / "problems.jsonl"
+        rows = [{"id": "q0", "prompt_text": "ab", "answer": "b"}, row]
+        problems.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert main(["generate", str(cfg_path)]) == 4
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "data"
+        assert error["message"] == f"{problems}: line 2: {reason}"
+        assert calls == []
+        assert not (tmp_path / "dataset.jsonl").exists()
+
+    def test_token_text_without_single_characters_is_config_error_for_prompt_text(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, answers=["b"], token_text=["ab", "bc", "ca", ""])
+        (tmp_path / "problems.jsonl").write_text(json.dumps({"id": "q0", "prompt_text": "ab", "answer": "b"}) + "\n")
+        assert main(["generate", str(cfg_path)]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert "single-character token_text entry" in error["message"]
+
+    @pytest.mark.parametrize(
+        "regime, teacher_size, token_text, emitted",
+        [
+            ("rsd", 4, TOKEN_TEXT[:3], 4),
+            ("solo-student", 4, TOKEN_TEXT[:2], 4),
+            ("solo-teacher", 6, TOKEN_TEXT, 6),
+        ],
+    )
+    def test_token_text_shorter_than_the_emitted_vocabulary_is_config_error_before_any_decoding(
+        self, tmp_path, monkeypatch, capsys, regime, teacher_size, token_text, emitted
+    ):
+        # the run emits ids of the student's vocabulary, or of the teacher's in solo-teacher
+        calls = []
+        monkeypatch.setattr(cli, "decode", lambda *args: calls.append(args))
+        teacher = {"backend": "table", "eos_token": 3, "rows": [], "default": [0.0, 1.0] + [0.0] * (teacher_size - 2)}
+        generation = {"regime": regime, "p_th": 0.01, "max_tokens": 6, "context_limit": 64, "seed": 11}
+        cfg_path = write_config(tmp_path, answers=["b"], teacher=teacher, generation=generation, token_text=token_text)
+        assert main(["generate", str(cfg_path)]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert f"token_text has {len(token_text)} entries, fewer than the {emitted} ids" in error["message"]
+        assert calls == []
+        assert not (tmp_path / "dataset.jsonl").exists()
+
+    def test_token_text_covering_the_emitted_vocabulary_is_enough(self, tmp_path):
+        # solo-student emits student ids only: a teacher with a larger vocabulary needs no more entries
+        teacher = {"backend": "table", "eos_token": 3, "rows": [], "default": [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]}
+        generation = {"regime": "solo-student", "p_th": 0.01, "max_tokens": 6, "context_limit": 64, "seed": 11}
+        cfg_path = write_config(tmp_path, answers=["b"], teacher=teacher, generation=generation)
+        assert main(["generate", str(cfg_path)]) == 0
 
     @pytest.mark.parametrize(
         "overrides, key",

@@ -14,10 +14,10 @@ from rsdkit.config import (
     build_detokenizer,
     build_model,
     build_vocab_map_from_spec,
-    encode_text,
     load_problems,
     load_run_config,
     parse_run_config,
+    text_encoder,
 )
 
 MINIMAL = {
@@ -242,31 +242,26 @@ class TestDetokenizer:
         detok = build_detokenizer(None)
         assert detok([3, 11]) == "3 11"
 
-    def test_out_of_table_token_is_data_error(self):
-        detok = build_detokenizer(["a"])
-        with pytest.raises(DataError, match="token_text"):
-            detok([4])
-
 
 class TestEncodeText:
     def test_round_trips_single_char_table(self):
         table = ["a", "b", "c"]
-        tokens = encode_text("cab", table)
+        tokens = text_encoder(table)("cab")
         assert tokens == (2, 0, 1)
         assert build_detokenizer(table)(tokens) == "cab"
 
     def test_non_single_char_fragments_are_skipped_not_fatal(self):
         # an eos rendered as "" must not break prompt_text encoding
-        assert encode_text("ab", ["a", "b", ""]) == (0, 1)
-        assert encode_text("b", ["ab", "b"]) == (1,)
+        assert text_encoder(["a", "b", ""])("ab") == (0, 1)
+        assert text_encoder(["ab", "b"])("b") == (1,)
 
     def test_table_without_single_chars_rejected(self):
         with pytest.raises(ConfigError, match="single-character"):
-            encode_text("ab", ["ab", ""])
+            text_encoder(["ab", ""])
 
     def test_unknown_character_rejected(self):
         with pytest.raises(DataError, match="not in token_text"):
-            encode_text("xyz", ["a", "b"])
+            text_encoder(["a", "b"])("xyz")
 
 
 class TestLoadProblems:
@@ -293,6 +288,11 @@ class TestLoadProblems:
         path = self.write(tmp_path, rows)
         with pytest.raises(DataError, match=re.escape(f"{path}: line 2: prompt token must be an integer")):
             load_problems(path, None)
+
+    def test_table_without_single_characters_is_config_error_before_the_first_line(self, tmp_path):
+        path = self.write(tmp_path, [{"id": "a", "prompt_tokens": [0], "answer": "x"}])
+        with pytest.raises(ConfigError, match="single-character"):
+            load_problems(path, ["ab", ""])
 
     def test_duplicate_ids_rejected(self, tmp_path):
         rows = [{"id": "p", "prompt_tokens": [0], "answer": "x"}] * 2

@@ -4,20 +4,25 @@ Each case runs one CLI command on small table models and compares the sha256
 of its output tree (every file's relative path and bytes, in path order) with
 a digest recorded from the reference implementation. ``analyze`` is covered
 for all three input kinds: a dataset, a traces JSONL file and external
-traces. Any change to an output byte or file name fails the case.
+traces. ``generate`` is covered twice: in process, where it decodes serially,
+and with both models served over HTTP, where it decodes on a pool of 4 threads.
+Any change to an output byte or file name fails the case.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from pathlib import Path
 
 import pytest
 
+from rsdkit import cli
 from rsdkit.cli import main
 from rsdkit.decoding import GenerationConfig, decode
 from rsdkit.models import TableModel
+from rsdkit.stub_server import StubServer
 
 TOKEN_TEXT = ["a", "b", "c", "d", ""]
 TEACHER = {
@@ -134,3 +139,17 @@ def _run(root: Path, case: str) -> Path:
 @pytest.mark.parametrize("case", sorted(DIGESTS))
 def test_output_tree_digest(case, tmp_path):
     assert _tree_digest(_run(tmp_path, case)) == DIGESTS[case]
+
+
+def test_generate_digest_over_remote_models_on_four_workers(tmp_path, monkeypatch):
+    threads, inner = [], cli.decode
+    monkeypatch.setattr(cli, "decode", lambda *args: threads.append(threading.get_ident()) or inner(*args))
+    cfg = _write_config(tmp_path)
+    config = json.loads(cfg.read_text())
+    with StubServer({"teacher": _table(TEACHER), "student": _table(STUDENT)}) as server:
+        for role in ("teacher", "student"):
+            config[role] = {"backend": "remote", "base_url": server.base_url, "model_name": role}
+        cfg.write_text(json.dumps({**config, "workers": 4}))
+        assert main(["generate", str(cfg)]) == 0
+    assert threads and threading.get_ident() not in threads  # every decode ran on the pool
+    assert _tree_digest(tmp_path / "gen") == DIGESTS["generate"]

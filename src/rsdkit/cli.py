@@ -313,7 +313,7 @@ def _slug(name: str) -> str:
 
 def _sniff_kind(path: Path) -> str:
     """Which of the three line schemas ``path`` holds, judged by its first row."""
-    for _, row in read_jsonl(path):
+    for _, row in read_jsonl(path, lambda row: row):
         break
     else:
         raise DataError(f"{path}: empty file")

@@ -271,27 +271,35 @@ def build_detokenizer(token_text: Sequence[str] | None) -> Callable[[Sequence[in
 
     With a ``token_text`` table, fragments are concatenated; without one,
     ids render as space-separated decimals (exact-match verification still
-    works against references written the same way). ``rsdkit generate``
-    refuses a table shorter than the vocabulary it emits before any decode.
+    works against references written the same way).
     """
     if token_text is None:
         return lambda tokens: " ".join(str(t) for t in tokens)
-    return lambda tokens: "".join(token_text[t] for t in tokens)
+    table = list(token_text)
+
+    def detokenize(tokens: Sequence[int]) -> str:
+        try:
+            return "".join(table[t] for t in tokens)
+        except IndexError as exc:
+            raise DataError(f"token outside token_text table of size {len(table)}") from exc
+
+    return detokenize
 
 
-def text_encoder(token_text: Sequence[str]) -> Callable[[str], tuple[int, ...]]:
+def text_encoder(token_text: Sequence[str]) -> Callable[[str], tuple[int, ...]] | None:
     """Character-wise inverse of the token_text table, for prompt_text; the lookup is built once.
 
     Only single-character entries participate (empty or multi-character
     fragments, such as an EOS rendered as "", cannot be the target of a
-    character lookup); the lowest id wins when fragments repeat.
+    character lookup); the lowest id wins when fragments repeat. None for a
+    table without a single-character entry, which can encode no text.
     """
     lookup: dict[str, int] = {}
     for i, frag in enumerate(token_text):
         if len(frag) == 1:
             lookup.setdefault(frag, i)
     if not lookup:
-        raise ConfigError("prompt_text needs at least one single-character token_text entry")
+        return None
 
     def encode(text: str) -> tuple[int, ...]:
         if type(text) is not str:
@@ -309,7 +317,7 @@ def load_problems(path: str | Path, token_text: Sequence[str] | None) -> list[Pr
     encode = None if token_text is None else text_encoder(token_text)
     seen: set[str] = set()
 
-    def parse(row: dict) -> Problem:
+    def parse(row: dict) -> Problem | None:
         pid = str(row["id"])
         answer = str(row["answer"])
         if pid in seen:
@@ -319,13 +327,19 @@ def load_problems(path: str | Path, token_text: Sequence[str] | None) -> list[Pr
             tokens = row["prompt_tokens"]  # Problem checks the ids
         elif row.get("prompt_text") is None:
             raise DataError("need prompt_tokens or prompt_text")
-        elif encode is None:
+        elif token_text is None:
             raise DataError("prompt_text requires a token_text table in the config")
+        elif encode is None:
+            return None  # the table's fault, not the line's: refused below, outside the line's frame
         else:
             tokens = encode(row["prompt_text"])
         return Problem(id=pid, prompt_tokens=tokens, answer=answer)
 
-    problems = [problem for _, problem in read_jsonl(path, parse)]
+    problems: list[Problem] = []
+    for _, problem in read_jsonl(path, parse):
+        if problem is None:
+            raise ConfigError("prompt_text needs at least one single-character token_text entry")
+        problems.append(problem)
     if not problems:
         raise DataError(f"{path}: no problems found")
     return problems

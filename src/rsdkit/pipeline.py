@@ -59,7 +59,7 @@ def parse_located(where: str, parse: Callable[[Any], Any], row) -> Any:
         raise DataError(f"{where}: {exc}") from exc
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict], Any] = dict) -> Iterator[tuple[int, Any]]:
+def read_jsonl(path: str | Path, parse: Callable[[dict], Any]) -> Iterator[tuple[int, Any]]:
     """``(line number, parse(object))`` for each non-blank line of a UTF-8 JSONL file.
     An unopenable file, a line that is not UTF-8, JSON or a JSON object, or a
     line ``parse`` refuses raises :class:`DataError` naming the path and the line."""
@@ -182,19 +182,15 @@ def extract_boxed(text: str) -> str | None:
     start = text.rfind(_BOXED_MARKER)
     if start < 0:
         return None
-    i = start + len(_BOXED_MARKER)
+    begin = start + len(_BOXED_MARKER)
     depth = 1
-    out = []
-    while i < len(text):
-        c = text[i]
-        if c == "{":
+    for i in range(begin, len(text)):
+        if text[i] == "{":
             depth += 1
-        elif c == "}":
+        elif text[i] == "}":
             depth -= 1
             if depth == 0:
-                return "".join(out)
-        out.append(c)
-        i += 1
+                return text[begin:i]
     return None  # unbalanced
 
 
@@ -240,13 +236,10 @@ class Verifier:
         return text
 
     def judge(self, text: str, reference: str) -> str:
-        if self.mode == "exact-match":
-            return "correct" if self.normalize(text) == self.normalize(reference) else "incorrect"
-        if self.mode == "boxed-answer":
-            boxed = extract_boxed(text)
-            if boxed is None:
-                return "incorrect"
-            return "correct" if self.normalize(boxed) == self.normalize(reference) else "incorrect"
+        if self.mode != "external-command":  # the answer is the whole text, or its last boxed span
+            answer = text if self.mode == "exact-match" else extract_boxed(text)
+            same = answer is not None and self.normalize(answer) == self.normalize(reference)
+            return "correct" if same else "incorrect"
         assert self.command is not None
         payload = json.dumps({"text": text, "reference": reference})
         try:
@@ -390,7 +383,7 @@ def read_dataset(path: str | Path) -> Iterator[DatasetRecord]:
     inconsistent manifest, meaning a partial write, after the last record."""
     count = 0
     manifest: dict | None = None
-    for i, payload in read_jsonl(path):
+    for i, payload in read_jsonl(path, lambda row: row):  # records are parsed below, the manifest is not
         if manifest is not None:
             raise DataError(f"{path}: line {i}: content after manifest line")
         if payload.get("kind") == "manifest":

@@ -166,8 +166,10 @@ def build_vocab_map(
     """
     teacher_vocab_size = _integer("teacher_vocab_size", teacher_vocab_size)
     student_vocab_size = _integer("student_vocab_size", student_vocab_size)
+    if teacher_vocab_size < 2 or student_vocab_size < 2:
+        raise VocabularyAlignmentError("both vocabularies must have size >= 2")
+    expansions = {_integer("expansions key", k): v for k, v in (expansions or {}).items()}  # the map reads the values
     shared = min(teacher_vocab_size, student_vocab_size)
-    expansions = VocabularyMap(shared, expansions=expansions or {}).expansions  # checks shared >= 2 and each id
     value_ids = {t for seq in expansions.values() for t in seq}
     suppressed = set(range(shared, teacher_vocab_size))
     suppressed |= {k for k in expansions if k < teacher_vocab_size}

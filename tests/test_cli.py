@@ -918,6 +918,12 @@ class TestExitCodes:
         assert error["kind"] == "config"
         assert "single-character token_text entry" in error["message"]
 
+    def test_token_text_without_single_characters_serves_prompt_tokens_problems(self, tmp_path):
+        # a table of multi-character fragments still renders traces; only prompt_text needs single characters
+        cfg_path = write_config(tmp_path, answers=["bb"], token_text=["aa", "bb", "cc", ""])
+        assert main(["generate", str(cfg_path)]) == 0
+        assert (tmp_path / "dataset.jsonl").exists()
+
     @pytest.mark.parametrize(
         "regime, teacher_size, token_text, emitted",
         [

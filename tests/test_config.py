@@ -242,6 +242,11 @@ class TestDetokenizer:
         detok = build_detokenizer(None)
         assert detok([3, 11]) == "3 11"
 
+    def test_out_of_table_token_is_data_error(self):
+        detok = build_detokenizer(["a"])
+        with pytest.raises(DataError, match="token_text"):
+            detok([4])
+
 
 class TestEncodeText:
     def test_round_trips_single_char_table(self):
@@ -256,8 +261,7 @@ class TestEncodeText:
         assert text_encoder(["ab", "b"])("b") == (1,)
 
     def test_table_without_single_chars_rejected(self):
-        with pytest.raises(ConfigError, match="single-character"):
-            text_encoder(["ab", ""])
+        assert text_encoder(["ab", ""]) is None  # load_problems refuses it once a line needs it
 
     def test_unknown_character_rejected(self):
         with pytest.raises(DataError, match="not in token_text"):
@@ -289,10 +293,12 @@ class TestLoadProblems:
         with pytest.raises(DataError, match=re.escape(f"{path}: line 2: prompt token must be an integer")):
             load_problems(path, None)
 
-    def test_table_without_single_characters_is_config_error_before_the_first_line(self, tmp_path):
-        path = self.write(tmp_path, [{"id": "a", "prompt_tokens": [0], "answer": "x"}])
-        with pytest.raises(ConfigError, match="single-character"):
-            load_problems(path, ["ab", ""])
+    def test_table_without_single_characters_is_config_error_once_a_line_needs_it(self, tmp_path):
+        rows = [{"id": "a", "prompt_tokens": [0], "answer": "x"}, {"id": "b", "prompt_text": "ab", "answer": "x"}]
+        assert [p.id for p in load_problems(self.write(tmp_path, rows[:1]), ["ab", ""])] == ["a"]
+        with pytest.raises(ConfigError, match="single-character") as exc:
+            load_problems(self.write(tmp_path, rows), ["ab", ""])
+        assert type(exc.value) is ConfigError  # not relabelled a data error of line 2
 
     def test_duplicate_ids_rejected(self, tmp_path):
         rows = [{"id": "p", "prompt_tokens": [0], "answer": "x"}] * 2

@@ -450,7 +450,17 @@ class TestReadJsonl:
     def test_yields_numbered_objects_and_skips_blank_lines(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"a": 1}\n\n  \n{"b": 2}\n')
-        assert list(read_jsonl(path)) == [(1, {"a": 1}), (4, {"b": 2})]
+        assert list(read_jsonl(path, lambda row: row)) == [(1, {"a": 1}), (4, {"b": 2})]
+
+    def test_a_parser_fault_names_the_path_and_line_and_a_caller_fault_does_not(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n{"b": 2}\n')
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 2: missing key 'a'")):
+            list(read_jsonl(path, lambda row: row["a"]))
+        with pytest.raises(ValueError, match="^the caller's own fault$") as exc:
+            for _ in read_jsonl(path, lambda row: row):
+                raise ValueError("the caller's own fault")
+        assert type(exc.value) is ValueError
 
     @pytest.mark.parametrize(
         "content, message",
@@ -467,7 +477,7 @@ class TestReadJsonl:
         if content is not None:
             path.write_bytes(content)
         with pytest.raises(DataError, match=message) as exc:
-            list(read_jsonl(path))
+            list(read_jsonl(path, lambda row: row))
         assert str(path) in str(exc.value)
 
 

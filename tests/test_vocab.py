@@ -45,6 +45,11 @@ class TestBuildVocabMap:
         assert m.expansions == {}
         assert m.shared_size == 8
 
+    @pytest.mark.parametrize("sizes", [(1, 4), (4, 1)])
+    def test_a_vocabulary_below_two_ids_is_refused_by_the_sizes_given(self, sizes):
+        with pytest.raises(VocabularyAlignmentError, match="^both vocabularies must have size >= 2$"):
+            build_vocab_map(*sizes)
+
     def test_teacher_surplus_of_128_is_suppressed(self):
         m = build_vocab_map(151936 + 128, 151936)
         assert len(m.suppressed) == 128

@@ -28,24 +28,30 @@ randomness of later steps. At ``p_th = 0`` nothing is rejected, so by
 construction the coordinated regimes emit bit-exactly the tokens of the
 corresponding solo decodes (for ``rsd``, when suppression removes no mass).
 
-Block verification: an approver whose ``lookahead`` is above 1 (a remote
-model whose server serves ``/v1/distributions``) judges up to that many
-steps in one :meth:`~rsdkit.models.LanguageModel.next_distributions` call.
-The proposer first runs ahead on a trial copy of the contexts, drawing step
-``i``'s proposal from ``StepStream(seed, i)`` exactly as the one-step loop
-does; the loop then emits the block's steps in order, each from the stream,
-proposal and approver row the one-step loop would have used, and the first
-fallback discards the rest of the block. A fallback changes the emitted
-token, so every later proposal was drawn on a context that never comes to
-be: those steps are wasted work, never emitted, and their step indices are
-drawn again, from the same streams, on the real context. Speculation stops
-at EOS, at ``max_tokens``, and before a step whose context would overflow
-(the loop's own append then raises, at that step). A proposer error at a
-later step of the block only ends it, and is raised when the loop reaches
-that step; an approver error on a block is answered by judging its first
-step alone. On either path the loop checks the approver's context before
-each step's proposal, so an id the approver lacks fails first. So the
-trace, and any error, is the one-step loop's, bit for bit.
+Block verification: when either model's ``lookahead`` is above 1 (a
+remote model, whose server draws and judges blocks), ``decode`` runs blocks
+of up to the larger. The proposer draws a block in one
+:meth:`~rsdkit.models.LanguageModel.draws` call on a trial copy of the
+contexts, step ``i`` with draw 0 of ``StepStream(seed, i)`` exactly as the
+one-step loop draws it, and the approver judges the block in one
+:meth:`~rsdkit.models.LanguageModel.next_distributions` call. The loop then
+emits the block's steps in order, each from the stream, proposal and
+approver row the one-step loop would have used, and the first fallback
+discards the rest of the block. A block step carries its proposal's raw
+probability, not the proposer's row, so after a fallback the loop fetches
+that row to record the fallback token's probability. A fallback changes
+the emitted token, so every later proposal was drawn on a context that
+never comes to be: those steps are wasted work, never emitted, and their
+step indices are drawn again, from the same streams, on the real context.
+A block stops at EOS, at ``max_tokens``, before a step whose context would
+overflow (the loop's own append then raises, at that step), and before a
+step the proposer did not draw (its row or draw raised) or the student
+cannot score. Such a step, when it opens a block, is taken on the one-step
+path, which raises any error at its own step, with its own type and text;
+an approver error on a block is answered by judging its first step alone.
+The loop checks the approver's context before each step's proposal, so an
+id the approver lacks fails first. So the trace, and any error, is the
+one-step loop's, bit for bit.
 
 Thresholding uses the *raw* (temperature-1) probability by default so the
 acceptance rule measures the same quantity as the sub-threshold diagnostics;
@@ -289,7 +295,7 @@ def decode(
             raise VocabularyAlignmentError(f"suppression failed to filter token {token}, unscoreable by the student")
         return token
 
-    ahead = other.lookahead if approving else 1
+    ahead = max(proposer.lookahead, other.lookahead) if approving else 1
 
     records: list[TokenRecord] = []
     terminated = "length-budget"
@@ -301,14 +307,11 @@ def decode(
                 if not 0 <= t < other.vocab_size:
                     raise ValueError(f"context token {t} outside vocabulary of size {other.vocab_size}")
             checked = len(other_ctx)
-        if ahead > 1:
-            if not block:
-                block = _speculate(step, ahead, cfg, vmap, ctx, teacher_proposes, proposer, other, draw, eos)
-            speculated = block.pop()
-            if isinstance(speculated, Exception):
-                raise speculated
-            stream, own, token, judge = speculated
-        else:
+        if ahead > 1 and not block:
+            block = _speculate(step, ahead, cfg, vmap, ctx, teacher_proposes, proposer, other, eos)
+        if block:
+            stream, own, token, judge = block.pop()
+        else:  # every step when ahead is 1, else a step no block holds
             stream = StepStream(cfg.seed, step)
             own = proposer.next_distribution(own_ctx)
             token = draw(teacher_proposes, own, stream)
@@ -322,6 +325,8 @@ def decode(
             fallback = decision_p < cfg.p_th
             if fallback:
                 token = draw(not teacher_proposes, judge, stream)
+                if type(own) is dict and token not in own:  # a block step holds its proposal's probability only
+                    own = proposer.next_distribution(own_ctx)
                 block.clear()  # speculated past a rejection: never emitted
 
         p_t, p_s = (own, judge) if teacher_proposes else (judge, own)
@@ -347,27 +352,25 @@ def decode(
 
 
 def _speculate(step: int, ahead: int, cfg: GenerationConfig, vmap: VocabularyMap, ctx: DualContext,
-               teacher_proposes: bool, proposer: LanguageModel, approver: LanguageModel, draw, eos: int) -> list:
-    """Up to ``ahead`` steps of :func:`decode` from ``step`` on, proposed on a trial copy of ``ctx`` and
-    judged by one approver call, on an approver context :func:`decode` has already checked. The steps
-    are ``(stream, proposer row, proposal, approver row)``, last first, below a later step's error,
-    which ends the block and is raised at its own step."""
+               teacher_proposes: bool, proposer: LanguageModel, approver: LanguageModel, eos: int) -> list:
+    """Up to ``ahead`` steps of :func:`decode` from ``step`` on, drawn by one proposer :meth:`draws` call on a
+    trial copy of ``ctx`` and judged by one approver call, on an approver context :func:`decode` has already
+    checked. The steps are ``(stream, {proposal: its raw probability}, proposal, approver row)``, last first,
+    each stream past its draw 0. The block ends before a step the proposer did not draw or the student cannot
+    score, and is empty when that is the first step: :func:`decode` then takes the step on its one-step path,
+    which raises any error at its own step. A block the approver refuses is judged again, its first step alone."""
     other_ctx = ctx.student if teacher_proposes else ctx.teacher
     trial = DualContext(ctx.max_length, list(ctx.student), list(ctx.teacher))
     t_own, t_other = (trial.teacher, trial.student) if teacher_proposes else (trial.student, trial.teacher)
     base = len(t_other)
-    steps, deferred = [], None
-    for s in range(step, min(step + ahead, cfg.max_tokens)):
-        stream = StepStream(cfg.seed, s)
-        try:
-            own = proposer.next_distribution(t_own)
-            token = draw(teacher_proposes, own, stream)
-        except (ValueError, BackendError) as exc:
-            if not steps:
-                raise
-            deferred = exc
-            break
-        steps.append((stream, own, token, len(t_other) - base))  # last: its row in the approver's reply
+    streams = [StepStream(cfg.seed, s) for s in range(step, min(step + ahead, cfg.max_tokens))]
+    uniforms = [stream.random() for stream in streams]  # each stream keeps draw 1 for a fallback
+    drawn = proposer.draws(t_own, uniforms, cfg.temperature, vmap if teacher_proposes else None, eos)
+    steps = []
+    for stream, (token, p) in zip(streams, drawn):
+        if teacher_proposes and (token >= approver.vocab_size or vmap.is_student_only(token)):
+            break  # decode's draw raises it, at this step
+        steps.append((stream, {token: p}, token, len(t_other) - base))  # last: its row in the approver's reply
         if token == eos:
             break
         try:
@@ -376,18 +379,17 @@ def _speculate(step: int, ahead: int, cfg: GenerationConfig, vmap: VocabularyMap
             break  # decode's own append raises it, at this step
         if len(t_other) - base >= ahead:  # a reply holds at most ``ahead`` rows
             break
+    if not steps:
+        return []
     rows = None
     if len(steps) > 1:
         try:
             rows = approver.next_distributions(other_ctx, t_other[base : base + steps[-1][3]])
         except BackendError:  # judged alone below, so an error surfaces where decode meets it
             del steps[1:]
-            deferred = None
     if rows is None:
         rows = [approver.next_distribution(other_ctx)]
-    block = [] if deferred is None else [deferred]
-    block.extend((stream, own, token, rows[at]) for stream, own, token, at in reversed(steps))
-    return block
+    return [(stream, own, token, rows[at]) for stream, own, token, at in reversed(steps)]
 
 
 def _prob(dist: Distribution, token: int, outside: float | None, temperature: float = 1.0) -> float | None:

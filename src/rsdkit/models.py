@@ -299,8 +299,9 @@ class LanguageModel(ABC):
 
     vocab_size: int
     eos_token: int
-    #: Steps an approver judges per call: ``decode`` hands it blocks of up to
-    #: this many proposals, through :meth:`next_distributions`, when it is > 1.
+    #: Steps a model proposes or judges per call: when either side's is > 1, ``decode`` runs
+    #: blocks of up to the larger, drawn by one :meth:`draws` and judged by one
+    #: :meth:`next_distributions` call.
     lookahead = 1
 
     def _set_eos(self, eos_token) -> None:
@@ -323,6 +324,35 @@ class LanguageModel(ABC):
                 prefix.append(token)
                 rows.append(self.next_distribution(prefix))
         return rows
+
+    def draws(self, context: Sequence[int], uniforms: Sequence[float], temperature: float = 1.0,
+              suppressed: VocabularyMap | None = None, stop: int | None = None) -> list[tuple[int, float]]:
+        """``(token, raw probability)`` per uniform: step ``i`` is :func:`sample` at ``temperature``
+        without ``suppressed``'s ids on the row after ``context`` extended by the earlier draws, with
+        ``uniforms[i]`` as its one draw. The list ends after ``stop``, and before a step whose row or
+        draw raises: the caller meets that error on its own row path, at its own step."""
+        drawn: list[tuple[int, float]] = []
+        prefix = list(context)
+        for u in uniforms:
+            try:
+                row = self.next_distribution(prefix)
+                token = sample(row, _Uniform(u), temperature, suppressed)
+            except (ValueError, RuntimeError):
+                break
+            drawn.append((token, row[token]))
+            if token == stop:
+                break
+            prefix.append(token)
+        return drawn
+
+
+class _Uniform:
+    """A given uniform, as the one ``random()`` draw :func:`sample` makes."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, u: float) -> None:
+        self.random = lambda: u
 
 
 class TableModel(LanguageModel):

@@ -93,6 +93,8 @@ class Problem:
     answer: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.prompt_tokens, (list, tuple)):  # before the emptiness test: 0 is no empty prompt
+            raise TypeError(f"prompt_tokens must be a list of token ids, got {self.prompt_tokens!r}")
         if not self.prompt_tokens:
             raise ValueError(f"problem {self.id!r} has an empty prompt")
         object.__setattr__(self, "prompt_tokens", tuple(_integer("prompt token", t) for t in self.prompt_tokens))

@@ -1,6 +1,6 @@
 """HTTP client exposing a log-probability server as a LanguageModel.
 
-Wire protocol v4 (HTTP/1.1, JSON requests):
+Wire protocol v5 (HTTP/1.1, JSON requests):
 
 * ``GET /v1/capabilities?model=NAME`` returns ``{"model": NAME,
   "vocab_size": V, "eos_token": E, "max_context": C, "max_continuation":
@@ -15,10 +15,28 @@ Wire protocol v4 (HTTP/1.1, JSON requests):
   as one ``application/octet-stream`` body of exactly ``(k+1)·8·V`` bytes:
   each row the ``V`` exact probabilities as little-endian float64, with no
   JSON and no base64. A single row is the request with ``"continuation":
-  []``. :attr:`RemoteModel.lookahead` is ``min(LOOKAHEAD, K + 1)``, so
-  ``decode`` judges a block of proposals in one request. A body that is
-  not raw, of the wrong length, or not finite distributions raises
-  :class:`BackendError`.
+  []``. A body that is not raw, of the wrong length, or not finite
+  distributions raises :class:`BackendError`.
+* ``POST /v1/draws`` (new in v5) with body ``{"model": NAME, "context":
+  [int, ...], "uniforms": [float, ...], "temperature": T, "suppressed":
+  [int, ...], "stop": int or null}`` and at most ``K + 1`` uniforms, the
+  context plus the uniforms within ``C``, returns JSON ``{"tokens": [int,
+  ...], "probs": [float, ...]}``: what
+  :meth:`~rsdkit.models.LanguageModel.draws` returns, each token drawn by
+  inverse CDF with its uniform on the row after the context extended by
+  the earlier draws, at ``T`` without the ``suppressed`` ids, and its raw
+  probability. JSON floats round-trip exactly, so the stub, which runs
+  rsdkit's own :func:`~rsdkit.models.sample`, draws the tokens in-process
+  decoding draws; a third-party server answers for its own sampler. The
+  reply ends after ``stop``, and may end short: the caller takes the first
+  step it lacks on the row path. A reply with lists of unequal length,
+  more tokens than uniforms, an id outside the vocabulary, a probability
+  that is not finite or outside [0, 1], or ``stop`` anywhere but last
+  raises :class:`BackendError`, and so does a v4 server's refusal of the
+  path.
+
+:attr:`RemoteModel.lookahead` is ``min(LOOKAHEAD, K + 1)``, so ``decode``
+has a block of proposals drawn in one request and judged in one request.
 
 Each thread keeps its own ``http.client`` connection alive; a non-2xx status,
 a redirect too, raises :class:`BackendError`. Requests are idempotent and never
@@ -27,27 +45,32 @@ mutate server state. The client keeps no rows: each call is one request.
 
 from __future__ import annotations
 
+import bisect
 import http.client
 import json
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 from urllib.parse import SplitResult, urlencode, urlsplit
 
 import numpy as np
 
 from .models import Distribution, LanguageModel, _integer
 
+if TYPE_CHECKING:
+    from .vocab import VocabularyMap
+
 
 #: The encoding the client requests: a raw body of little-endian float64 probs.
 F64_LE = "f64-le"
 OCTET_STREAM = "application/octet-stream"
-#: Steps a remote approver judges per block request. Proposals after a
-#: rejection are wasted, so longer blocks stop paying: on the remote-stub-v4k
-#: benchmark (accept ratio 0.97) a command made 87 requests at 4, 83 at 8 and
-#: 95 at 16, against 128 one row at a time.
+#: Steps a remote proposer draws, or a remote approver judges, per block request.
+#: Proposals after a rejection are wasted, and so are the approver's rows for
+#: them: on the remote-stub-v4k benchmark (accept ratio 0.97) a command made 38
+#: requests at 4, 22 at 8 and 14 at 16, against 128 one step at a time, while
+#: the student's rows grew from 69 at 4 to 73 at 8 and 89 at 16.
 LOOKAHEAD = 8
 _CONNECTIONS = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
 
@@ -218,6 +241,28 @@ def distributions_from_payload(payload: dict | bytes, rows: int, vocab_size: int
     return [distribution_from_payload(body[i * width : (i + 1) * width], vocab_size) for i in range(rows)]
 
 
+def draws_from_payload(payload: dict | bytes, uniforms: int, vocab_size: int,
+                       stop: int | None) -> list[tuple[int, float]]:
+    """A ``/v1/draws`` reply to ``uniforms`` uniforms -> its ``(token, raw probability)`` pairs: at most
+    ``uniforms`` tokens in the vocabulary, each with a finite probability in [0, 1], ``stop`` last if at all."""
+    try:
+        tokens, probs = payload["tokens"], payload["probs"]
+    except (KeyError, TypeError) as exc:
+        raise BackendError(f"malformed draws reply: {payload!r:.200}") from exc
+    if not isinstance(tokens, list) or not isinstance(probs, list) or len(tokens) != len(probs):
+        raise BackendError(f"draws reply needs equal lists of tokens and probs: {payload!r:.200}")
+    if len(tokens) > uniforms:
+        raise BackendError(f"draws reply holds {len(tokens)} tokens for {uniforms} uniforms")
+    for token, p in zip(tokens, probs):
+        if type(token) is not int or not 0 <= token < vocab_size:
+            raise BackendError(f"drawn token {token!r} outside vocabulary of size {vocab_size}")
+        if type(p) not in (int, float) or not 0.0 <= p <= 1.0:  # NaN fails the range
+            raise BackendError(f"drawn token {token} has probability {p!r}, not one in [0, 1]")
+    if stop in tokens[:-1]:
+        raise BackendError(f"draws reply goes on past the stop token {stop}")
+    return [(token, float(p)) for token, p in zip(tokens, probs)]
+
+
 class RemoteModel(LanguageModel):
     """LanguageModel backed by the wire protocol above.
 
@@ -225,7 +270,8 @@ class RemoteModel(LanguageModel):
     each thread on its own connection, and :meth:`close` closes them all.
     It keeps no rows: every call asks the server, which may cache a repeated
     prompt itself. ``stats`` counts HTTP tries, the rows their replies held,
-    retries, body bytes (raw ones: ``8·V`` a row) and seconds in requests.
+    the tokens the server drew, retries, body bytes (raw ones: ``8·V`` a row)
+    and seconds in requests.
     """
 
     def __init__(self, endpoint: BackendEndpoint) -> None:
@@ -238,7 +284,8 @@ class RemoteModel(LanguageModel):
         self._lock = threading.Lock()
         self._local = threading.local()
         self._opened: list[http.client.HTTPConnection] = []  # every thread's, for close()
-        self.stats = Counter(requests=0, rows=0, retries=0, request_bytes=0, response_bytes=0, round_trip_s=0.0)
+        self.stats = Counter(requests=0, rows=0, draws=0, retries=0, request_bytes=0, response_bytes=0,
+                             round_trip_s=0.0)
 
     def next_distribution(self, context: Sequence[int]) -> Distribution:
         return self.next_distributions(context, ())[0]
@@ -257,16 +304,38 @@ class RemoteModel(LanguageModel):
             "continuation": list(continuation),
             "encoding": F64_LE,
         }
-        rows = distributions_from_payload(self._post(body), len(continuation) + 1, self.vocab_size)
+        reply = self._post("/v1/distributions", body)
+        rows = distributions_from_payload(reply, len(continuation) + 1, self.vocab_size)
         self._tally(rows=len(rows))
         return rows
 
-    def _post(self, body: dict) -> dict | bytes:
+    def draws(self, context: Sequence[int], uniforms: Sequence[float], temperature: float = 1.0,
+              suppressed: VocabularyMap | None = None, stop: int | None = None) -> list[tuple[int, float]]:
+        """One ``/v1/draws`` request for as many of the draws as the server takes: at most ``K + 1``,
+        the context plus them within its ``max_context``; none, and no request, if that is 0."""
+        caps = self.capabilities
+        uniforms = list(uniforms[: max(0, min(caps.max_continuation + 1, caps.max_context - len(context)))])
+        if not uniforms:
+            return []
+        ids = [] if suppressed is None else suppressed.suppressed_ids.tolist()  # sorted
+        body = {
+            "model": self.endpoint.model_name,
+            "context": list(context),
+            "uniforms": uniforms,
+            "temperature": temperature,
+            "suppressed": ids[: bisect.bisect_left(ids, self.vocab_size)],  # ids past V suppress nothing
+            "stop": stop,
+        }
+        drawn = draws_from_payload(self._post("/v1/draws", body), len(uniforms), self.vocab_size, stop)
+        self._tally(draws=len(drawn))
+        return drawn
+
+    def _post(self, path: str, body: dict) -> dict | bytes:
         if getattr(self._local, "conn", None) is None:  # this thread's first request
             self._local.conn = _connect(self.endpoint)
             with self._lock:
                 self._opened.append(self._local.conn)
-        return _request(self.endpoint, self._local, "POST", "/v1/distributions", body=body, tally=self._tally)
+        return _request(self.endpoint, self._local, "POST", path, body=body, tally=self._tally)
 
     def _tally(self, **counts) -> None:
         with self._lock:

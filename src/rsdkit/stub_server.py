@@ -1,19 +1,35 @@
-"""In-process stub server speaking wire protocol v4 (see :mod:`rsdkit.remote`).
+"""In-process stub server speaking wire protocol v5 (see :mod:`rsdkit.remote`).
 
 Wraps any in-process LanguageModel (tables, n-grams) behind the same wire
 surface a real inference server would expose, so decoders can be exercised
-end to end over HTTP without GPUs. ``POST /v1/distributions`` is the one row
-endpoint: its body holds ``model``, ``context``, ``continuation`` (at most
-:data:`MAX_CONTINUATION` ids, advertised as ``"max_continuation"`` in the
-capabilities; ``[]`` for one row) and ``"encoding": "f64-le"``, and the
-reply is one ``application/octet-stream`` body of ``(k+1)·8·V`` bytes, the
-exact probabilities after each prefix of the continuation as little-endian
-float64. It refuses with HTTP 400 a body key outside those four, any other
-``encoding`` (``"f64-b64"`` and a missing one included), a ``model`` that is
-not a string, a ``context`` or ``continuation`` that is not a list of ints,
-a token outside the model's vocabulary, a continuation longer than
-advertised and one that takes the context past ``max_context``. Errors and
-capabilities are JSON.
+end to end over HTTP without GPUs. Two POST endpoints serve a model:
+
+* ``POST /v1/distributions`` returns rows: its body holds ``model``,
+  ``context``, ``continuation`` (at most :data:`MAX_CONTINUATION` ids,
+  advertised as ``"max_continuation"`` in the capabilities; ``[]`` for one
+  row) and ``"encoding": "f64-le"``, and the reply is one
+  ``application/octet-stream`` body of ``(k+1)·8·V`` bytes, the exact
+  probabilities after each prefix of the continuation as little-endian
+  float64. It refuses with HTTP 400 any other ``encoding`` (``"f64-b64"``
+  and a missing one included), a ``continuation`` that is not a list of
+  ints, one longer than advertised and one that takes the context past
+  ``max_context``.
+* ``POST /v1/draws`` returns draws: its body holds ``model``, ``context``,
+  ``uniforms`` (at most ``MAX_CONTINUATION + 1``), ``temperature``,
+  ``suppressed`` ids and ``stop`` (an id or null), and the reply is JSON
+  ``{"tokens": [...], "probs": [...]}`` from the model's
+  :meth:`~rsdkit.models.LanguageModel.draws`, which runs rsdkit's own
+  :func:`~rsdkit.models.sample`, so the tokens are those in-process
+  decoding draws. A draw that fails ends the reply short; it is never an
+  error status. It refuses with HTTP 400 uniforms that are not a list of
+  numbers in [0, 1), too many of them, a context plus uniforms past
+  ``max_context``, a temperature that is not a finite number above 0,
+  ``suppressed`` ids that are not a list of ids in the vocabulary, and a
+  ``stop`` that is neither an int nor null.
+
+Both refuse with HTTP 400 a body key outside their own, a ``model`` that is
+not a string, a ``context`` that is not a list of ints and a context token
+outside the model's vocabulary. Errors and capabilities are JSON.
 
 Usable as a context manager in tests (background thread) or run in the
 foreground via the ``stub-serve`` CLI subcommand.
@@ -22,7 +38,9 @@ foreground via the ``stub-serve`` CLI subcommand.
 from __future__ import annotations
 
 import json
+import math
 import threading
+from functools import cached_property
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping
 from urllib.parse import parse_qs, urlparse
@@ -31,11 +49,15 @@ import numpy as np
 
 from .models import Distribution, LanguageModel
 from .remote import F64_LE, OCTET_STREAM
+from .vocab import VocabularyMap
 
-#: The longest continuation one /v1/distributions request may carry.
+#: The longest continuation one /v1/distributions request may carry; a /v1/draws request carries one
+#: uniform more.
 MAX_CONTINUATION = 64
 #: The keys a /v1/distributions body may hold; any other is refused.
 REQUEST_KEYS = frozenset({"model", "context", "continuation", "encoding"})
+#: The keys a /v1/draws body holds; any other is refused.
+DRAWS_KEYS = frozenset({"model", "context", "uniforms", "temperature", "suppressed", "stop"})
 #: How often a background server checks for :meth:`StubServer.stop`, in seconds;
 #: ``serve_forever``'s default of 0.5 s made every stop wait about that long.
 POLL_INTERVAL_S = 0.05
@@ -131,10 +153,11 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int):
             )
 
         def do_POST(self) -> None:  # noqa: N802
-            url = urlparse(self.path)
-            if url.path != "/v1/distributions":
+            path = urlparse(self.path).path
+            answer = {"/v1/distributions": _distributions, "/v1/draws": _draws}.get(path)
+            if answer is None:
                 self.close_connection = True  # the body is unread
-                self._fail(404, f"unknown path {url.path}")
+                self._fail(404, f"unknown path {path}")
                 return
             try:
                 length = int(self.headers.get("Content-Length", "0"))
@@ -143,40 +166,102 @@ def _make_handler(models: Mapping[str, LanguageModel], max_context: int):
                 body = json.loads(self.rfile.read(length))
                 if not isinstance(body, dict):
                     raise TypeError(f"body must be a JSON object, got {type(body).__name__}")
-                if body.keys() - REQUEST_KEYS:
-                    raise ValueError(f"unknown keys {sorted(body.keys() - REQUEST_KEYS)}")
-                name, context, continuation = body["model"], body["context"], body["continuation"]
-                if not isinstance(name, str):
-                    raise TypeError(f"model must be a string, got {type(name).__name__}")
-                for field, ids in (("context", context), ("continuation", continuation)):
-                    if not isinstance(ids, list) or any(type(t) is not int for t in ids):
-                        raise TypeError(f"{field} must be a list of ints")  # bools are not ints here
-                encoding = body.get("encoding")
-            except (KeyError, TypeError, ValueError) as exc:
+            except (TypeError, ValueError) as exc:
                 self.close_connection = True  # the body may be unread
                 self._fail(400, f"malformed request: {exc}")
                 return
-            if encoding != F64_LE:
-                self._fail(400, f"unsupported encoding {encoding!r}")
-                return
-            model = models.get(name)
-            if model is None:
-                self._fail(404, f"unknown model {name!r}")
-                return
-            if len(continuation) > MAX_CONTINUATION:
-                self._fail(400, f"continuation length {len(continuation)} exceeds max {MAX_CONTINUATION}")
-                return
-            if len(context) + len(continuation) > max_context:
-                self._fail(400, f"context length {len(context) + len(continuation)} exceeds max {max_context}")
-                return
-            for t in context + continuation:
-                if not 0 <= t < model.vocab_size:
-                    self._fail(400, f"context token {t} outside vocabulary of size {model.vocab_size}")
-                    return
-            rows = model.next_distributions(context, continuation)
-            self._send(200, b"".join([_full_payload(row) for row in rows]))  # one row: no copy
+            self._send(*answer(body, models, max_context))
 
     return Handler
+
+
+def _read(body: dict, keys: frozenset, *id_lists: str) -> None:
+    """Raise KeyError, TypeError or ValueError unless ``body`` holds exactly ``keys``, a string
+    ``model`` and each of ``id_lists`` a list of ints."""
+    if body.keys() - keys:
+        raise ValueError(f"unknown keys {sorted(body.keys() - keys)}")
+    if not isinstance(body["model"], str):
+        raise TypeError(f"model must be a string, got {type(body['model']).__name__}")
+    for name in id_lists:
+        if not isinstance(body[name], list) or any(type(t) is not int for t in body[name]):
+            raise TypeError(f"{name} must be a list of ints")  # bools are not ints here
+
+
+def _outside(ids, model: LanguageModel, what: str = "context token") -> tuple[int, dict] | None:
+    """The 400 reply for the first of ``ids`` outside ``model``'s vocabulary, if any."""
+    for t in ids:
+        if not 0 <= t < model.vocab_size:
+            return 400, {"error": f"{what} {t} outside vocabulary of size {model.vocab_size}"}
+    return None
+
+
+def _distributions(body: dict, models: Mapping[str, LanguageModel], max_context: int) -> tuple[int, dict | bytes]:
+    """``(status, reply)`` to a /v1/distributions body: the raw rows, or an error."""
+    try:
+        _read(body, REQUEST_KEYS, "context", "continuation")
+    except (KeyError, TypeError, ValueError) as exc:
+        return 400, {"error": f"malformed request: {exc}"}
+    if body.get("encoding") != F64_LE:
+        return 400, {"error": f"unsupported encoding {body.get('encoding')!r}"}
+    model = models.get(body["model"])
+    if model is None:
+        return 404, {"error": f"unknown model {body['model']!r}"}
+    context, continuation = body["context"], body["continuation"]
+    if len(continuation) > MAX_CONTINUATION:
+        return 400, {"error": f"continuation length {len(continuation)} exceeds max {MAX_CONTINUATION}"}
+    if len(context) + len(continuation) > max_context:
+        return 400, {"error": f"context length {len(context) + len(continuation)} exceeds max {max_context}"}
+    refusal = _outside(context + continuation, model)
+    if refusal is not None:
+        return refusal
+    rows = model.next_distributions(context, continuation)
+    return 200, b"".join([_full_payload(row) for row in rows])  # one row: no copy
+
+
+def _draws(body: dict, models: Mapping[str, LanguageModel], max_context: int) -> tuple[int, dict]:
+    """``(status, reply)`` to a /v1/draws body: the drawn tokens and their raw probabilities, or an error."""
+    try:
+        _read(body, DRAWS_KEYS, "context", "suppressed")
+        uniforms, temperature, stop = body["uniforms"], body["temperature"], body["stop"]
+        if not isinstance(uniforms, list) or any(type(u) not in (int, float) for u in uniforms):
+            raise TypeError("uniforms must be a list of numbers")
+        if type(temperature) not in (int, float):
+            raise TypeError(f"temperature must be a number, got {temperature!r}")
+        if stop is not None and type(stop) is not int:
+            raise TypeError(f"stop must be an int or null, got {stop!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        return 400, {"error": f"malformed request: {exc}"}
+    model = models.get(body["model"])
+    if model is None:
+        return 404, {"error": f"unknown model {body['model']!r}"}
+    context = body["context"]
+    if len(uniforms) > MAX_CONTINUATION + 1:
+        return 400, {"error": f"{len(uniforms)} uniforms exceed max {MAX_CONTINUATION + 1}"}
+    if len(context) + len(uniforms) > max_context:
+        return 400, {"error": f"context length {len(context)} plus {len(uniforms)} uniforms exceeds max {max_context}"}
+    bad = next((u for u in uniforms if not 0.0 <= u < 1.0), None)  # NaN fails the range too
+    if bad is not None:
+        return 400, {"error": f"uniform {bad!r} outside [0, 1)"}
+    if not 0.0 < temperature < math.inf:
+        return 400, {"error": f"temperature must be finite and above 0, got {temperature!r}"}
+    refusal = _outside(context, model) or _outside(body["suppressed"], model, "suppressed id")
+    if refusal is not None:
+        return refusal
+    cut = _Suppression(body["suppressed"]) if body["suppressed"] else None
+    drawn = model.draws(context, uniforms, temperature, cut, stop)
+    return 200, {"tokens": [t for t, _ in drawn], "probs": [p for _, p in drawn]}
+
+
+class _Suppression:
+    """What :func:`~rsdkit.models.sample` reads of a :class:`~rsdkit.vocab.VocabularyMap`: its suppressed
+    ids as a set, a sorted array and runs. A bare id set obeys none of a map's invariants, so no map is
+    built from it."""
+
+    suppressed_ids = cached_property(VocabularyMap.suppressed_ids.func)
+    suppressed_runs = cached_property(VocabularyMap.suppressed_runs.func)
+
+    def __init__(self, ids: list[int]) -> None:
+        self.suppressed = frozenset(ids)
 
 
 def _full_payload(dist: Distribution) -> bytes:

@@ -3,6 +3,8 @@ proposals in one call, and the decode is the one-step decode, bit for bit."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -62,6 +64,10 @@ def random_row(rng: np.random.Generator, vocab: int) -> np.ndarray:
     if not w.any():
         w[rng.integers(vocab)] = 1.0
     return w / w.sum()
+
+
+#: A V=8 teacher row whose mass lies on ids ``build_vocab_map(8, 6, {4: (1, 2)})`` suppresses.
+DEAD = [0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.25, 0.25]
 
 
 def refusal(m: int, r: int):
@@ -209,43 +215,142 @@ class TestBlockDecoding:
 
 
 @pytest.fixture()
-def served_pair():
-    rng = np.random.default_rng(11)
-
-    def row():  # little EOS mass, so traces run long
-        w = random_row(rng, 6) * [1, 1, 1, 1, 1, 0.05]
-        return w / w.sum()
-
-    teacher = TableModel({(t,): row() for t in range(6)}, row(), eos_token=5)
-    student = TableModel({(t,): row() for t in range(6)}, row(), eos_token=5)
+def connect():
+    """Connect ``RemoteModel``s to a stub server's roles, closed when the test ends."""
     opened = []
 
     def connect(server: StubServer, role: str) -> RemoteModel:
         opened.append(RemoteModel(BackendEndpoint(base_url=server.base_url, model_name=role)))
         return opened[-1]
 
-    yield teacher, student, connect
+    yield connect
     for model in opened:
         model.close()
+
+
+def long_row(rng: np.random.Generator) -> np.ndarray:
+    """A V=6 row with little EOS mass, so traces run long."""
+    w = random_row(rng, 6) * [1, 1, 1, 1, 1, 0.05]
+    return w / w.sum()
+
+
+@pytest.fixture()
+def served_pair(connect):
+    rng = np.random.default_rng(11)
+    teacher = TableModel({(t,): long_row(rng) for t in range(6)}, long_row(rng), eos_token=5)
+    student = TableModel({(t,): long_row(rng) for t in range(6)}, long_row(rng), eos_token=5)
+    return teacher, student, connect
+
+
+@pytest.fixture()
+def agreeing_pair(connect):
+    """A student whose rows lean on the teacher's, so that it accepts most proposals, as the
+    remote-stub-v4k benchmark's student does."""
+    rng = np.random.default_rng(11)
+    rows = {(t,): long_row(rng) for t in range(6)}
+    rows[()] = long_row(rng)
+    mixed = {key: 0.8 * row + 0.2 * long_row(rng) for key, row in rows.items()}
+    teacher = TableModel({k: v for k, v in rows.items() if k}, rows[()], eos_token=5)
+    student = TableModel({k: v for k, v in mixed.items() if k}, mixed[()], eos_token=5)
+    return teacher, student, connect
 
 
 class TestOverTheWire:
     @pytest.mark.parametrize("regime", ["rsd", "skd"])
     def test_block_decode_over_a_live_stub_matches_in_process(self, served_pair, regime):
         teacher, student, connect = served_pair
-        approver_role = "student" if regime == "rsd" else "teacher"
+        approver = "student" if regime == "rsd" else "teacher"
         requests = {}
         for lookahead in (1, 8):
             with StubServer({"teacher": teacher, "student": student}) as server:
                 remote = {role: connect(server, role) for role in ("teacher", "student")}
-                assert remote[approver_role].lookahead == 8
-                remote[approver_role].lookahead = lookahead
+                for model in remote.values():
+                    assert model.lookahead == 8
+                    model.lookahead = lookahead
                 for seed in range(6):
                     cfg = GenerationConfig(p_th=0.05, max_tokens=24, seed=seed, regime=regime)
                     trace = decode(remote["teacher"], remote["student"], [0, 1], cfg)
                     assert trace.to_json_line() == decode(teacher, student, [0, 1], cfg).to_json_line()
-            requests[lookahead] = remote[approver_role].stats["requests"]
+            requests[lookahead] = remote[approver].stats["requests"]
         assert requests[8] * 4 < requests[1] * 3  # a quarter fewer at least
+
+    @pytest.mark.parametrize("regime", ["rsd", "skd"])
+    def test_the_proposer_draws_a_block_per_request(self, agreeing_pair, regime):
+        # a return to one proposer row per step fails here
+        teacher, student, connect = agreeing_pair
+        proposer = "teacher" if regime == "rsd" else "student"
+        requests, draws = {}, {}
+        for lookahead in (1, 8):
+            with StubServer({"teacher": teacher, "student": student}) as server:
+                remote = {role: connect(server, role) for role in ("teacher", "student")}
+                for model in remote.values():
+                    model.lookahead = lookahead
+                for seed in range(6):
+                    cfg = GenerationConfig(p_th=0.05, max_tokens=24, seed=seed, regime=regime)
+                    trace = decode(remote["teacher"], remote["student"], [0, 1], cfg)
+                    assert trace.to_json_line() == decode(teacher, student, [0, 1], cfg).to_json_line()
+            requests[lookahead] = remote[proposer].stats["requests"]
+            draws[lookahead] = remote[proposer].stats["draws"]
+        assert draws[1] == 0  # one step at a time: rows only
+        assert draws[8] > 0
+        assert requests[8] * 3 <= requests[1]  # a third at most
+
+    def test_a_remote_teacher_drafts_blocks_for_an_in_process_student(self, agreeing_pair):
+        # the in-process student judges one step per call; the remote teacher's lookahead sets the blocks
+        teacher, student, connect = agreeing_pair
+        requests = {}
+        for lookahead in (1, 8):
+            with StubServer({"teacher": teacher}) as server:
+                remote = connect(server, "teacher")
+                remote.lookahead = lookahead
+                for seed in range(6):
+                    cfg = GenerationConfig(p_th=0.05, max_tokens=24, seed=seed)
+                    trace = decode(remote, student, [0, 1], cfg)
+                    assert trace.to_json_line() == decode(teacher, student, [0, 1], cfg).to_json_line()
+            requests[lookahead] = remote.stats["requests"]
+        assert requests[8] * 4 <= requests[1]  # a quarter of the one-step requests at most
+
+    @pytest.mark.parametrize("regime", ["rsd", "skd"])
+    def test_an_aligned_pair_over_a_live_stub_matches_in_process(self, connect, regime):
+        # a suppressing map with an expansion, and a teacher row whose mass suppression removes, met
+        # only after a 3, so never at the first step
+        rng = np.random.default_rng(0)
+        vmap = build_vocab_map(8, 6, {4: (1, 2)})  # suppresses teacher ids 4, 6 and 7
+        teacher_rows = {(t,): random_row(rng, 8) for t in range(8)}
+        teacher = TableModel({**teacher_rows, (3,): DEAD}, random_row(rng, 8), eos_token=5)
+        student = TableModel({(t,): long_row(rng) for t in range(6)}, long_row(rng), eos_token=5)
+        outcomes = []
+        with StubServer({"teacher": teacher, "student": student}) as server:
+            remote = {role: connect(server, role) for role in ("teacher", "student")}
+            for temperature in (0.7, 1.0):
+                for raw in (True, False):
+                    for seed in range(8):
+                        cfg = GenerationConfig(p_th=0.05, max_tokens=24, temperature=temperature, seed=seed,
+                                               regime=regime, threshold_uses_raw=raw)
+                        local = outcome(lambda: decode(teacher, student, [0, 1], cfg, vmap))
+                        assert outcome(lambda: decode(remote["teacher"], remote["student"], [0, 1], cfg, vmap)) == local
+                        outcomes.append(local)
+        kinds = Counter(o if not o.startswith("{") else "trace" for o in outcomes)
+        assert kinds["EmptySupportError: suppression removed all probability mass"] > 0
+        assert kinds["trace"] > 0
+        assert remote["teacher"].stats["draws" if regime == "rsd" else "rows"] > 0
+
+    def test_a_later_block_steps_empty_support_fails_as_in_process(self, connect):
+        # the teacher says 1 until its context ends 1, 1, 1; suppression then leaves that row no mass
+        vmap = build_vocab_map(8, 6, {4: (1, 2)})
+        teacher = TableModel({(1, 1, 1): DEAD}, one_hot(8, 1), eos_token=5)
+        student = TableModel({}, [0.2] * 5 + [0.0], eos_token=5)
+        cfg = GenerationConfig(p_th=0.05, max_tokens=12, seed=3)
+        with pytest.raises(ValueError) as local:
+            decode(teacher, student, [0], cfg, vmap)
+        with StubServer({"teacher": teacher}) as server:
+            remote = connect(server, "teacher")
+            with pytest.raises(ValueError) as wire:
+                decode(remote, student, [0], cfg, vmap)
+        assert f"{type(wire.value).__name__}: {wire.value}" == f"{type(local.value).__name__}: {local.value}"
+        assert str(wire.value) == "suppression removed all probability mass"
+        # three drawn in one reply that then ends short, none at step 3 alone, then step 3's row
+        assert (remote.stats["draws"], remote.stats["rows"], remote.stats["requests"]) == (3, 1, 3)
 
     def test_server_max_context_error_surfaces_at_the_sequential_step(self, served_pair):
         teacher, student, connect = served_pair

@@ -564,8 +564,10 @@ class TestRemoteBackend:
 
     def test_remote_generate_runs_without_requests_and_logs_its_http_health(self, tmp_path):
         served = build_stub_server(load_run_config(write_config(tmp_path, answers=["b"])), "127.0.0.1", 0)
-        asked, inner = [], served.models["teacher"].next_distributions
-        served.models["teacher"].next_distributions = lambda ctx, more: asked.append(ctx + more) or inner(ctx, more)
+        asked, served_teacher = [], served.models["teacher"]
+        rows, draws = served_teacher.next_distributions, served_teacher.draws
+        served_teacher.next_distributions = lambda ctx, more: asked.append(ctx + more) or rows(ctx, more)
+        served_teacher.draws = lambda ctx, *args: asked.append(ctx) or draws(ctx, *args)
         with served:
             teacher = {"backend": "remote", "base_url": served.base_url, "model_name": "teacher"}
             cfg_path = write_config(tmp_path, answers=["bbbbbb", "zzz"], teacher=teacher)
@@ -578,11 +580,12 @@ class TestRemoteBackend:
         lines = [line for line in proc.stderr.splitlines() if line.startswith("remote ")]
         assert [line.split()[1] for line in lines] == ["teacher"]
         stats = json.loads(lines[0].split(maxsplit=2)[2])
-        assert set(stats) == {"requests", "rows", "retries", "request_bytes", "response_bytes", "round_trip_s"}
+        assert set(stats) == {"requests", "rows", "draws", "retries", "request_bytes", "response_bytes", "round_trip_s"}
         assert stats["requests"] > 0
-        assert stats["rows"] == stats["requests"]  # a teacher proposes one row per request
+        # the student accepts every "b": each attempt's 6 tokens are drawn in one request, and no fallback asks a row
+        assert (stats["draws"], stats["rows"]) == (6 * stats["requests"], 0)
         assert stats["retries"] == 0
-        assert stats["requests"] == len(asked)  # every row asked for reached the server
+        assert stats["requests"] == len(asked)  # every block asked for reached the server
         # the same prompt in each of 3 attempts (q0 solved at its first, q1 never), asked each time
         assert asked.count([0]) == 3
 
@@ -883,7 +886,13 @@ class TestExitCodes:
         "row, reason",
         [
             ({"id": "q1", "prompt_tokens": [0]}, "missing key 'answer'"),
-            ({"id": "q1", "prompt_tokens": "01", "answer": "b"}, "prompt token must be an integer, got '0'"),
+            ({"id": "q1", "prompt_tokens": "01", "answer": "b"}, "prompt_tokens must be a list of token ids, got '01'"),
+            ({"id": "q1", "prompt_tokens": 0, "answer": "b"}, "prompt_tokens must be a list of token ids, got 0"),
+            ({"id": "q1", "prompt_tokens": 5, "answer": "b"}, "prompt_tokens must be a list of token ids, got 5"),
+            ({"id": "q1", "prompt_tokens": "12", "answer": "b"}, "prompt_tokens must be a list of token ids, got '12'"),
+            ({"id": "q1", "prompt_tokens": {"0": 1}, "answer": "b"},
+             "prompt_tokens must be a list of token ids, got {'0': 1}"),
+            ({"id": "q1", "prompt_tokens": None, "answer": "b"}, "prompt_tokens must be a list of token ids, got None"),
             ({"id": "q1", "prompt_text": 5, "answer": "b"}, "prompt_text must be a string, got 5"),
             ({"id": "q1", "prompt_text": ["a", "b"], "answer": "b"}, "prompt_text must be a string, got ['a', 'b']"),
             ({"id": "q1", "prompt_text": "az", "answer": "b"}, "prompt_text character 'z' not in token_text"),
@@ -891,7 +900,8 @@ class TestExitCodes:
             ({"id": "q1", "answer": "b"}, "need prompt_tokens or prompt_text"),
             ({"id": "q1", "prompt_tokens": [], "answer": "b"}, "problem 'q1' has an empty prompt"),
         ],
-        ids=["missing-key", "wrong-type-tokens", "number-text", "list-text", "unknown-character", "duplicate-id",
+        ids=["missing-key", "wrong-type-tokens", "zero-tokens", "number-tokens", "numeric-string-tokens",
+             "object-tokens", "null-tokens", "number-text", "list-text", "unknown-character", "duplicate-id",
              "no-prompt", "empty-prompt"],
     )
     def test_problems_line_fault_is_data_error_reading_path_line_reason(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from rsdkit import cli
+from rsdkit import cli, stub_server
 from rsdkit.cli import DEFAULT_SWEEP_THRESHOLDS, build_parser, build_stub_server, main
 from rsdkit.config import load_run_config, build_model
 from rsdkit.metrics import aggregate_records
@@ -780,6 +780,19 @@ class TestExitCodes:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
         assert error["kind"] == "backend"
         assert "advertises no max_continuation" in error["message"]
+        assert not (tmp_path / "dataset.jsonl").exists()
+
+    def test_server_without_the_draws_endpoint_is_backend_error(self, tmp_path, capsys, monkeypatch):
+        # a v4 server answers POST /v1/draws as an unknown path; no row-per-step path stands in for it
+        monkeypatch.setattr(stub_server, "_draws", lambda *args: (404, {"error": "unknown path /v1/draws"}))
+        served = build_stub_server(load_run_config(write_config(tmp_path, answers=["b"])), "127.0.0.1", 0)
+        with served:
+            teacher = {"backend": "remote", "base_url": served.base_url, "model_name": "teacher"}
+            cfg_path = write_config(tmp_path, answers=["b"], teacher=teacher)
+            assert main(["generate", str(cfg_path)]) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "backend"
+        assert error["message"].startswith("POST /v1/draws -> HTTP 404")
         assert not (tmp_path / "dataset.jsonl").exists()
 
     def test_model_spec_key_its_backend_does_not_read_is_config_error(self, tmp_path, capsys):

@@ -26,6 +26,7 @@ from hypothesis.extra.numpy import arrays
 from rsdkit.config import build_model
 from rsdkit.decoding import GenerationConfig, decode
 from rsdkit.models import Distribution, TableModel
+from rsdkit.seeding import StepStream
 from rsdkit.remote import (
     BackendEndpoint,
     BackendError,
@@ -36,9 +37,11 @@ from rsdkit.remote import (
     _request,
     distribution_from_payload,
     distributions_from_payload,
+    draws_from_payload,
     handshake,
 )
 from rsdkit.stub_server import MAX_CONTINUATION, POLL_INTERVAL_S, StubServer, _full_payload, _make_handler
+from rsdkit.vocab import VocabularyMap
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "remote"
 
@@ -139,6 +142,12 @@ def record_connects(monkeypatch) -> list:
     monkeypatch.setattr(http.client.HTTPConnection, "connect", connect)
     return opened
 
+
+#: A well-formed /v1/draws body for the fixture model.
+DRAWS_BODY = {"model": "fixture-table", "context": [0], "uniforms": [0.5, 0.5], "temperature": 0.7,
+              "suppressed": [], "stop": 3}
+#: A map for the V=4 fixture model: it suppresses id 2, a student-only marker that expands to 1.
+FIXTURE_MAP = VocabularyMap(shared_size=4, suppressed=frozenset({2}), expansions={2: (1,)})
 
 CAPS = {"model": "m", "vocab_size": 4, "eos_token": 3, "max_context": 64, "max_continuation": 8}
 
@@ -500,6 +509,133 @@ class TestBlockRequests:
             with pytest.raises(BackendError, match="malformed capabilities payload"):
                 handshake(BackendEndpoint(base_url=base_url, model_name="m"))
 
+def answering_draws(models, reply: dict | None):
+    """A stub handler that answers every ``/v1/draws`` request with ``reply``, or, if it is None,
+    as a v4 server does: an unknown path."""
+
+    class Handler(_make_handler(models, 8192)):
+        def do_POST(self):  # noqa: N802
+            if urlparse(self.path).path != "/v1/draws":
+                return super().do_POST()
+            self.rfile.read(int(self.headers.get("Content-Length", "0")))
+            if reply is None:
+                self._fail(404, "unknown path /v1/draws")
+            else:
+                self._send(200, reply)
+
+    return Handler
+
+
+class TestDraws:
+    def test_draws_match_the_wrapped_table_in_one_request(self, stub, monkeypatch, remote_model):
+        server, model = stub
+        remote = remote_model(endpoint(server))
+        targets = record_targets(monkeypatch)
+        drawn = 0
+        for seed, temperature, vmap in ((3, 0.7, None), (4, 1.0, FIXTURE_MAP), (5, 1.6, FIXTURE_MAP)):
+            uniforms = [StepStream(seed, i).random() for i in range(8)]
+            expected = model.draws([0], uniforms, temperature, vmap, None)
+            assert remote.draws([0], uniforms, temperature, vmap, None) == expected
+            assert len(expected) == 8
+            drawn += len(expected)
+        assert targets == [("POST", "/v1/draws")] * 3
+        assert (remote.stats["requests"], remote.stats["rows"], remote.stats["draws"]) == (3, 0, drawn)
+
+    def test_a_draw_that_fails_ends_the_reply_short(self):
+        # after a 1, every id the request suppresses holds the row's mass: the second draw has none
+        model = TableModel({(1,): [0.0, 0.0, 0.5, 0.5]}, [0.25] * 4, eos_token=3)
+        body = {**DRAWS_BODY, "uniforms": [0.7, 0.5, 0.5], "suppressed": [2, 3]}
+        with StubServer({"fixture-table": model}) as server:
+            status, text = fetch(f"{server.base_url}/v1/draws", body)
+        assert status == 200
+        assert json.loads(text) == {"tokens": [1], "probs": [0.25]}
+
+    def test_uniforms_are_cut_to_what_the_server_takes(self, monkeypatch, remote_model):
+        with StubServer({"fixture-table": fixture_model()}, max_context=4) as server:
+            remote = remote_model(endpoint(server))
+            posts = record_requests(monkeypatch, "POST")
+            assert len(remote.draws([0, 1], [0.01] * 5, 1.0, None, None)) == 2  # the context plus 2 fill 4
+            assert remote.draws([0, 1, 1, 0], [0.01], 1.0, None, None) == []  # none fit: no request
+        with StubServer({"fixture-table": fixture_model()}) as server:
+            remote = remote_model(endpoint(server))
+            assert len(remote.draws([0], [0.01] * (MAX_CONTINUATION + 5), 1.0, None, None)) == MAX_CONTINUATION + 1
+        assert [len(json.loads(body)["uniforms"]) for body in posts] == [2, MAX_CONTINUATION + 1]
+
+    def test_suppressed_ids_past_the_vocabulary_are_not_sent(self, stub, monkeypatch, remote_model):
+        # a map may suppress ids the proposer's vocabulary lacks; they suppress nothing there
+        server, _ = stub
+        vmap = VocabularyMap(shared_size=3, suppressed=frozenset({3, 4, 5}))
+        posts = record_requests(monkeypatch, "POST")
+        remote_model(endpoint(server)).draws([0], [0.5], 1.0, vmap, None)
+        assert json.loads(posts[0])["suppressed"] == [3]
+
+    @pytest.mark.parametrize(
+        "reply, match",
+        [
+            ({"tokens": [1]}, "malformed draws reply"),
+            ([1, 0.5], "malformed draws reply"),
+            (b"\x00" * 8, "malformed draws reply"),
+            ({"tokens": [1], "probs": [0.5, 0.5]}, "equal lists"),
+            ({"tokens": 1, "probs": 0.5}, "equal lists"),
+            ({"tokens": [1, 1, 1], "probs": [0.5, 0.5, 0.5]}, "3 tokens for 2 uniforms"),
+            ({"tokens": [4], "probs": [0.5]}, "drawn token 4 outside vocabulary of size 4"),
+            ({"tokens": [-1], "probs": [0.5]}, "drawn token -1 outside vocabulary"),
+            ({"tokens": [1.0], "probs": [0.5]}, "drawn token 1.0 outside vocabulary"),
+            ({"tokens": [True], "probs": [0.5]}, "drawn token True outside vocabulary"),
+            ({"tokens": [1], "probs": [math.nan]}, "probability nan, not one in"),
+            ({"tokens": [1], "probs": [math.inf]}, "probability inf, not one in"),
+            ({"tokens": [1], "probs": [1.5]}, "probability 1.5, not one in"),
+            ({"tokens": [1], "probs": [-0.25]}, "probability -0.25, not one in"),
+            ({"tokens": [1], "probs": ["0.5"]}, "probability '0.5', not one in"),
+            ({"tokens": [1], "probs": [None]}, "probability None, not one in"),
+            ({"tokens": [3, 1], "probs": [0.5, 0.5]}, "past the stop token 3"),
+        ],
+        ids=["no-probs", "list", "raw-body", "unequal-lists", "not-lists", "more-tokens-than-uniforms",
+             "token-past-vocabulary", "negative-token", "float-token", "bool-token", "nan-probability",
+             "infinite-probability", "probability-above-one", "negative-probability", "string-probability",
+             "null-probability", "stop-not-last"],
+    )
+    def test_malformed_draws_reply_is_a_backend_error(self, reply, match):
+        with pytest.raises(BackendError, match=match):
+            draws_from_payload(reply, 2, 4, 3)
+
+    def test_well_formed_draws_replies_pass(self):
+        assert draws_from_payload({"tokens": [], "probs": []}, 2, 4, 3) == []
+        assert draws_from_payload({"tokens": [1, 3], "probs": [1, 0.5]}, 2, 4, 3) == [(1, 1.0), (3, 0.5)]
+        assert draws_from_payload({"tokens": [3, 3], "probs": [0.5, 0.5]}, 2, 4, None) == [(3, 0.5), (3, 0.5)]
+
+    def test_a_malformed_reply_over_the_wire_is_a_backend_error(self, remote_model):
+        reply = json.dumps({"tokens": [1, 1, 1], "probs": [0.5, 0.5, 0.5]}).encode()
+        with serving(backend("application/json", reply)) as base_url:
+            remote = remote_model(BackendEndpoint(base_url=base_url, model_name="m"))
+            with pytest.raises(BackendError, match="3 tokens for 2 uniforms"):
+                remote.draws([0], [0.5, 0.5], 1.0, None, 3)
+        assert remote.stats["draws"] == 0
+
+    def test_a_v4_server_fails_the_first_draws_request(self, monkeypatch, remote_model):
+        # no row path stands in for a server without /v1/draws
+        teacher = fixture_model()
+        student = TableModel({}, [0.4, 0.1, 0.3, 0.2], eos_token=3)
+        with serving(answering_draws({"fixture-table": teacher}, None)) as base_url:
+            remote = remote_model(BackendEndpoint(base_url=base_url, model_name="fixture-table"))
+            targets = record_targets(monkeypatch)
+            with pytest.raises(BackendError, match="POST /v1/draws -> HTTP 404"):
+                decode(remote, student, [0], GenerationConfig(p_th=0.05, max_tokens=8, seed=1))
+        assert targets == [("POST", "/v1/draws")]
+
+    def test_an_empty_reply_sends_each_step_through_the_row_path(self, remote_model):
+        teacher = fixture_model()
+        student = TableModel({}, [0.4, 0.1, 0.3, 0.2], eos_token=3)
+        with serving(answering_draws({"fixture-table": teacher}, {"tokens": [], "probs": []})) as base_url:
+            remote = remote_model(BackendEndpoint(base_url=base_url, model_name="fixture-table"))
+            for seed in range(6):
+                cfg = GenerationConfig(p_th=0.05, max_tokens=8, temperature=0.7, seed=seed)
+                trace = decode(remote, student, [0], cfg)
+                assert trace.to_json_line() == decode(teacher, student, [0], cfg).to_json_line()
+        assert remote.stats["draws"] == 0
+        assert remote.stats["requests"] == 2 * remote.stats["rows"]  # each step: an empty draws reply, then its row
+
+
 class TestConnections:
     def test_each_worker_thread_keeps_one_connection(self, stub, monkeypatch, remote_model):
         server, model = stub
@@ -638,6 +774,31 @@ class TestRecordReplay:
         assert status == 200
         assert content_type == "application/octet-stream"
         assert body == (FIXTURES / "distributions_response_f64le.bin").read_bytes()
+
+    def test_replayed_draws_fixture_gives_in_process_draws(self):
+        request = json.loads((FIXTURES / "draws_request.json").read_text())
+        stored = json.loads((FIXTURES / "draws_response.json").read_text())
+        replayed = draws_from_payload(stored, len(request["uniforms"]), 4, request["stop"])
+        expected = fixture_model().draws(request["context"], request["uniforms"], request["temperature"],
+                                         FIXTURE_MAP, request["stop"])
+        assert replayed == expected
+        assert len(replayed) < len(request["uniforms"])  # the reply ends at the stop token
+
+    def test_client_sends_the_recorded_draws_request(self, stub, monkeypatch, remote_model):
+        server, _ = stub
+        request = json.loads((FIXTURES / "draws_request.json").read_text())
+        posts = record_requests(monkeypatch, "POST")
+        remote_model(endpoint(server)).draws(request["context"], request["uniforms"], request["temperature"],
+                                             FIXTURE_MAP, request["stop"])
+        assert [json.loads(body) for body in posts] == [request]
+
+    def test_live_stub_still_matches_recorded_draws_response(self, stub):
+        server, _ = stub
+        request = json.loads((FIXTURES / "draws_request.json").read_text())
+        status, content_type, body = exchange(f"{server.base_url}/v1/draws", request)
+        assert status == 200
+        assert content_type == "application/json"
+        assert body == (FIXTURES / "draws_response.json").read_bytes()
 
     def test_capabilities_fixture_matches_live(self, stub):
         server, _ = stub
@@ -826,6 +987,70 @@ class TestStubValidation:
         assert reply.startswith(b"HTTP/1.1 404")
         assert reply.count(b"HTTP/1.1") == 1
         assert b"unknown path /v1/distribution" in reply
+
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ({"encoding": "f64-le"}, "malformed request: unknown keys ['encoding']"),
+            ({"model": ["t"]}, "malformed request: model must be a string, got list"),
+            ({"context": [0, 1.0]}, "malformed request: context must be a list of ints"),
+            ({"context": [True]}, "malformed request: context must be a list of ints"),
+            ({"suppressed": ["2"]}, "malformed request: suppressed must be a list of ints"),
+            ({"suppressed": None}, "malformed request: suppressed must be a list of ints"),
+            ({"uniforms": 0.5}, "malformed request: uniforms must be a list of numbers"),
+            ({"uniforms": [0.5, "0.5"]}, "malformed request: uniforms must be a list of numbers"),
+            ({"uniforms": [False]}, "malformed request: uniforms must be a list of numbers"),
+            ({"uniforms": [0.5, 1.0]}, "uniform 1.0 outside [0, 1)"),
+            ({"uniforms": [-0.25]}, "uniform -0.25 outside [0, 1)"),
+            ({"uniforms": [math.nan]}, "uniform nan outside [0, 1)"),
+            ({"uniforms": [0.5] * (MAX_CONTINUATION + 2)},
+             f"{MAX_CONTINUATION + 2} uniforms exceed max {MAX_CONTINUATION + 1}"),
+            ({"temperature": "0.7"}, "malformed request: temperature must be a number, got '0.7'"),
+            ({"temperature": True}, "malformed request: temperature must be a number, got True"),
+            ({"temperature": 0}, "temperature must be finite and above 0, got 0"),
+            ({"temperature": -0.7}, "temperature must be finite and above 0, got -0.7"),
+            ({"temperature": math.inf}, "temperature must be finite and above 0, got inf"),
+            ({"temperature": math.nan}, "temperature must be finite and above 0, got nan"),
+            ({"stop": "3"}, "malformed request: stop must be an int or null, got '3'"),
+            ({"stop": 3.0}, "malformed request: stop must be an int or null, got 3.0"),
+            ({"context": [0, 4]}, "context token 4 outside vocabulary of size 4"),
+            ({"suppressed": [4]}, "suppressed id 4 outside vocabulary of size 4"),
+            ({"suppressed": [-1]}, "suppressed id -1 outside vocabulary of size 4"),
+        ],
+        ids=["unknown-key", "model-not-a-string", "float-context", "bool-context", "string-suppressed",
+             "null-suppressed", "uniforms-not-a-list", "string-uniform", "bool-uniform", "uniform-of-one",
+             "negative-uniform", "nan-uniform", "too-many-uniforms", "string-temperature", "bool-temperature",
+             "zero-temperature", "negative-temperature", "infinite-temperature", "nan-temperature", "string-stop",
+             "float-stop", "context-outside-vocabulary", "suppressed-outside-vocabulary", "negative-suppressed"],
+    )
+    def test_malformed_draws_request_400(self, stub, change, error):
+        server, _ = stub
+        status, text = fetch(f"{server.base_url}/v1/draws", {**DRAWS_BODY, **change})
+        assert status == 400
+        assert json.loads(text)["error"] == error
+
+    @pytest.mark.parametrize("key", sorted(DRAWS_BODY))
+    def test_draws_request_missing_a_key_400(self, stub, key):
+        server, _ = stub
+        status, text = fetch(f"{server.base_url}/v1/draws", {k: v for k, v in DRAWS_BODY.items() if k != key})
+        assert status == 400
+        assert json.loads(text)["error"] == f"malformed request: {key!r}"
+
+    def test_draws_past_max_context_400(self):
+        with StubServer({"fixture-table": fixture_model()}, max_context=4) as server:
+            ok, text = fetch(f"{server.base_url}/v1/draws", {**DRAWS_BODY, "context": [0, 1], "uniforms": [0.5] * 2})
+            status, refused = fetch(f"{server.base_url}/v1/draws",
+                                    {**DRAWS_BODY, "context": [0, 1], "uniforms": [0.5] * 3})
+        assert ok == 200 and json.loads(text)["tokens"]
+        assert status == 400
+        assert json.loads(refused)["error"] == "context length 2 plus 3 uniforms exceeds max 4"
+
+    def test_draws_of_an_unknown_model_404(self, stub):
+        server, _ = stub
+        status, text = fetch(f"{server.base_url}/v1/draws", {**DRAWS_BODY, "model": "ghost"})
+        assert status == 404
+        assert json.loads(text)["error"] == "unknown model 'ghost'"
 
 
 def post_until_closed(server: StubServer, path: bytes, length: bytes) -> bytes:

@@ -247,11 +247,10 @@ def agreeing_pair(connect):
     """A student whose rows lean on the teacher's, so that it accepts most proposals, as the
     remote-stub-v4k benchmark's student does."""
     rng = np.random.default_rng(11)
-    rows = {(t,): long_row(rng) for t in range(6)}
-    rows[()] = long_row(rng)
-    mixed = {key: 0.8 * row + 0.2 * long_row(rng) for key, row in rows.items()}
-    teacher = TableModel({k: v for k, v in rows.items() if k}, rows[()], eos_token=5)
-    student = TableModel({k: v for k, v in mixed.items() if k}, mixed[()], eos_token=5)
+    teacher_rows = [long_row(rng) for _ in range(7)]  # one after each id, then the default
+    student_rows = [0.8 * row + 0.2 * long_row(rng) for row in teacher_rows]
+    teacher = TableModel({(t,): teacher_rows[t] for t in range(6)}, teacher_rows[6], eos_token=5)
+    student = TableModel({(t,): student_rows[t] for t in range(6)}, student_rows[6], eos_token=5)
     return teacher, student, connect
 
 
